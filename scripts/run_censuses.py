@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from apsn.census import run_census
 from apsn.centrality import betweenness, decay, eccentricity, game_theoretic
-from apsn.game import EvalCache, GT_HOMOPHILY, NumericAgent, uniform_game
+from apsn.game import GT_HOMOPHILY, NumericAgent, uniform_game
 from apsn.graphs import Graph, enumerate_labeled_graphs
 from apsn.structure import (
     betweenness_condition,
@@ -46,12 +46,11 @@ def main() -> int:
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cache = EvalCache()
     for name, (make_agent, predicate) in FAMILIES.items():
         for n in range(3, args.max_n + 1):
             spec = uniform_game(n, make_agent())
             start = time.monotonic()
-            result = run_census(spec, n, jobs=args.jobs, cache=cache)
+            result = run_census(spec, n, jobs=args.jobs)
             elapsed = time.monotonic() - start
             payload = result.to_json()
             payload["family"] = name

@@ -95,9 +95,13 @@ def _fresh_cache(n: int) -> EvalCache:
     return EvalCache()
 
 
-def _scan_shard(spec: GameSpec, n: int, shard: int, shards: int) -> tuple[list[int], list[int]]:
+def _scan_shard(
+    spec: GameSpec, n: int, shard: int, shards: int, cache: EvalCache | None = None
+) -> tuple[list[int], list[int]]:
+    """Stable and ambiguous masks of one shard; a fresh cache unless given one."""
     lo, hi = shard_bounds(graph_count(n), shard, shards)
-    cache = _fresh_cache(n)
+    if cache is None:
+        cache = _fresh_cache(n)
     stable: list[int] = []
     ambiguous: list[int] = []
     for mask in range(lo, hi):
@@ -157,18 +161,7 @@ def run_census(
             shard_results = dict(zip(pending, results))
         else:
             shared = cache or _fresh_cache(n)
-            shard_results = {}
-            for k in pending:
-                lo, hi = layout[k]
-                stable, ambiguous = [], []
-                for mask in range(lo, hi):
-                    report = is_apsn(spec, Graph(n, mask), shared, early_exit=True)
-                    verdict = report.verdict
-                    if verdict == "stable":
-                        stable.append(mask)
-                    elif verdict == "ambiguous":
-                        ambiguous.append(mask)
-                shard_results[k] = (stable, ambiguous)
+            shard_results = {k: _scan_shard(spec, n, k, shards, shared) for k in pending}
         for k, (stable, ambiguous) in shard_results.items():
             done[k] = (stable, ambiguous)
             if ckpt_fh:

@@ -16,6 +16,7 @@ Conventions for degenerate inputs, applied consistently throughout:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -210,13 +211,23 @@ def _linear_vector(g: Graph, weights) -> tuple[Fraction, ...]:
     )
 
 
+@functools.cache
+def _closeness_value(total: int) -> Fraction:
+    """1/total, or 0 for an isolated vertex.
+
+    One shared object per distance sum (at most 120 of them for n <= 16):
+    memos of many closeness vectors were mostly separate Fractions, and a
+    lookup is cheaper than building one.
+    """
+    return Fraction(1, total) if total else Fraction(0)
+
+
 def _closeness_vector(g: Graph) -> tuple[Fraction, ...]:
     adj = g.adjacency()
     out = []
     for i in range(g.n):
         dist = bfs_distances(adj, i)
-        total = sum(d for d in dist if d > 0)
-        out.append(Fraction(1, total) if total else Fraction(0))
+        out.append(_closeness_value(sum(d for d in dist if d > 0)))
     return tuple(out)
 
 

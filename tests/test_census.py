@@ -65,19 +65,22 @@ def test_checkpoint_resume(tmp_path, shared_cache):
 
 
 def test_checkpoint_ignores_foreign_records(tmp_path, shared_cache):
-    other = run_census(uniform_game(4, NumericAgent(degree())), 4, cache=shared_cache)
+    # betweenness agents keep the empty graph and C4, not K4, so accepting
+    # its records would change the decay census
     ckpt = tmp_path / "census.jsonl"
-    run_census(
-        uniform_game(4, NumericAgent(degree())),
+    foreign = run_census(
+        uniform_game(4, NumericAgent(betweenness())),
         4,
         shards=2,
         cache=shared_cache,
         checkpoint=str(ckpt),
     )
     spec = decay_game(4)
-    fresh = run_census(spec, 4, shards=2, cache=shared_cache, resume=str(ckpt))
-    assert fresh.stable_masks == [Graph.complete(4).mask]
-    assert other.stable_masks != fresh.stable_masks or True
+    resumed = run_census(spec, 4, shards=2, cache=shared_cache, resume=str(ckpt))
+    fresh = run_census(spec, 4, shards=2, cache=shared_cache)
+    assert resumed.stable_masks == [Graph.complete(4).mask]
+    assert resumed.payload() == fresh.payload()
+    assert resumed.stable_masks != foreign.stable_masks
 
 
 def test_stable_set_closed_under_isomorphism(rng, shared_cache):

@@ -91,6 +91,13 @@ def test_closeness_isolated_is_zero():
     assert centrality_vector(closeness(), Graph.empty(2)) == (Fraction(0), Fraction(0))
 
 
+def test_closeness_vectors_share_equal_values():
+    c5 = centrality_vector(closeness(), Graph.cycle(5))
+    star = centrality_vector(closeness(), Graph.from_edges(7, [(0, k) for k in range(1, 7)]))
+    assert c5[0] == star[0] == Fraction(1, 6)
+    assert all(x is c5[0] for x in c5 + star[:1])
+
+
 def test_linear_centrality_sums_incident_weights():
     w = ((0, 2, 5), (2, 0, 0), (5, 0, 0))
     g = Graph.from_edges(3, [(0, 1), (0, 2)])

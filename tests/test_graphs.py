@@ -17,6 +17,7 @@ from apsn.errors import (
 from apsn.graphs import (
     INFINITE,
     Graph,
+    apply_permutation,
     canonical_form,
     distances,
     dominates,
@@ -221,6 +222,69 @@ def test_canonical_equality_matches_isomorphism():
     for a, b in itertools.combinations(graphs, 2):
         iso = nx.is_isomorphic(to_networkx(a), to_networkx(b))
         assert iso == (canonical_form(a) == canonical_form(b))
+
+
+def permutation_minimum(g: Graph) -> int:
+    """The n! definition of the canonical form, as a reference for the search."""
+    return min(
+        apply_permutation(g.n, g.mask, perm) for perm in itertools.permutations(range(g.n))
+    )
+
+
+def test_canonical_form_matches_permutation_minimum_exhaustive_n5():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert canonical_form(g) == permutation_minimum(g), (n, g.mask)
+
+
+def test_canonical_form_matches_permutation_minimum_random_n7():
+    rnd = random.Random(2014)
+    for _ in range(50):
+        g = Graph(7, rnd.randrange(graph_count(7)))
+        assert canonical_form(g) == permutation_minimum(g), g.mask
+
+
+def test_canonical_forms_split_n6_into_its_156_classes():
+    classes: dict[int, list[int]] = {}
+    for g in enumerate_labeled_graphs(6):
+        classes.setdefault(canonical_form(g), []).append(g.mask)
+    assert len(classes) == 156
+    for key, members in classes.items():
+        assert key == min(members)
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, (graph_count(g.n) - 1) ^ g.mask)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        petersen(),
+        complement(petersen()),
+        Graph.cycle(10),
+        Graph.complete_bipartite(5, 5),
+        Graph.empty(10),
+        Graph.complete(10),
+    ],
+    ids=["petersen", "petersen-complement", "c10", "k55", "empty", "k10"],
+)
+def test_canonical_form_relabeling_invariant_n10(g):
+    rnd = random.Random(g.mask)
+    base = canonical_form(g)
+    assert base <= g.mask
+    assert sorted(Graph(10, base).degrees()) == sorted(g.degrees())
+    for _ in range(5):
+        perm = list(range(10))
+        rnd.shuffle(perm)
+        assert canonical_form(g.relabel(tuple(perm))) == base
 
 
 # -- edge list I/O -----------------------------------------------------------------
