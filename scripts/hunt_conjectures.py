@@ -12,11 +12,14 @@ import sys
 import time
 
 from apsn.census import conjecture_report
+from apsn.errors import SizeGuardError
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=4)
+    parser.add_argument(
+        "--max-n", type=int, default=4, help="largest n; each family stops at its own cap"
+    )
     parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--outdir", default="results")
@@ -27,7 +30,11 @@ def main() -> int:
     for kind in ("rwbetweenness", "eigenvector"):
         for n in range(3, args.max_n + 1):
             start = time.monotonic()
-            report = conjecture_report(kind, n, tol=args.tolerance, jobs=args.jobs)
+            try:
+                report = conjecture_report(kind, n, tol=args.tolerance, jobs=args.jobs)
+            except SizeGuardError as exc:
+                print(f"{kind} n={n}: skipped ({exc})")
+                break
             elapsed = time.monotonic() - start
             path = outdir / f"conjecture_{kind}_n{n}.json"
             path.write_text(json.dumps(report, indent=2) + "\n")

@@ -221,8 +221,6 @@ def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> di
 
     if kind not in ("rwbetweenness", "eigenvector"):
         raise ParameterError("conjecture reports cover 'rwbetweenness' and 'eigenvector'")
-    if n > CENSUS_CAP_SPECTRAL:
-        raise SizeGuardError(f"conjecture reports capped at n={CENSUS_CAP_SPECTRAL}")
     if kind == "rwbetweenness":
         spec = uniform_game(n, NumericAgent(rw_betweenness()))
         expected = [Graph.empty(n), Graph.complete(n)]
@@ -231,6 +229,9 @@ def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> di
         spec = uniform_game(n, NumericAgent(eigenvector()), TolerantPolicy(tol))
         expected = [Graph.complete(n)]
         conjecture = "the complete graph is the only stable network"
+    cap = census_cap(spec)
+    if n > cap:
+        raise SizeGuardError(f"{kind} conjecture reports capped at n={cap}")
     result = run_census(spec, n, jobs=jobs)
     expected_canon = sorted(canonical_form(g) for g in expected)
     found_canon = [c for c, _ in result.apsn_canonical]

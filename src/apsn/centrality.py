@@ -2,8 +2,10 @@
 
 Exact measures return Fractions; spectral measures (eigenvector, Katz,
 PageRank) return floats and are tagged approximate.  Brute-force oracles
-(`brute_shapley`, `brute_betweenness`) are deliberately independent
-implementations kept for cross-checking the fast paths.
+(`brute_shapley`, `brute_betweenness`) and the rational walk solves
+(`hitting_times`, `absorption_probabilities`) are deliberately independent
+implementations kept for cross-checking the fast paths; the random-walk
+vectors themselves come from integer adjugates of reduced Laplacians.
 
 Conventions for degenerate inputs, applied consistently throughout:
 
@@ -30,10 +32,9 @@ from .graphs import (
     bfs_distances,
     bits,
     component_masks,
-    is_connected,
     reachable_from,
 )
-from .linalg import solve_rational
+from .linalg import det_adjugate, solve_rational
 from .values import Approx, Exact, Value
 
 EXACT_KINDS = frozenset(
@@ -160,10 +161,6 @@ def game_theoretic() -> Measure:
 
 # ---------------------------------------------------------------------------
 # shortest-path machinery shared by several measures
-
-
-def all_pairs(adj: tuple[int, ...]) -> list[list[int]]:
-    return [bfs_distances(adj, s) for s in range(len(adj))]
 
 
 def path_counts(adj: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
@@ -319,15 +316,6 @@ def hitting_times(g: Graph, target: int) -> dict[int, Fraction]:
     return out
 
 
-def _rwcloseness_vector(g: Graph) -> tuple[Fraction, ...]:
-    out = []
-    for i in range(g.n):
-        ht = hitting_times(g, i)
-        total = sum(ht.values(), Fraction(0))
-        out.append(Fraction(1) / total if total else Fraction(0))
-    return tuple(out)
-
-
 def absorption_probabilities(g: Graph, hit: int, avoid: int) -> dict[int, Fraction]:
     """P[walk from v reaches `hit` before `avoid`] for all v, exactly.
 
@@ -373,24 +361,60 @@ def absorption_probabilities(g: Graph, hit: int, avoid: int) -> dict[int, Fracti
     return probs
 
 
+def _reduced_laplacian_adjugates(g: Graph):
+    """(k, rest, det L_k, adj L_k) for every vertex k of every component C
+    with |C| > 1, where L_k is the integer Laplacian D - A on rest = C - {k}.
+
+    L_k is symmetric positive definite (C is connected), so `det_adjugate`
+    needs no pivoting, and L_k^-1 = adj L_k / det L_k is the Green's function
+    of the walk absorbed at k, scaled by 1/degree.
+    """
+    adj = g.adjacency()
+    for comp in component_masks(g):
+        members = list(bits(comp))
+        if len(members) < 2:
+            continue
+        for k in members:
+            rest = [v for v in members if v != k]
+            matrix = []
+            for p, v in enumerate(rest):
+                row = [-(adj[v] >> w & 1) for w in rest]
+                row[p] = adj[v].bit_count()
+                matrix.append(row)
+            det, adjugate = det_adjugate(matrix)
+            yield k, rest, det, adjugate
+
+
+def _rwcloseness_vector(g: Graph) -> tuple[Fraction, ...]:
+    """1 / (sum of hitting times to t).  The hitting times solve L_t H = d,
+    so the vertex's value is det L_t / (1^T adj(L_t) d)."""
+    adj = g.adjacency()
+    out = [Fraction(0)] * g.n
+    for t, rest, det, adjugate in _reduced_laplacian_adjugates(g):
+        deg = [adj[v].bit_count() for v in rest]
+        total = sum(sum(x * d for x, d in zip(row, deg)) for row in adjugate)
+        out[t] = Fraction(det, total)
+    return tuple(out)
+
+
 def _rwbetweenness_vector(g: Graph) -> tuple[Fraction, ...]:
     """Sum over ordered pairs (j, k) of the probability that a walk started
-    at j with absorbing vertex k passes through i.  Pairs not sharing a
-    component with i contribute 0 (no walk from j can both reach i and be
-    absorbed at k)."""
-    comps = component_masks(g)
-    out = []
-    for i in range(g.n):
-        comp = next(c for c in comps if c >> i & 1)
-        others = [v for v in bits(comp) if v != i]
-        total = Fraction(0)
-        for k in others:
-            probs = absorption_probabilities(g, hit=i, avoid=k)
-            for j in others:
-                if j != k:
-                    total += probs[j]
-        out.append(total)
-    return tuple(out)
+    at j with absorbing vertex k passes through i, for j, k in Conn(i) - {i}
+    (other pairs contribute 0).
+
+    P[walk from j hits i before k] = adj(L_k)[j][i] / adj(L_k)[i][i], so each
+    k adds the off-diagonal sum of column i of adj(L_k) over its diagonal
+    entry.  The sums run over integers and become one Fraction per vertex.
+    """
+    num = [0] * g.n
+    den = [1] * g.n
+    for _k, rest, _det, adjugate in _reduced_laplacian_adjugates(g):
+        for p, i in enumerate(rest):
+            diag = adjugate[p][p]
+            off = sum(row[p] for row in adjugate) - diag
+            num[i] = num[i] * diag + off * den[i]
+            den[i] *= diag
+    return tuple(Fraction(x, d) for x, d in zip(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +430,6 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
 
 def spectral_radius_bound(g: Graph) -> int:
     return max(1, max(g.degrees(), default=0))
-
-
-def is_spectrally_degenerate(g: Graph) -> bool:
-    """Eigenvector centrality is only defined up to component choice on
-    disconnected graphs; callers flag such inputs in reports."""
-    return not is_connected(g)
 
 
 def _eigenvector_vector(g: Graph) -> tuple[float, ...]:

@@ -113,18 +113,21 @@ def test_fingerprint_distinguishes_games():
 def test_conjecture_report_structure_rwb_n3():
     report = conjecture_report("rwbetweenness", 3)
     assert report["measure"] == "rwbetweenness"
-    assert report["verdict"] in ("consistent with conjecture", "deviation found")
-    found = set(report["stable"])
-    assert found | set(report["missing_expected"]) >= set()
-    # internal consistency: counterexamples are stable graphs outside the
-    # conjectured pair, missing_expected are conjectured graphs not found
-    for g6 in report["counterexamples"]:
-        assert g6 in found
+    assert report["verdict"] == "consistent with conjecture"
+    assert report["stable"] == ["B?", "Bw"]  # the empty graph and K3
+    assert report["counterexamples"] == []
+    assert report["missing_expected"] == []
+    assert report["ambiguous"] == []
 
 
 def test_conjecture_report_size_guard():
     with pytest.raises(SizeGuardError):
         conjecture_report("eigenvector", 6)
+
+
+def test_conjecture_report_size_guard_rwb():
+    with pytest.raises(SizeGuardError):
+        conjecture_report("rwbetweenness", 7)
 
 
 def test_bounded_cache_evicts_oldest():

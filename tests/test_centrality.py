@@ -29,7 +29,13 @@ from apsn.centrality import (
     rw_closeness,
 )
 from apsn.errors import ParameterError, SizeGuardError
-from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
+from apsn.graphs import (
+    Graph,
+    enumerate_labeled_graphs,
+    graph_count,
+    is_connected,
+    same_component,
+)
 from apsn.values import Approx, Exact
 
 ALL_EXACT = [
@@ -262,6 +268,59 @@ def test_rwbetweenness_path_middle():
     # ordered pairs (0,2) and (2,0): every walk crosses the middle.
     assert vec[1] == Fraction(2)
     assert vec[0] < vec[1]
+
+
+def oracle_rwcloseness(g: Graph) -> tuple[Fraction, ...]:
+    """One rational hitting-time solve per target."""
+    out = []
+    for i in range(g.n):
+        total = sum(hitting_times(g, i).values(), Fraction(0))
+        out.append(1 / total if total else Fraction(0))
+    return tuple(out)
+
+
+def oracle_rwbetweenness(g: Graph) -> tuple[Fraction, ...]:
+    """One rational absorption solve per ordered pair (i, k) in a component."""
+    out = []
+    for i in range(g.n):
+        others = [v for v in range(g.n) if v != i and same_component(g, i, v)]
+        total = Fraction(0)
+        for k in others:
+            probs = absorption_probabilities(g, hit=i, avoid=k)
+            total += sum((probs[j] for j in others if j != k), Fraction(0))
+        out.append(total)
+    return tuple(out)
+
+
+def assert_rw_kernels_match_oracles(g: Graph):
+    assert centrality_vector(rw_closeness(), g) == oracle_rwcloseness(g), g.mask
+    assert centrality_vector(rw_betweenness(), g) == oracle_rwbetweenness(g), g.mask
+
+
+def test_rw_kernels_match_oracles_exhaustive_n5():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert_rw_kernels_match_oracles(g)
+
+
+def test_rw_kernels_match_oracles_on_the_156_classes_n6():
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
+    assert len(atlas) == 156
+    for h in atlas:
+        assert_rw_kernels_match_oracles(Graph.from_edges(6, list(h.edges())))
+
+
+def test_rw_kernels_match_oracles_random_n7():
+    rnd = random.Random(2005)
+    disconnected = 0
+    for _ in range(50):
+        density = rnd.uniform(0.15, 0.7)
+        g = Graph.from_edges(
+            7, [(i, j) for i in range(7) for j in range(i + 1, 7) if rnd.random() < density]
+        )
+        disconnected += not is_connected(g)
+        assert_rw_kernels_match_oracles(g)
+    assert disconnected >= 5
 
 
 # -- spectral measures -------------------------------------------------------------
