@@ -23,11 +23,6 @@ CENSUS_CAP_EXACT = 7
 CENSUS_CAP_LINEAR_SOLVE = 6
 CENSUS_CAP_SPECTRAL = 5
 
-#: above this many graphs a census bounds its vector memo instead of keeping
-#: the whole space in memory
-_UNBOUNDED_CACHE_LIMIT = 1 << 18
-_BOUNDED_CACHE_VECTORS = 1 << 16
-
 _LINEAR_SOLVE_KINDS = {"rwcloseness", "rwbetweenness"}
 
 
@@ -89,19 +84,13 @@ class CensusResult:
         return out
 
 
-def _fresh_cache(n: int) -> EvalCache:
-    if graph_count(n) > _UNBOUNDED_CACHE_LIMIT:
-        return EvalCache(max_vectors=_BOUNDED_CACHE_VECTORS)
-    return EvalCache()
-
-
 def _scan_shard(
     spec: GameSpec, n: int, shard: int, shards: int, cache: EvalCache | None = None
 ) -> tuple[list[int], list[int]]:
     """Stable and ambiguous masks of one shard; a fresh cache unless given one."""
     lo, hi = shard_bounds(graph_count(n), shard, shards)
     if cache is None:
-        cache = _fresh_cache(n)
+        cache = EvalCache()
     stable: list[int] = []
     ambiguous: list[int] = []
     for mask in range(lo, hi):
@@ -160,7 +149,7 @@ def run_census(
                 )
             shard_results = dict(zip(pending, results))
         else:
-            shared = cache or _fresh_cache(n)
+            shared = cache or EvalCache()
             shard_results = {k: _scan_shard(spec, n, k, shards, shared) for k in pending}
         for k, (stable, ambiguous) in shard_results.items():
             done[k] = (stable, ambiguous)

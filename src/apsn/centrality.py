@@ -6,6 +6,10 @@ PageRank) return floats and are tagged approximate.  Brute-force oracles
 (`hitting_times`, `absorption_probabilities`) are deliberately independent
 implementations kept for cross-checking the fast paths; the random-walk
 vectors themselves come from integer adjugates of reduced Laplacians.
+Closeness, decay, harmonic and eccentricity are read off one bitmask BFS
+distance histogram per vertex; these and betweenness and game-theoretic
+centrality sum integer numerators over one denominator and build a single
+Fraction per value, shared through bounded memos.
 
 Conventions for degenerate inputs, applied consistently throughout:
 
@@ -27,13 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SizeGuardError
-from .graphs import (
-    Graph,
-    bfs_distances,
-    bits,
-    component_masks,
-    reachable_from,
-)
+from .graphs import MAX_VERTICES, Graph, bits, component_masks, reachable_from
 from .linalg import det_adjugate, solve_rational
 from .values import Approx, Exact, Value
 
@@ -163,40 +161,93 @@ def game_theoretic() -> Measure:
 # shortest-path machinery shared by several measures
 
 
-def path_counts(adj: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
-    """(dist, sigma): shortest-path lengths and counts from every source."""
+def _next_level(adj: tuple[int, ...], frontier: int, seen: int) -> int:
+    """Vertices adjacent to the frontier that are not yet seen."""
+    nxt = 0
+    while frontier:
+        low = frontier & -frontier
+        nxt |= adj[low.bit_length() - 1]
+        frontier ^= low
+    return nxt & ~seen
+
+
+def _distance_histograms(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Per source s, (c_1, ..., c_D): c_d vertices lie at distance d from s
+    and D is the largest finite distance.  Unreachable vertices are not
+    counted, so an isolated vertex has the empty histogram."""
+    out = []
+    for s in range(len(adj)):
+        seen = frontier = 1 << s
+        hist = []
+        while True:
+            frontier = _next_level(adj, frontier, seen)
+            if not frontier:
+                break
+            hist.append(frontier.bit_count())
+            seen |= frontier
+        out.append(tuple(hist))
+    return out
+
+
+def _shortest_paths(adj: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
+    """Per source s, (levels, sigma): levels[d] is the mask of the vertices
+    at distance d from s, sigma[v] the number of shortest s-v paths (0 when
+    v is unreachable)."""
     n = len(adj)
-    dist = []
-    sigma = []
+    out = []
     for s in range(n):
-        d = [-1] * n
-        sig = [0] * n
-        d[s] = 0
-        sig[s] = 1
-        frontier = [s]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for v in frontier:
-                for w in bits(adj[v]):
-                    if d[w] == -1:
-                        d[w] = level
-                        nxt.append(w)
-                    if d[w] == level:
-                        sig[w] += sig[v]
+        sigma = [0] * n
+        sigma[s] = 1
+        seen = frontier = 1 << s
+        levels = [frontier]
+        while True:
+            nxt = _next_level(adj, frontier, seen)
+            if not nxt:
+                break
+            rest = nxt
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                preds = adj[w] & frontier
+                count = 0
+                while preds:
+                    p = preds & -preds
+                    count += sigma[p.bit_length() - 1]
+                    preds ^= p
+                sigma[w] = count
+                rest ^= low
+            levels.append(nxt)
+            seen |= nxt
             frontier = nxt
-        dist.append(d)
-        sigma.append(sig)
-    return dist, sigma
+        out.append((levels, sigma))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # exact vectors
 
+_ZERO = Fraction(0)
+
+#: lcm(1, ..., k) for k = 0..MAX_VERTICES
+_LCM = tuple(math.lcm(*range(1, k + 1)) for k in range(MAX_VERTICES + 1))
+
+
+@functools.cache
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den), one shared object per key.
+
+    Vector memos hold many equal values; sharing them saves memory and a
+    lookup is cheaper than building a Fraction.  Callers use keys from
+    bounded sets for n <= 16: degree (degree, 1), at most 16 keys;
+    closeness (1, distance sum), at most 120 sums;
+    eccentricity (n - 1, largest distance), at most 225 keys; game-theoretic
+    (numerator, lcm(1..n)), fewer than n * lcm(1..n) keys per n.
+    """
+    return Fraction(num, den)
+
 
 def _degree_vector(g: Graph) -> tuple[Fraction, ...]:
-    return tuple(Fraction(d) for d in g.degrees())
+    return tuple(_fraction(a.bit_count(), 1) for a in g.adjacency())
 
 
 def _linear_vector(g: Graph, weights) -> tuple[Fraction, ...]:
@@ -209,85 +260,104 @@ def _linear_vector(g: Graph, weights) -> tuple[Fraction, ...]:
 
 
 @functools.cache
-def _closeness_value(total: int) -> Fraction:
-    """1/total, or 0 for an isolated vertex.
+def _closeness_value(hist: tuple[int, ...]) -> Fraction:
+    """1 / (sum of distances), or 0 for an isolated vertex.  Keyed by the
+    distance histogram: at most 2^(n-1) histograms on n vertices, 32,768
+    for n <= 16."""
+    total = sum(d * c for d, c in enumerate(hist, 1))
+    return _fraction(1, total) if total else _ZERO
 
-    One shared object per distance sum (at most 120 of them for n <= 16):
-    memos of many closeness vectors were mostly separate Fractions, and a
-    lookup is cheaper than building one.
-    """
-    return Fraction(1, total) if total else Fraction(0)
+
+@functools.cache
+def _harmonic_value(hist: tuple[int, ...]) -> Fraction:
+    """sum_d c_d / d over the common denominator lcm(1..D).  Keyed by the
+    distance histogram: at most 2^(n-1) histograms on n vertices, 32,768
+    for n <= 16."""
+    den = _LCM[len(hist)]
+    return Fraction(sum(c * (den // d) for d, c in enumerate(hist, 1)), den)
+
+
+@functools.cache
+def _decay_value(p: int, q: int, hist: tuple[int, ...]) -> Fraction:
+    """sum_d c_d beta^d for beta = p/q, as the integer Horner sum
+    sum_d c_d p^d q^(D-d) over q^D.  Keyed by beta and the distance
+    histogram: at most 32,768 histograms per beta for n <= 16."""
+    num = 0
+    power = 1
+    for c in hist:
+        power *= p
+        num = num * q + c * power
+    return Fraction(num, q ** len(hist))
 
 
 def _closeness_vector(g: Graph) -> tuple[Fraction, ...]:
-    adj = g.adjacency()
-    out = []
-    for i in range(g.n):
-        dist = bfs_distances(adj, i)
-        out.append(_closeness_value(sum(d for d in dist if d > 0)))
-    return tuple(out)
+    return tuple(map(_closeness_value, _distance_histograms(g.adjacency())))
 
 
 def _harmonic_vector(g: Graph) -> tuple[Fraction, ...]:
-    adj = g.adjacency()
-    out = []
-    for i in range(g.n):
-        dist = bfs_distances(adj, i)
-        out.append(sum((Fraction(1, d) for d in dist if d > 0), Fraction(0)))
-    return tuple(out)
+    return tuple(map(_harmonic_value, _distance_histograms(g.adjacency())))
 
 
 def _decay_vector(g: Graph, beta: Fraction) -> tuple[Fraction, ...]:
-    adj = g.adjacency()
-    out = []
-    for i in range(g.n):
-        dist = bfs_distances(adj, i)
-        out.append(sum((beta**d for d in dist if d > 0), Fraction(0)))
-    return tuple(out)
+    p, q = beta.numerator, beta.denominator
+    return tuple(_decay_value(p, q, hist) for hist in _distance_histograms(g.adjacency()))
 
 
 def _eccentricity_vector(g: Graph) -> tuple[Fraction, ...]:
     # (n-1) / max distance within the own component; 0 for isolated vertices.
-    adj = g.adjacency()
-    out = []
-    for i in range(g.n):
-        dist = bfs_distances(adj, i)
-        far = max((d for d in dist if d > 0), default=0)
-        out.append(Fraction(g.n - 1, far) if far else Fraction(0))
-    return tuple(out)
+    return tuple(
+        _fraction(g.n - 1, len(hist)) if hist else _ZERO
+        for hist in _distance_histograms(g.adjacency())
+    )
 
 
 def _betweenness_vector(g: Graph) -> tuple[Fraction, ...]:
-    adj = g.adjacency()
-    dist, sigma = path_counts(adj)
-    bet = [Fraction(0)] * g.n
-    for y in range(g.n):
-        dy = dist[y]
-        sy = sigma[y]
-        for z in range(y + 1, g.n):
-            dyz = dy[z]
-            if dyz <= 1:
-                continue  # disconnected or adjacent pairs route through nobody
-            syz = sy[z]
-            for i in range(g.n):
-                if i == y or i == z:
-                    continue
-                if dy[i] > 0 and dist[i][z] > 0 and dy[i] + dist[i][z] == dyz:
-                    inner = sy[i] * sigma[i][z]
-                    if inner:
-                        bet[i] += Fraction(inner, syz)
-    return tuple(bet)
+    """Pair (y, z) at distance D >= 2 gives vertex i on a shortest y-z path
+    (at distance k from y and D - k from z) sigma_yi sigma_iz / sigma_yz.
+    The terms are summed as integers over the lcm of all sigma_yz."""
+    n = g.n
+    paths = _shortest_paths(g.adjacency())
+    pairs = []
+    for y in range(n):
+        levels = paths[y][0]
+        for dist in range(2, len(levels)):
+            rest = levels[dist] & ~((2 << y) - 1)  # z > y
+            while rest:
+                low = rest & -rest
+                pairs.append((y, low.bit_length() - 1, dist))
+                rest ^= low
+    if not pairs:
+        return (_ZERO,) * n
+    den = math.lcm(*(paths[y][1][z] for y, z, _ in pairs))
+    num = [0] * n
+    for y, z, dist in pairs:
+        levels_y, sigma_y = paths[y]
+        levels_z, sigma_z = paths[z]
+        scale = den // sigma_y[z]
+        for k in range(1, dist):
+            inner = levels_y[k] & levels_z[dist - k]
+            while inner:
+                low = inner & -inner
+                i = low.bit_length() - 1
+                num[i] += sigma_y[i] * sigma_z[i] * scale
+                inner ^= low
+    return tuple(Fraction(x, den) if x else _ZERO for x in num)
 
 
 def _gametheoretic_vector(g: Graph) -> tuple[Fraction, ...]:
+    """Sum over the closed neighbourhood of 1 / (degree + 1), as integers
+    lcm(1..n) / (degree + 1) over lcm(1..n)."""
     adj = g.adjacency()
-    deg = [a.bit_count() for a in adj]
+    den = _LCM[g.n]
+    share = [den // (a.bit_count() + 1) for a in adj]
     out = []
-    for i in range(g.n):
-        total = Fraction(1, deg[i] + 1)
-        for j in bits(adj[i]):
-            total += Fraction(1, deg[j] + 1)
-        out.append(total)
+    for i, a in enumerate(adj):
+        num = share[i]
+        while a:
+            low = a & -a
+            num += share[low.bit_length() - 1]
+            a ^= low
+        out.append(_fraction(num, den))
     return tuple(out)
 
 

@@ -33,12 +33,6 @@ class ConvergenceError(ApsnError):
     code = "convergence"
 
 
-class ValueKindError(ApsnError):
-    """An exact and an approximate value met in a single comparison."""
-
-    code = "value_kind"
-
-
 class SpecValidationError(ApsnError):
     """A game specification is internally inconsistent."""
 

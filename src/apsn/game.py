@@ -13,10 +13,11 @@ degree-homophilic agents from their threshold function on degrees.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .centrality import APPROX_KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
@@ -144,33 +145,83 @@ def uniform_game(n: int, agent: Agent, policy: Policy = ExactPolicy()) -> GameSp
 # evaluation cache
 
 
+#: default bound of each EvalCache memo: about 10 MB of n = 7 closeness
+#: vectors (161 B each with their keys), and more than the 32,768 graphs of
+#: a census at n = 6
+DEFAULT_MAX_VECTORS = 1 << 16
+
+
+class _FifoMemo(dict):
+    """A dict that holds at most ``bound`` entries (no bound when None) and
+    drops the oldest first.
+
+    A CPython dict keeps deleted slots at the front of its entry table until
+    it resizes, so ``next(iter(d))`` rescans all of them on every eviction.
+    The oldest keys are instead taken a batch of bound/16 at a time from one
+    pass, which makes an insert amortized O(1) at no memory per entry.
+    """
+
+    __slots__ = ("bound", "_oldest")
+
+    def __init__(self, bound: int | None):
+        super().__init__()
+        self.bound = bound
+        self._oldest: list = []  # next keys to drop, the oldest last
+
+    def put(self, key, value) -> None:
+        if self.bound is not None and len(self) >= self.bound:
+            if not self._oldest:
+                self._oldest = list(itertools.islice(self, max(1, self.bound // 16)))
+                self._oldest.reverse()
+            del self[self._oldest.pop()]
+        self[key] = value
+
+
 class EvalCache:
     """Memo for per-graph centrality vectors and structural facts.
 
     Exhaustive scans revisit the same adjacency masks through edge flips, so
     one shared cache turns a census into one vector computation per graph.
-    ``max_vectors`` bounds the vector memo with oldest-first eviction for
-    walks over spaces too large to hold (two million graphs at n = 7).
+    ``max_vectors`` bounds each memo with oldest-first eviction (None: no
+    bound), so memory stays bounded over spaces too large to hold (two
+    million graphs at n = 7) and over long dynamics runs that share a cache.
+
+    A vector's key is one int packing (slot, n, mask), where the slot numbers
+    the distinct measures this cache has seen.  Hashing the frozen
+    ``Measure`` on every lookup would cost more than the lookup itself.
     """
 
-    def __init__(self, max_vectors: int | None = None):
+    def __init__(self, max_vectors: int | None = DEFAULT_MAX_VECTORS):
+        if max_vectors is not None and max_vectors < 1:
+            raise ParameterError("max_vectors must be at least 1")
         self.max_vectors = max_vectors
-        self.vectors: dict[tuple[Measure, int, int], tuple] = {}
-        self.facts: dict[tuple[int, int], tuple[list[int], frozenset, list[int]]] = {}
+        self.vectors = _FifoMemo(max_vectors)
+        self.facts = _FifoMemo(max_vectors)
+        self._slots: dict[Measure, int] = {}
+        # id(m) -> (slot, m); holding m keeps its id from being reused
+        self._by_id: dict[int, tuple[int, Measure]] = {}
+
+    def _slot(self, m: Measure) -> int:
+        slot = self._slots.setdefault(m, len(self._slots))
+        if len(self._by_id) >= _MAX_MEASURE_OBJECTS:
+            self._by_id.clear()  # callers that build a Measure per call
+        self._by_id[id(m)] = (slot, m)
+        return slot
 
     def vector(self, m: Measure, g: Graph):
-        key = (m, g.n, g.mask)
+        known = self._by_id.get(id(m))
+        slot = known[0] if known is not None else self._slot(m)
+        n = g.n
+        key = (slot << (n * (n - 1) >> 1) | g.mask) << 4 | n - 1
         out = self.vectors.get(key)
         if out is None:
             out = centrality_vector(m, g)
-            if self.max_vectors is not None and len(self.vectors) >= self.max_vectors:
-                self.vectors.pop(next(iter(self.vectors)))
-            self.vectors[key] = out
+            self.vectors.put(key, out)
         return out
 
     def graph_facts(self, g: Graph) -> tuple[list[int], frozenset, list[int]]:
         """(component bitmask per vertex, bridge edge set, degrees)."""
-        key = (g.n, g.mask)
+        key = g.mask << 4 | g.n - 1
         out = self.facts.get(key)
         if out is None:
             adj = g.adjacency()
@@ -190,10 +241,12 @@ class EvalCache:
                     bridges.add((i, j))
             degrees = [a.bit_count() for a in adj]
             out = (comp_of, frozenset(bridges), degrees)
-            if self.max_vectors is not None and len(self.facts) >= self.max_vectors:
-                self.facts.pop(next(iter(self.facts)))
-            self.facts[key] = out
+            self.facts.put(key, out)
         return out
+
+
+#: measure objects an EvalCache remembers by identity before it starts over
+_MAX_MEASURE_OBJECTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +277,12 @@ def _delta_value(spec: GameSpec, before, after, k: int) -> Value:
     return Approx(float(after) - float(before), tol)
 
 
-def _classify(spec: GameSpec, delta: Value) -> tuple[int, bool]:
-    """(-1|0|+1, in the near-band) under the game's numeric policy."""
-    if isinstance(delta, Exact):
-        d = delta.value
-        return ((d > 0) - (d < 0), False)
+def _classify_float(spec: GameSpec, x: float) -> tuple[int, bool]:
+    """(-1|0|+1, in the near-band) of an approximate delta under the game's
+    tolerant policy."""
     if isinstance(spec.policy, ExactPolicy):
         raise SpecValidationError("approximate delta under exact policy")
     tol = spec.policy.tol
-    x = delta.value
     if abs(x) <= tol:
         return (0, False)
     return (1 if x > 0 else -1, abs(x) <= AMBIGUITY_BAND * tol)
@@ -295,83 +345,80 @@ def _monotone_willing_remove(kind: str, bridge: bool) -> bool:
     return not bridge  # '2p'
 
 
-@dataclass
-class _FlipEval:
-    blocking: bool
-    ambiguous: bool  # the verdict relies on a near-band float delta
-    delta_i: Optional[Value] = None
-    delta_j: Optional[Value] = None
+def _rule_willing(agent: Agent, k: int, i: int, j: int, adding: bool, facts) -> bool:
+    """Whether rule agent k, an endpoint of pair ij, accepts the flip."""
+    comp_of, bridges, degrees = facts
+    if isinstance(agent, MonotoneAgent):
+        if adding:
+            return _monotone_willing_add(agent.kind, bool(comp_of[i] >> j & 1))
+        return _monotone_willing_remove(agent.kind, (i, j) in bridges or (j, i) in bridges)
+    other = j if k == i else i
+    if adding:
+        return degrees[other] <= agent.f(degrees[k])
+    return degrees[other] - 1 > agent.f(degrees[k] - 1)
 
 
-def _eval_add(spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache) -> _FlipEval:
+def _eval_flip(
+    spec: GameSpec,
+    g: Graph,
+    h: Graph,
+    i: int,
+    j: int,
+    adding: bool,
+    cache: EvalCache,
+    before: dict,
+) -> tuple[bool, bool, list]:
+    """(blocking, ambiguous, values) of flipping pair ij, which turns g into h.
+
+    ``values`` holds (before, after) truncated centralities per numeric
+    endpoint and None per rule endpoint.  An endpoint is willing to add when
+    its value strictly rises and to remove when its value does not fall;
+    ``ambiguous`` means the verdict relies on a near-band float delta.
+    ``before`` maps id(measure) to its vector on g, shared by the flips of
+    one scan.
+    """
+    agents = spec.agents
+    willing = []
+    bands = []
+    values = []
+    after = {}
     facts = None
-    if not (isinstance(spec.agents[i], NumericAgent) and isinstance(spec.agents[j], NumericAgent)):
-        facts = cache.graph_facts(g)
-    # per endpoint: (willing, near-band)
-    verdicts: list[tuple[bool, bool]] = []
-    deltas: dict[int, Value] = {}
-    h: Graph | None = None
     for k in (i, j):
-        agent = spec.agents[k]
-        if isinstance(agent, MonotoneAgent):
-            same_comp = bool(facts[0][i] >> j & 1)
-            verdicts.append((_monotone_willing_add(agent.kind, same_comp), False))
-        elif isinstance(agent, HomophilicAgent):
-            degrees = facts[2]
-            other = j if k == i else i
-            verdicts.append((degrees[other] <= agent.f(degrees[k]), False))
+        agent = agents[k]
+        if isinstance(agent, NumericAgent):
+            m = agent.measure
+            vg = before.get(id(m))
+            if vg is None:
+                vg = before[id(m)] = cache.vector(m, g)
+            vh = after.get(id(m))
+            if vh is None:
+                vh = after[id(m)] = cache.vector(m, h)
+            b, a = vg[k], vh[k]
+            if agent.threshold is not None:
+                b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
+            values.append((b, a))
+            if m.is_exact:
+                willing.append(a > b if adding else a >= b)
+                bands.append(False)
+            else:
+                sign, band = _classify_float(spec, float(a) - float(b))
+                willing.append(sign > 0 if adding else sign >= 0)
+                bands.append(band)
         else:
-            if h is None:
-                h = g.add_edge(i, j)
-            delta = _delta_value(
-                spec, _agent_value(spec, g, k, cache), _agent_value(spec, h, k, cache), k
-            )
-            deltas[k] = delta
-            sign, band = _classify(spec, delta)
-            verdicts.append((sign > 0, band))
-    blocking = all(w for w, _ in verdicts)
-    # A confident refusal by either endpoint settles the verdict no matter
-    # what the other endpoint's band says.
-    if any(not w and not band for w, band in verdicts):
-        ambiguous = False
+            if facts is None:
+                facts = cache.graph_facts(g)
+            willing.append(_rule_willing(agent, k, i, j, adding, facts))
+            bands.append(False)
+            values.append(None)
+    if adding:
+        blocking = willing[0] and willing[1]
+        # a confident refusal by either endpoint settles the verdict
+        settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
     else:
-        ambiguous = any(band for _, band in verdicts)
-    return _FlipEval(blocking, ambiguous, deltas.get(i), deltas.get(j))
-
-
-def _eval_remove(spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache) -> _FlipEval:
-    facts = None
-    if not (isinstance(spec.agents[i], NumericAgent) and isinstance(spec.agents[j], NumericAgent)):
-        facts = cache.graph_facts(g)
-    verdicts: list[tuple[bool, bool]] = []  # (endpoint benefits, near-band)
-    deltas: dict[int, Value] = {}
-    h: Graph | None = None
-    for k in (i, j):
-        agent = spec.agents[k]
-        if isinstance(agent, MonotoneAgent):
-            bridges = facts[1]
-            bridge = (i, j) in bridges or (j, i) in bridges
-            verdicts.append((_monotone_willing_remove(agent.kind, bridge), False))
-        elif isinstance(agent, HomophilicAgent):
-            degrees = facts[2]
-            other = j if k == i else i
-            verdicts.append((degrees[other] - 1 > agent.f(degrees[k] - 1), False))
-        else:
-            if h is None:
-                h = g.remove_edge(i, j)
-            delta = _delta_value(
-                spec, _agent_value(spec, g, k, cache), _agent_value(spec, h, k, cache), k
-            )
-            deltas[k] = delta
-            sign, band = _classify(spec, delta)
-            verdicts.append((sign >= 0, band))
-    blocking = any(w for w, _ in verdicts)
-    # One confidently nonnegative endpoint settles the removal verdict.
-    if any(w and not band for w, band in verdicts):
-        ambiguous = False
-    else:
-        ambiguous = any(band for _, band in verdicts)
-    return _FlipEval(blocking, ambiguous, deltas.get(i), deltas.get(j))
+        blocking = willing[0] or willing[1]
+        # one confidently nonnegative endpoint settles the removal verdict
+        settled = (willing[0] and not bands[0]) or (willing[1] and not bands[1])
+    return blocking, not settled and (bands[0] or bands[1]), values
 
 
 def improving_add(
@@ -380,7 +427,8 @@ def improving_add(
     spec.bind(g)
     if g.has_edge(i, j):
         raise ContractError(f"edge ({i},{j}) already present")
-    return _eval_add(spec, g, i, j, cache or EvalCache()).blocking
+    h = g.add_edge(i, j)
+    return _eval_flip(spec, g, h, i, j, True, cache or EvalCache(), {})[0]
 
 
 def improving_remove(
@@ -389,7 +437,8 @@ def improving_remove(
     spec.bind(g)
     if not g.has_edge(i, j):
         raise ContractError(f"edge ({i},{j}) not present")
-    return _eval_remove(spec, g, i, j, cache or EvalCache()).blocking
+    h = g.remove_edge(i, j)
+    return _eval_flip(spec, g, h, i, j, False, cache or EvalCache(), {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +487,25 @@ class StabilityReport:
         }
 
 
-def candidate_flips(g: Graph) -> list[tuple[str, int, int]]:
-    """Fixed deterministic flip order: additions by pair index, then removals."""
-    order = []
-    for i, j in pair_list(g.n):
-        if not g.has_edge(i, j):
-            order.append(("add", i, j))
-    for i, j in pair_list(g.n):
-        if g.has_edge(i, j):
-            order.append(("remove", i, j))
-    return order
+def candidate_flips(g: Graph) -> Iterator[tuple[str, int, int]]:
+    """Fixed deterministic flip order: additions by pair index, then removals.
+
+    A generator over the pair bits of the mask, so a scan that stops at the
+    first blocking flip builds none of the rest.
+    """
+    pairs = pair_list(g.n)
+    mask = g.mask
+    absent = ~mask & (1 << len(pairs)) - 1
+    while absent:
+        low = absent & -absent
+        i, j = pairs[low.bit_length() - 1]
+        yield "add", i, j
+        absent ^= low
+    while mask:
+        low = mask & -mask
+        i, j = pairs[low.bit_length() - 1]
+        yield "remove", i, j
+        mask ^= low
 
 
 def is_apsn(
@@ -464,19 +522,26 @@ def is_apsn(
     spec.bind(g)
     cache = cache or EvalCache()
     report = StabilityReport(stable=True)
+    row = 2 * g.n - 1  # pair (i, j) is bit i * (row - i) // 2 + j - i - 1
+    before: dict = {}
     for kind, i, j in candidate_flips(g):
-        ev = (
-            _eval_add(spec, g, i, j, cache)
-            if kind == "add"
-            else _eval_remove(spec, g, i, j, cache)
+        h = g.toggled(i * (row - i) // 2 + j - i - 1)
+        blocking, ambiguous, values = _eval_flip(
+            spec, g, h, i, j, kind == "add", cache, before
         )
-        flip = Flip(i, j, kind, ev.delta_i, ev.delta_j)
-        if ev.ambiguous:
+        if not (blocking or ambiguous):
+            continue
+        deltas = [
+            None if v is None else _delta_value(spec, v[0], v[1], k)
+            for k, v in zip((i, j), values)
+        ]
+        flip = Flip(i, j, kind, deltas[0], deltas[1])
+        if ambiguous:
             report.ambiguous_flips.append(flip)
-        if ev.blocking:
+        if blocking:
             report.blocking_flips.append(flip)
             report.stable = False
-            if not ev.ambiguous:
+            if not ambiguous:
                 report.confident_block = True
                 if early_exit:
                     return report

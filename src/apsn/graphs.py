@@ -194,6 +194,16 @@ class Graph:
             raise ParameterError(f"edge ({i},{j}) not present")
         return Graph(self.n, self.mask ^ bit)
 
+    def toggled(self, k: int) -> "Graph":
+        """The graph with pair bit k flipped, built without validation: the
+        caller guarantees 0 <= k < pair_count(n).  For the flip engine's hot
+        loop, where every k comes from the pairs of this graph."""
+        h = object.__new__(Graph)
+        fields = h.__dict__
+        fields["n"] = self.n
+        fields["mask"] = self.mask ^ 1 << k
+        return h
+
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Image of the graph under vertex i -> perm[i]."""
         return Graph(self.n, apply_permutation(self.n, self.mask, perm))

@@ -1,17 +1,14 @@
 """Numeric values for centrality results.
 
 Exact values are arbitrary-precision rationals and compare exactly.
-Approximate values are floats tagged with a tolerance; two of them compare
-equal when they differ by at most the (larger) tolerance.  Mixing the two
-kinds in one comparison is a :class:`ValueKindError`, never a silent cast.
+Approximate values are floats tagged with a tolerance, and their signs are
+read through the ambiguity band below.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from .errors import ValueKindError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -41,45 +38,6 @@ Value = Union[Exact, Approx]
 
 def exact(x) -> Exact:
     return Exact(Fraction(x))
-
-
-def approx(x: float, tol: float = DEFAULT_TOLERANCE) -> Approx:
-    return Approx(float(x), tol)
-
-
-def _check_same_kind(a: Value, b: Value) -> None:
-    if isinstance(a, Exact) != isinstance(b, Exact):
-        raise ValueKindError(
-            f"cannot compare exact and approximate values: {a!r} vs {b!r}"
-        )
-
-
-def values_equal(a: Value, b: Value) -> bool:
-    _check_same_kind(a, b)
-    if isinstance(a, Exact):
-        return a.value == b.value
-    tol = max(a.tol, b.tol)
-    return abs(a.value - b.value) <= tol
-
-
-def value_cmp(a: Value, b: Value) -> int:
-    """Three-way comparison: -1, 0 or +1.  Approx ties within tolerance are 0."""
-    _check_same_kind(a, b)
-    if isinstance(a, Exact):
-        d = a.value - b.value
-        return (d > 0) - (d < 0)
-    tol = max(a.tol, b.tol)
-    d = a.value - b.value
-    if abs(d) <= tol:
-        return 0
-    return 1 if d > 0 else -1
-
-
-def value_sub(a: Value, b: Value) -> Value:
-    _check_same_kind(a, b)
-    if isinstance(a, Exact):
-        return Exact(a.value - b.value)
-    return Approx(a.value - b.value, max(a.tol, b.tol))
 
 
 def sign_with_band(delta: Value) -> tuple[int, bool]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from apsn.centrality import (
     eigenvector,
     rw_closeness,
 )
-from apsn.errors import SizeGuardError
+from apsn.errors import ParameterError, SizeGuardError
 from apsn.game import (
     NumericAgent,
     TolerantPolicy,
@@ -139,3 +140,24 @@ def test_bounded_cache_evicts_oldest():
     assert len(cache.vectors) == 3
     # re-requesting an evicted mask recomputes without error
     assert cache.vector(degree(), Graph(3, 0)) == cache.vector(degree(), Graph(3, 0))
+
+
+def test_bounded_cache_evicts_oldest_first_over_many_evictions():
+    from apsn.game import EvalCache as Cache
+
+    with pytest.raises(ParameterError):
+        Cache(max_vectors=0)
+    bound = 100
+    cache = Cache(max_vectors=bound)
+    masks = list(range(1 << 10))
+    random.Random(4).shuffle(masks)
+    keys = []  # memo keys in insertion order
+    for step, mask in enumerate(masks, 1):
+        g = Graph(5, mask)
+        cache.vector(degree(), g)
+        cache.graph_facts(g)
+        keys.append(next(reversed(cache.vectors)))
+        assert len(cache.vectors) == min(step, bound)
+        assert len(cache.facts) == min(step, bound)
+        if step % 37 == 0 or step == len(masks):
+            assert list(cache.vectors) == keys[-bound:]

@@ -31,6 +31,8 @@ from apsn.centrality import (
 from apsn.errors import ParameterError, SizeGuardError
 from apsn.graphs import (
     Graph,
+    bfs_distances,
+    bits,
     enumerate_labeled_graphs,
     graph_count,
     is_connected,
@@ -320,6 +322,133 @@ def test_rw_kernels_match_oracles_random_n7():
         )
         disconnected += not is_connected(g)
         assert_rw_kernels_match_oracles(g)
+    assert disconnected >= 5
+
+
+# -- distance kernels against the Fraction loops they replaced -------------------
+
+
+def oracle_path_counts(adj):
+    """(dist, sigma): shortest-path lengths and counts from every source."""
+    n = len(adj)
+    dist = []
+    sigma = []
+    for s in range(n):
+        d = [-1] * n
+        sig = [0] * n
+        d[s] = 0
+        sig[s] = 1
+        frontier = [s]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for w in bits(adj[v]):
+                    if d[w] == -1:
+                        d[w] = level
+                        nxt.append(w)
+                    if d[w] == level:
+                        sig[w] += sig[v]
+            frontier = nxt
+        dist.append(d)
+        sigma.append(sig)
+    return dist, sigma
+
+
+def oracle_distance_vector(g: Graph, value) -> tuple[Fraction, ...]:
+    adj = g.adjacency()
+    return tuple(value([d for d in bfs_distances(adj, i) if d > 0]) for i in range(g.n))
+
+
+def oracle_closeness(g: Graph) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: Fraction(1, sum(ds)) if ds else Fraction(0))
+
+
+def oracle_harmonic(g: Graph) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: sum((Fraction(1, d) for d in ds), Fraction(0)))
+
+
+def oracle_decay(g: Graph, beta: Fraction) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: sum((beta**d for d in ds), Fraction(0)))
+
+
+def oracle_eccentricity(g: Graph) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: Fraction(g.n - 1, max(ds)) if ds else Fraction(0))
+
+
+def oracle_betweenness(g: Graph) -> tuple[Fraction, ...]:
+    dist, sigma = oracle_path_counts(g.adjacency())
+    bet = [Fraction(0)] * g.n
+    for y in range(g.n):
+        dy = dist[y]
+        sy = sigma[y]
+        for z in range(y + 1, g.n):
+            dyz = dy[z]
+            if dyz <= 1:
+                continue
+            syz = sy[z]
+            for i in range(g.n):
+                if i == y or i == z:
+                    continue
+                if dy[i] > 0 and dist[i][z] > 0 and dy[i] + dist[i][z] == dyz:
+                    inner = sy[i] * sigma[i][z]
+                    if inner:
+                        bet[i] += Fraction(inner, syz)
+    return tuple(bet)
+
+
+def oracle_gametheoretic(g: Graph) -> tuple[Fraction, ...]:
+    adj = g.adjacency()
+    deg = [a.bit_count() for a in adj]
+    out = []
+    for i in range(g.n):
+        total = Fraction(1, deg[i] + 1)
+        for j in bits(adj[i]):
+            total += Fraction(1, deg[j] + 1)
+        out.append(total)
+    return tuple(out)
+
+
+DISTANCE_ORACLES = [
+    (closeness(), oracle_closeness),
+    (decay(Fraction(1, 2)), lambda g: oracle_decay(g, Fraction(1, 2))),
+    (decay(Fraction(2, 3)), lambda g: oracle_decay(g, Fraction(2, 3))),
+    (harmonic(), oracle_harmonic),
+    (eccentricity(), oracle_eccentricity),
+    (betweenness(), oracle_betweenness),
+    (game_theoretic(), oracle_gametheoretic),
+]
+
+
+def assert_distance_kernels_match_oracles(g: Graph):
+    for m, oracle in DISTANCE_ORACLES:
+        assert centrality_vector(m, g) == oracle(g), (m, g.mask)
+
+
+def test_distance_kernels_match_oracles_exhaustive_n5():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert_distance_kernels_match_oracles(g)
+
+
+def test_distance_kernels_match_oracles_on_the_156_classes_n6():
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
+    assert len(atlas) == 156
+    for h in atlas:
+        assert_distance_kernels_match_oracles(Graph.from_edges(6, list(h.edges())))
+
+
+def test_distance_kernels_match_oracles_random_n7():
+    rnd = random.Random(2006)
+    disconnected = 0
+    for _ in range(50):
+        density = rnd.uniform(0.15, 0.7)
+        g = Graph.from_edges(
+            7, [(i, j) for i in range(7) for j in range(i + 1, 7) if rnd.random() < density]
+        )
+        disconnected += not is_connected(g)
+        assert_distance_kernels_match_oracles(g)
     assert disconnected >= 5
 
 

@@ -11,6 +11,7 @@ from apsn.centrality import (
     eigenvector,
     game_theoretic,
     harmonic,
+    pagerank,
 )
 from apsn.errors import ContractError, SpecValidationError
 from apsn.game import (
@@ -34,7 +35,7 @@ from apsn.game import (
     uniform_game,
 )
 from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
-from apsn.values import Exact
+from apsn.values import Exact, sign_with_band
 
 
 def numeric_game(n, measure, threshold=None):
@@ -237,10 +238,68 @@ def test_dynamics_seed_determinism():
 
 
 def test_candidate_flip_order_additions_then_removals():
-    g = Graph.from_edges(3, [(0, 1)])
-    order = candidate_flips(g)
-    kinds = [k for k, _, _ in order]
-    assert kinds == ["add", "add", "remove"]
+    for n in range(1, 5):
+        for g in enumerate_labeled_graphs(n):
+            expected = [("add", i, j) for i, j in g.non_edges()]
+            expected += [("remove", i, j) for i, j in g.edges()]
+            assert list(candidate_flips(g)) == expected, g
+
+
+def flip_key(f):
+    return (f.kind, f.i, f.j)
+
+
+def ambiguous_by_band(kind, deltas):
+    """Whether a flip's verdict rests on a near-band delta: no endpoint
+    settles it confidently (a confident refusal of an addition, a confident
+    acceptance of a removal) and some endpoint is in the band."""
+    classes = [sign_with_band(d) for d in deltas]
+    if kind == "add":
+        settled = any(sign <= 0 and not band for sign, band in classes)
+    else:
+        settled = any(sign >= 0 and not band for sign, band in classes)
+    return not settled and any(band for _, band in classes)
+
+
+@pytest.mark.parametrize(
+    "spec_of",
+    [
+        lambda n: numeric_game(n, decay(Fraction(1, 2))),
+        # the near band (1000 tol = 0.03) catches some deltas at n <= 5; only
+        # eigenvector agents also refuse additions or accept removals in it
+        lambda n: uniform_game(n, NumericAgent(pagerank()), TolerantPolicy(3e-5)),
+        lambda n: uniform_game(n, NumericAgent(eigenvector()), TolerantPolicy(3e-5)),
+    ],
+    ids=["decay-1/2", "pagerank", "eigenvector"],
+)
+def test_is_apsn_matches_per_flip_predicates_exhaustive_n5(spec_of):
+    cache = EvalCache()
+    ambiguous_seen = 0
+    for n in range(1, 6):
+        spec = spec_of(n)
+        for g in enumerate_labeled_graphs(n):
+            report = is_apsn(spec, g, cache, early_exit=False)
+            expected = [
+                (kind, i, j)
+                for kind, i, j in candidate_flips(g)
+                if (improving_add if kind == "add" else improving_remove)(spec, g, i, j, cache)
+            ]
+            assert [flip_key(f) for f in report.blocking_flips] == expected, g
+            expected_ambiguous = [
+                (kind, i, j)
+                for kind, i, j in candidate_flips(g)
+                if ambiguous_by_band(
+                    kind, (delta_add if kind == "add" else delta_remove)(spec, g, i, j, cache)
+                )
+            ]
+            assert [flip_key(f) for f in report.ambiguous_flips] == expected_ambiguous, g
+            for f in report.blocking_flips + report.ambiguous_flips:
+                delta = delta_add if f.kind == "add" else delta_remove
+                assert (f.delta_i, f.delta_j) == delta(spec, g, f.i, f.j, cache)
+            ambiguous_seen += len(report.ambiguous_flips)
+            assert report.verdict == is_apsn(spec, g, cache, early_exit=True).verdict
+    if isinstance(spec.policy, TolerantPolicy):
+        assert ambiguous_seen > 0  # the near-band path ran
 
 
 # -- homophilic rule agents -----------------------------------------------------------

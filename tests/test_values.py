@@ -1,39 +1,12 @@
 from fractions import Fraction
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from apsn.errors import ValueKindError
 from apsn.values import (
     Approx,
     Exact,
     format_rational,
     parse_rational,
     sign_with_band,
-    value_cmp,
-    value_sub,
-    values_equal,
 )
-
-
-def test_exact_comparisons_are_exact():
-    a = Exact(Fraction(1, 3))
-    b = Exact(Fraction(333333333, 1000000000))
-    assert not values_equal(a, b)
-    assert value_cmp(a, b) == 1
-
-
-def test_approx_equal_within_tolerance():
-    assert values_equal(Approx(1.0, 1e-9), Approx(1.0 + 1e-10, 1e-9))
-    assert not values_equal(Approx(1.0, 1e-9), Approx(1.0 + 1e-6, 1e-9))
-
-
-def test_mixing_kinds_raises():
-    with pytest.raises(ValueKindError):
-        values_equal(Exact(Fraction(1)), Approx(1.0))
-    with pytest.raises(ValueKindError):
-        value_cmp(Approx(1.0), Exact(Fraction(1)))
 
 
 def test_sign_with_band():
@@ -49,13 +22,3 @@ def test_parse_and_format_rational():
     assert parse_rational("7") == Fraction(7)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5)) == "5"
-
-
-@given(
-    st.fractions(min_value=-10, max_value=10),
-    st.fractions(min_value=-10, max_value=10),
-)
-def test_exact_cmp_matches_fraction_order(x, y):
-    c = value_cmp(Exact(x), Exact(y))
-    assert c == (x > y) - (x < y)
-    assert value_sub(Exact(x), Exact(y)).value == x - y
