@@ -12,6 +12,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .centrality import APPROX_KINDS
@@ -57,9 +58,6 @@ class CensusResult:
     def stable_count(self) -> int:
         return len(self.stable_masks)
 
-    def stable_graphs(self) -> list[Graph]:
-        return [Graph(self.n, m) for m in self.stable_masks]
-
     def payload(self) -> dict:
         """Deterministic result payload: everything except timings."""
         return {
@@ -103,6 +101,18 @@ def _scan_shard(
     return stable, ambiguous
 
 
+def _record_fits(rec: dict, layout: list[tuple[int, int]]) -> bool:
+    """Whether a checkpoint record covers one whole shard of the layout and
+    lists only masks inside it."""
+    shard = rec.get("shard")
+    if not isinstance(shard, int) or not 0 <= shard < len(layout):
+        return False
+    lo, hi = layout[shard]
+    return rec.get("scanned") == hi - lo and all(
+        lo <= m < hi for m in rec["stable"] + rec["ambiguous"]
+    )
+
+
 def run_census(
     spec: GameSpec,
     n: int,
@@ -136,22 +146,22 @@ def run_census(
                     rec.get("fingerprint") == fingerprint
                     and rec.get("n") == n
                     and rec.get("shards") == shards
+                    and _record_fits(rec, layout)
                 ):
                     done[rec["shard"]] = (rec["stable"], rec["ambiguous"])
 
     pending = [k for k in range(shards) if k not in done]
-    ckpt_fh = open(checkpoint, "a") if checkpoint else None
-    try:
+    with ExitStack() as stack:
+        ckpt_fh = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
         if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(_scan_shard, *zip(*[(spec, n, k, shards) for k in pending]))
-                )
-            shard_results = dict(zip(pending, results))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_scan_shard, *zip(*[(spec, n, k, shards) for k in pending]))
         else:
             shared = cache or EvalCache()
-            shard_results = {k: _scan_shard(spec, n, k, shards, shared) for k in pending}
-        for k, (stable, ambiguous) in shard_results.items():
+            results = (_scan_shard(spec, n, k, shards, shared) for k in pending)
+        # each record is written as its shard finishes, so an interrupted run
+        # keeps every shard done before it
+        for k, (stable, ambiguous) in zip(pending, results):
             done[k] = (stable, ambiguous)
             if ckpt_fh:
                 ckpt_fh.write(
@@ -169,9 +179,6 @@ def run_census(
                     + "\n"
                 )
                 ckpt_fh.flush()
-    finally:
-        if ckpt_fh:
-            ckpt_fh.close()
 
     stable_masks = sorted(m for k in done for m in done[k][0])
     ambiguous_masks = sorted(m for k in done for m in done[k][1])
@@ -218,9 +225,6 @@ def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> di
         spec = uniform_game(n, NumericAgent(eigenvector()), TolerantPolicy(tol))
         expected = [Graph.complete(n)]
         conjecture = "the complete graph is the only stable network"
-    cap = census_cap(spec)
-    if n > cap:
-        raise SizeGuardError(f"{kind} conjecture reports capped at n={cap}")
     result = run_census(spec, n, jobs=jobs)
     expected_canon = sorted(canonical_form(g) for g in expected)
     found_canon = [c for c, _ in result.apsn_canonical]

@@ -610,14 +610,6 @@ def centrality(m: Measure, g: Graph, i: int, tol: float = 1e-9) -> Value:
 # independent brute-force oracles
 
 
-def coverage_value(adj_closed: list[int], coalition_mask: int) -> int:
-    """|S union N(S)| as the popcount of the union of closed neighborhoods."""
-    cover = 0
-    for v in bits(coalition_mask):
-        cover |= adj_closed[v]
-    return cover.bit_count()
-
-
 def brute_shapley(g: Graph, i: int) -> Fraction:
     """Shapley value of vertex i in the coverage game, averaged over every
     ordering of the players.  Independent of the closed-form path."""

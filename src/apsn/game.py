@@ -23,11 +23,11 @@ from .centrality import APPROX_KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
 from .graphs import Graph, component_masks, pair_list, reachable_from
 from .values import (
-    AMBIGUITY_BAND,
     DEFAULT_TOLERANCE,
     Approx,
     Exact,
     Value,
+    sign_with_band,
     value_to_json,
 )
 
@@ -152,8 +152,7 @@ DEFAULT_MAX_VECTORS = 1 << 16
 
 
 class _FifoMemo(dict):
-    """A dict that holds at most ``bound`` entries (no bound when None) and
-    drops the oldest first.
+    """A dict that holds at most ``bound`` entries and drops the oldest first.
 
     A CPython dict keeps deleted slots at the front of its entry table until
     it resizes, so ``next(iter(d))`` rescans all of them on every eviction.
@@ -163,13 +162,13 @@ class _FifoMemo(dict):
 
     __slots__ = ("bound", "_oldest")
 
-    def __init__(self, bound: int | None):
+    def __init__(self, bound: int):
         super().__init__()
         self.bound = bound
         self._oldest: list = []  # next keys to drop, the oldest last
 
     def put(self, key, value) -> None:
-        if self.bound is not None and len(self) >= self.bound:
+        if len(self) >= self.bound:
             if not self._oldest:
                 self._oldest = list(itertools.islice(self, max(1, self.bound // 16)))
                 self._oldest.reverse()
@@ -182,19 +181,18 @@ class EvalCache:
 
     Exhaustive scans revisit the same adjacency masks through edge flips, so
     one shared cache turns a census into one vector computation per graph.
-    ``max_vectors`` bounds each memo with oldest-first eviction (None: no
-    bound), so memory stays bounded over spaces too large to hold (two
-    million graphs at n = 7) and over long dynamics runs that share a cache.
+    ``max_vectors`` bounds each memo with oldest-first eviction, so memory
+    stays bounded over spaces too large to hold (two million graphs at
+    n = 7) and over long dynamics runs that share a cache.
 
     A vector's key is one int packing (slot, n, mask), where the slot numbers
     the distinct measures this cache has seen.  Hashing the frozen
     ``Measure`` on every lookup would cost more than the lookup itself.
     """
 
-    def __init__(self, max_vectors: int | None = DEFAULT_MAX_VECTORS):
-        if max_vectors is not None and max_vectors < 1:
+    def __init__(self, max_vectors: int = DEFAULT_MAX_VECTORS):
+        if max_vectors is None or max_vectors < 1:
             raise ParameterError("max_vectors must be at least 1")
-        self.max_vectors = max_vectors
         self.vectors = _FifoMemo(max_vectors)
         self.facts = _FifoMemo(max_vectors)
         self._slots: dict[Measure, int] = {}
@@ -253,68 +251,17 @@ _MAX_MEASURE_OBJECTS = 64
 # deltas and sign classification
 
 
-def _truncate(raw, threshold: Fraction | None):
-    if threshold is None:
-        return raw
+def _truncate(raw, threshold: Fraction):
     if isinstance(raw, Fraction):
         return min(raw, threshold)
     return min(float(raw), float(threshold))
 
 
-def _agent_value(spec: GameSpec, g: Graph, k: int, cache: EvalCache):
-    agent = spec.agents[k]
-    if not isinstance(agent, NumericAgent):
-        raise ContractError("centrality deltas are defined for numeric agents only")
-    raw = cache.vector(agent.measure, g)[k]
-    return _truncate(raw, agent.threshold)
-
-
 def _delta_value(spec: GameSpec, before, after, k: int) -> Value:
-    agent = spec.agents[k]
-    if agent.measure.is_exact:
+    if spec.agents[k].measure.is_exact:
         return Exact(after - before)
-    tol = spec.policy.tol if isinstance(spec.policy, TolerantPolicy) else DEFAULT_TOLERANCE
-    return Approx(float(after) - float(before), tol)
-
-
-def _classify_float(spec: GameSpec, x: float) -> tuple[int, bool]:
-    """(-1|0|+1, in the near-band) of an approximate delta under the game's
-    tolerant policy."""
-    if isinstance(spec.policy, ExactPolicy):
-        raise SpecValidationError("approximate delta under exact policy")
-    tol = spec.policy.tol
-    if abs(x) <= tol:
-        return (0, False)
-    return (1 if x > 0 else -1, abs(x) <= AMBIGUITY_BAND * tol)
-
-
-def delta_add(
-    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
-) -> tuple[Value, Value]:
-    """Truncated-centrality changes at both endpoints when edge ij is added."""
-    spec.bind(g)
-    if g.has_edge(i, j):
-        raise ContractError(f"edge ({i},{j}) already present")
-    cache = cache or EvalCache()
-    h = g.add_edge(i, j)
-    return (
-        _delta_value(spec, _agent_value(spec, g, i, cache), _agent_value(spec, h, i, cache), i),
-        _delta_value(spec, _agent_value(spec, g, j, cache), _agent_value(spec, h, j, cache), j),
-    )
-
-
-def delta_remove(
-    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
-) -> tuple[Value, Value]:
-    spec.bind(g)
-    if not g.has_edge(i, j):
-        raise ContractError(f"edge ({i},{j}) not present")
-    cache = cache or EvalCache()
-    h = g.remove_edge(i, j)
-    return (
-        _delta_value(spec, _agent_value(spec, g, i, cache), _agent_value(spec, h, i, cache), i),
-        _delta_value(spec, _agent_value(spec, g, j, cache), _agent_value(spec, h, j, cache), j),
-    )
+    # GameSpec gives approximate measures a tolerant policy
+    return Approx(float(after) - float(before), spec.policy.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +348,9 @@ def _eval_flip(
                 willing.append(a > b if adding else a >= b)
                 bands.append(False)
             else:
-                sign, band = _classify_float(spec, float(a) - float(b))
+                sign, near = sign_with_band(float(a) - float(b), spec.policy.tol)
                 willing.append(sign > 0 if adding else sign >= 0)
-                bands.append(band)
+                bands.append(near)
         else:
             if facts is None:
                 facts = cache.graph_facts(g)
@@ -421,23 +368,49 @@ def _eval_flip(
     return blocking, not settled and (bands[0] or bands[1]), values
 
 
+def _flipped(spec: GameSpec, g: Graph, i: int, j: int, adding: bool) -> Graph:
+    """g with pair ij added (removed), once it is checked to be absent
+    (present)."""
+    spec.bind(g)
+    if g.has_edge(i, j) == adding:
+        raise ContractError(f"edge ({i},{j}) {'already' if adding else 'not'} present")
+    return g.add_edge(i, j) if adding else g.remove_edge(i, j)
+
+
+def _flip_deltas(
+    spec: GameSpec, g: Graph, i: int, j: int, adding: bool, cache: EvalCache | None
+) -> tuple[Value, Value]:
+    h = _flipped(spec, g, i, j, adding)
+    if not all(isinstance(spec.agents[k], NumericAgent) for k in (i, j)):
+        raise ContractError("centrality deltas are defined for numeric agents only")
+    (bi, ai), (bj, aj) = _eval_flip(spec, g, h, i, j, adding, cache or EvalCache(), {})[2]
+    return _delta_value(spec, bi, ai, i), _delta_value(spec, bj, aj, j)
+
+
+def delta_add(
+    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
+) -> tuple[Value, Value]:
+    """Truncated-centrality changes at both endpoints when edge ij is added."""
+    return _flip_deltas(spec, g, i, j, True, cache)
+
+
+def delta_remove(
+    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
+) -> tuple[Value, Value]:
+    return _flip_deltas(spec, g, i, j, False, cache)
+
+
 def improving_add(
     spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
 ) -> bool:
-    spec.bind(g)
-    if g.has_edge(i, j):
-        raise ContractError(f"edge ({i},{j}) already present")
-    h = g.add_edge(i, j)
+    h = _flipped(spec, g, i, j, True)
     return _eval_flip(spec, g, h, i, j, True, cache or EvalCache(), {})[0]
 
 
 def improving_remove(
     spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
 ) -> bool:
-    spec.bind(g)
-    if not g.has_edge(i, j):
-        raise ContractError(f"edge ({i},{j}) not present")
-    h = g.remove_edge(i, j)
+    h = _flipped(spec, g, i, j, False)
     return _eval_flip(spec, g, h, i, j, False, cache or EvalCache(), {})[0]
 
 
@@ -570,15 +543,13 @@ def finite_cost_check(
         raise ParameterError("edge cost must be positive")
     cache = cache or EvalCache()
     for kind, i, j in candidate_flips(g):
+        di, dj = _flip_deltas(spec, g, i, j, kind == "add", cache)
         if kind == "add":
-            di, dj = delta_add(spec, g, i, j, cache)
             ui, uj = di.value - cost, dj.value - cost
             if ui >= 0 and uj >= 0 and (ui > 0 or uj > 0):
                 return False
-        else:
-            di, dj = delta_remove(spec, g, i, j, cache)
-            if di.value + cost > 0 or dj.value + cost > 0:
-                return False
+        elif di.value + cost > 0 or dj.value + cost > 0:
+            return False
     return True
 
 
@@ -590,12 +561,7 @@ def epsilon_witness(spec: GameSpec, g: Graph, cache: EvalCache | None = None) ->
     cache = cache or EvalCache()
     best: Fraction | None = None
     for kind, i, j in candidate_flips(g):
-        deltas = (
-            delta_add(spec, g, i, j, cache)
-            if kind == "add"
-            else delta_remove(spec, g, i, j, cache)
-        )
-        for d in deltas:
+        for d in _flip_deltas(spec, g, i, j, kind == "add", cache):
             mag = abs(d.value)
             if mag > 0 and (best is None or mag < best):
                 best = mag

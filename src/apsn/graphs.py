@@ -25,22 +25,6 @@ MAX_ENUMERATION = 8
 MAX_CANONICAL = 10
 
 
-class _Infinite:
-    """Distinguished marker for the distance between disconnected vertices."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
-
 # ---------------------------------------------------------------------------
 # pair indexing
 
@@ -270,27 +254,8 @@ def bfs_distances(adj: tuple[int, ...], src: int) -> list[int]:
     return dist
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    n: int
-    rows: tuple[tuple[object, ...], ...]  # entries are int or INFINITE
-
-    def __getitem__(self, pair):
-        i, j = pair
-        return self.rows[i][j]
-
-
-def distances(g: Graph) -> DistanceMatrix:
-    adj = g.adjacency()
-    rows = []
-    for i in range(g.n):
-        raw = bfs_distances(adj, i)
-        rows.append(tuple(INFINITE if d < 0 else d for d in raw))
-    return DistanceMatrix(g.n, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
-# domination and bridges
+# domination
 
 
 def dominates(g: Graph, y: int, x: int) -> bool:
@@ -299,14 +264,6 @@ def dominates(g: Graph, y: int, x: int) -> bool:
         raise ParameterError("domination is undefined on a vertex and itself")
     adj = g.adjacency()
     return adj[x] & ~(adj[y] | 1 << y) == 0
-
-
-def is_bridge(g: Graph, i: int, j: int) -> bool:
-    """For a present edge: removal disconnects its endpoints.
-    For an absent pair: the endpoints lie in different components."""
-    if g.has_edge(i, j):
-        return not same_component(g.remove_edge(i, j), i, j)
-    return not same_component(g, i, j)
 
 
 # ---------------------------------------------------------------------------

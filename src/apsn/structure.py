@@ -35,7 +35,7 @@ from .graphs import (
     enumerate_labeled_graphs,
     to_graph6,
 )
-from .values import AMBIGUITY_BAND
+from .values import sign_with_band
 
 MONOTONE_TYPES = ("1", "1p", "2", "2p")
 
@@ -403,15 +403,13 @@ class FalsifierResult:
 
 
 def _delta_class(before, after, exact: bool, tol: float) -> tuple[int, bool]:
-    """(-1|0|+1, undecided-band) for the raw difference after - before."""
+    """(-1|0|+1, undecided-band) for the raw difference after - before; an
+    approximate zero is undecided too (see ``values.sign_with_band``)."""
     if exact:
         d = after - before
         return ((d > 0) - (d < 0), False)
-    d = float(after) - float(before)
-    if abs(d) <= AMBIGUITY_BAND * tol:
-        sign = 0 if abs(d) <= tol else (1 if d > 0 else -1)
-        return (sign, True)
-    return (1 if d > 0 else -1, False)
+    sign, near = sign_with_band(float(after) - float(before), tol)
+    return (sign, near or sign == 0)
 
 
 def falsify_axiom(

@@ -36,25 +36,26 @@ class Approx:
 Value = Union[Exact, Approx]
 
 
-def exact(x) -> Exact:
-    return Exact(Fraction(x))
+def sign_with_band(x: float, tol: float) -> tuple[int, bool]:
+    """The only sign classifier: (-1 | 0 | +1, near) of a raw float delta.
 
+    |x| <= tol gives (0, False); tol < |x| <= AMBIGUITY_BAND * tol keeps its
+    sign and is near; larger deltas keep their sign and are not near.  Exact
+    deltas never come here, since their sign is the true one.  The two use
+    sites read the result differently:
 
-def sign_with_band(delta: Value) -> tuple[int, bool]:
-    """Classify a delta as (-1 | 0 | +1, ambiguous).
-
-    Exact deltas get their true sign and are never ambiguous.  Approximate
-    deltas within the tolerance are zero; within the wider ambiguity band
-    they keep their sign but are flagged ambiguous.
+    * the flip engine (``game._eval_flip``) takes it as it is.  The tolerant
+      policy declares deltas within tol equal, and the asymptotic rules
+      decide on that zero (a zero gain refuses an addition, a zero loss
+      accepts a removal), so only a near delta leaves a verdict open;
+    * the axiom falsifier (``structure._delta_class``) also counts sign 0 as
+      near.  Its axioms claim strict changes, and a float zero cannot tell a
+      true zero (a violation) from a tiny change lost to rounding, so the
+      instance goes to ``near_band``.
     """
-    if isinstance(delta, Exact):
-        d = delta.value
-        return ((d > 0) - (d < 0), False)
-    x, tol = delta.value, delta.tol
     if abs(x) <= tol:
         return (0, False)
-    sign = 1 if x > 0 else -1
-    return (sign, abs(x) <= AMBIGUITY_BAND * tol)
+    return (1 if x > 0 else -1, abs(x) <= AMBIGUITY_BAND * tol)
 
 
 def parse_rational(text: str) -> Fraction:

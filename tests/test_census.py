@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from apsn import census
 from apsn.census import census_cap, conjecture_report, game_fingerprint, run_census
 from apsn.centrality import (
     betweenness,
@@ -63,6 +65,63 @@ def test_checkpoint_resume(tmp_path, shared_cache):
     assert ckpt.exists() and len(ckpt.read_text().splitlines()) == 4
     resumed = run_census(spec, 4, shards=4, cache=shared_cache, resume=str(ckpt))
     assert resumed.payload() == full.payload()
+
+
+def betweenness_game(n):
+    # stable at n = 4: the empty graph (mask 0) and the C4s 30, 45 and 51,
+    # one in each of four shards, so every checkpoint record carries a mask
+    return uniform_game(n, NumericAgent(betweenness()))
+
+
+def scan_recorder(monkeypatch, fail_on=()):
+    """Patch census._scan_shard to record each shard it scans and to raise
+    on the shards in ``fail_on``."""
+    scan = census._scan_shard
+    scanned = []
+
+    def recorded(spec, n, shard, shards, cache=None):
+        if shard in fail_on:
+            raise RuntimeError(f"interrupted at shard {shard}")
+        scanned.append(shard)
+        return scan(spec, n, shard, shards, cache)
+
+    monkeypatch.setattr(census, "_scan_shard", recorded)
+    return scanned
+
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_interrupted_census_keeps_finished_shards(tmp_path, monkeypatch, shared_cache):
+    spec = betweenness_game(4)
+    ckpt = tmp_path / "census.jsonl"
+    scan_recorder(monkeypatch, fail_on={2})
+    with pytest.raises(RuntimeError):
+        run_census(spec, 4, shards=4, cache=shared_cache, checkpoint=str(ckpt))
+    assert [r["shard"] for r in read_records(ckpt)] == [0, 1]
+    monkeypatch.undo()
+    scanned = scan_recorder(monkeypatch, fail_on={0, 1})  # kept, not rescanned
+    resumed = run_census(spec, 4, shards=4, cache=shared_cache, resume=str(ckpt))
+    assert scanned == [2, 3]
+    monkeypatch.undo()
+    fresh = run_census(spec, 4, shards=4, cache=shared_cache)
+    assert resumed.payload() == fresh.payload()
+
+
+def test_resume_rescans_invalid_records(tmp_path, monkeypatch, shared_cache):
+    spec = betweenness_game(4)
+    ckpt = tmp_path / "census.jsonl"
+    fresh = run_census(spec, 4, shards=4, cache=shared_cache, checkpoint=str(ckpt))
+    records = read_records(ckpt)
+    records[1]["stable"].append(40)  # a mask of shard 2
+    records[3]["scanned"] -= 1
+    records[3]["stable"] = []
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in records))
+    scanned = scan_recorder(monkeypatch)
+    resumed = run_census(spec, 4, shards=4, cache=shared_cache, resume=str(ckpt))
+    assert scanned == [1, 3]
+    assert resumed.payload() == fresh.payload()
 
 
 def test_checkpoint_ignores_foreign_records(tmp_path, shared_cache):
@@ -145,8 +204,9 @@ def test_bounded_cache_evicts_oldest():
 def test_bounded_cache_evicts_oldest_first_over_many_evictions():
     from apsn.game import EvalCache as Cache
 
-    with pytest.raises(ParameterError):
-        Cache(max_vectors=0)
+    for bad in (0, None):
+        with pytest.raises(ParameterError):
+            Cache(max_vectors=bad)
     bound = 100
     cache = Cache(max_vectors=bound)
     masks = list(range(1 << 10))

@@ -181,6 +181,17 @@ def test_approx_requires_tolerant_policy():
     uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())  # fine
 
 
+def test_engine_reads_a_float_zero_as_a_confident_zero():
+    # at n = 2 every eigenvector delta is float noise within the tolerance:
+    # a zero gain refuses the addition and a zero loss accepts the removal
+    spec = uniform_game(2, NumericAgent(eigenvector()), TolerantPolicy())
+    empty = is_apsn(spec, Graph.empty(2))
+    k2 = is_apsn(spec, Graph.complete(2))
+    assert empty.verdict == "stable" and not empty.ambiguous_flips
+    assert k2.verdict == "unstable" and not k2.ambiguous_flips
+    assert [flip_key(f) for f in k2.blocking_flips] == [("remove", 0, 1)]
+
+
 def test_agent_count_checked_at_bind():
     spec = numeric_game(3, degree())
     with pytest.raises(SpecValidationError):
@@ -253,7 +264,12 @@ def ambiguous_by_band(kind, deltas):
     """Whether a flip's verdict rests on a near-band delta: no endpoint
     settles it confidently (a confident refusal of an addition, a confident
     acceptance of a removal) and some endpoint is in the band."""
-    classes = [sign_with_band(d) for d in deltas]
+    classes = [
+        ((d.value > 0) - (d.value < 0), False)
+        if isinstance(d, Exact)
+        else sign_with_band(d.value, d.tol)
+        for d in deltas
+    ]
     if kind == "add":
         settled = any(sign <= 0 and not band for sign, band in classes)
     else:

@@ -14,17 +14,16 @@ from apsn.errors import (
     SizeGuardError,
     VertexRangeError,
 )
+from apsn.game import EvalCache
 from apsn.graphs import (
-    INFINITE,
     Graph,
     apply_permutation,
+    bfs_distances,
     canonical_form,
-    distances,
     dominates,
     enumerate_labeled_graphs,
     from_graph6,
     graph_count,
-    is_bridge,
     is_connected,
     pair_count,
     read_edge_list,
@@ -52,34 +51,39 @@ def to_networkx(g: Graph) -> nx.Graph:
 # -- distances ---------------------------------------------------------------
 
 
+def distance_rows(g: Graph) -> list[list[int]]:
+    """All-pairs BFS distances, -1 meaning unreachable."""
+    adj = g.adjacency()
+    return [bfs_distances(adj, i) for i in range(g.n)]
+
+
 def test_distances_path():
-    g = Graph.path(3)
-    d = distances(g)
-    assert d[0, 2] == 2 and d[2, 0] == 2
+    d = distance_rows(Graph.path(3))
+    assert d[0][2] == 2 and d[2][0] == 2
 
 
 def test_distances_complete():
-    d = distances(Graph.complete(3))
-    assert all(d[i, j] == 1 for i in range(3) for j in range(3) if i != j)
+    d = distance_rows(Graph.complete(3))
+    assert all(d[i][j] == 1 for i in range(3) for j in range(3) if i != j)
 
 
 def test_distances_disconnected_marker():
-    d = distances(Graph.empty(2))
-    assert d[0, 1] is INFINITE
-    assert d[0, 0] == 0
+    d = distance_rows(Graph.empty(2))
+    assert d[0][1] == -1
+    assert d[0][0] == 0
 
 
 @given(graphs_strategy())
 def test_distance_symmetry_and_triangle(g):
-    d = distances(g)
+    d = distance_rows(g)
     for i in range(g.n):
-        assert d[i, i] == 0
+        assert d[i][i] == 0
         for j in range(g.n):
-            assert d[i, j] == d[j, i]
+            assert d[i][j] == d[j][i]
     for i, j, k in itertools.permutations(range(g.n), 3) if g.n >= 3 else []:
-        dij, dik, dkj = d[i, j], d[i, k], d[k, j]
-        if dik is not INFINITE and dkj is not INFINITE:
-            assert dij is not INFINITE and dij <= dik + dkj
+        dij, dik, dkj = d[i][j], d[i][k], d[k][j]
+        if dik >= 0 and dkj >= 0:
+            assert 0 <= dij <= dik + dkj
 
 
 # -- domination ---------------------------------------------------------------
@@ -126,20 +130,31 @@ def test_dominates_transitive_exhaustive_n5():
 # -- bridges -------------------------------------------------------------------
 
 
+def bridges(g: Graph) -> frozenset:
+    return EvalCache().graph_facts(g)[1]
+
+
 def test_tree_edges_are_bridges():
     g = Graph.path(4)
-    assert all(is_bridge(g, i, j) for i, j in g.edges())
+    assert bridges(g) == set(g.edges())
 
 
 def test_cycle_edges_are_not_bridges():
-    g = Graph.cycle(4)
-    assert not any(is_bridge(g, i, j) for i, j in g.edges())
+    assert bridges(Graph.cycle(4)) == set()
 
 
 def test_bridge_addition_to_isolated_vertex():
     g = Graph.from_edges(3, [(0, 1)])
-    assert is_bridge(g, 0, 2)
-    assert not is_bridge(g, 0, 1) is None
+    comp_of = EvalCache().graph_facts(g)[0]
+    assert not comp_of[0] >> 2 & 1  # adding 02 joins two components
+    assert bridges(g) == {(0, 1)}
+
+
+def test_bridges_match_networkx_exhaustive_n5():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            expected = {tuple(sorted(e)) for e in nx.bridges(to_networkx(g))}
+            assert bridges(g) == expected, g
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -195,15 +210,14 @@ def test_canonical_form_is_permutation_invariant(g, rnd):
 
 def test_distance_properties_exhaustive_n4():
     for g in enumerate_labeled_graphs(4):
-        d = distances(g)
+        d = distance_rows(g)
         for i in range(4):
-            assert d[i, i] == 0
+            assert d[i][i] == 0
             for j in range(4):
-                assert d[i, j] == d[j, i]
+                assert d[i][j] == d[j][i]
                 for k in range(4):
-                    if d[i, k] is not INFINITE and d[k, j] is not INFINITE:
-                        assert d[i, j] is not INFINITE
-                        assert d[i, j] <= d[i, k] + d[k, j]
+                    if d[i][k] >= 0 and d[k][j] >= 0:
+                        assert 0 <= d[i][j] <= d[i][k] + d[k][j]
 
 
 def test_canonical_form_random_permutations_n8():

@@ -436,6 +436,19 @@ def test_increasing_axiom_family_n5(shared_cache):
         assert result.counterexample is None
 
 
+def test_falsifier_reads_a_float_zero_as_undecided():
+    # the same zero deltas the engine settles (the empty graph and K2 at
+    # n = 2) neither confirm nor violate a strict increase
+    from apsn.centrality import eigenvector
+
+    result = falsify_axiom(eigenvector(), "1", 2)
+    assert result.counterexample is None
+    assert [(e.graph, e.i, e.j, e.vertex) for e in result.near_band] == [
+        (Graph.empty(2), 0, 1, 0),
+        (Graph.empty(2), 0, 1, 1),
+    ]
+
+
 def test_falsifier_rejects_auto_katz():
     from apsn.centrality import katz
 

@@ -1,8 +1,8 @@
+import math
 from fractions import Fraction
 
 from apsn.values import (
-    Approx,
-    Exact,
+    AMBIGUITY_BAND,
     format_rational,
     parse_rational,
     sign_with_band,
@@ -10,11 +10,17 @@ from apsn.values import (
 
 
 def test_sign_with_band():
-    assert sign_with_band(Exact(Fraction(-1, 10**12))) == (-1, False)
-    assert sign_with_band(Approx(5e-10, 1e-9)) == (0, False)
-    assert sign_with_band(Approx(5e-8, 1e-9)) == (1, True)
-    assert sign_with_band(Approx(-5e-8, 1e-9)) == (-1, True)
-    assert sign_with_band(Approx(1e-3, 1e-9)) == (1, False)
+    tol = 1e-9
+    band = AMBIGUITY_BAND * tol
+    assert sign_with_band(0.0, tol) == (0, False)
+    for s in (1, -1):
+        assert sign_with_band(s * 5e-10, tol) == (0, False)
+        assert sign_with_band(s * tol, tol) == (0, False)
+        assert sign_with_band(s * math.nextafter(tol, 1), tol) == (s, True)
+        assert sign_with_band(s * 5e-8, tol) == (s, True)
+        assert sign_with_band(s * band, tol) == (s, True)
+        assert sign_with_band(s * math.nextafter(band, 1), tol) == (s, False)
+        assert sign_with_band(s * 1e-3, tol) == (s, False)
 
 
 def test_parse_and_format_rational():
