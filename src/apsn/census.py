@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -21,20 +21,17 @@ from .game import EvalCache, GameSpec, NumericAgent, TolerantPolicy, is_apsn, un
 from .graphs import Graph, canonical_form, graph_count, is_connected, shard_bounds, to_graph6
 
 CENSUS_CAP_EXACT = 7
-CENSUS_CAP_LINEAR_SOLVE = 6
-CENSUS_CAP_SPECTRAL = 5
+CENSUS_CAP_SOLVE = 6
 
-_LINEAR_SOLVE_KINDS = {"rwcloseness", "rwbetweenness"}
+# Measures whose kernel is a linear solve or an eigendecomposition per graph.
+_SOLVE_KINDS = APPROX_KINDS | {"rwcloseness", "rwbetweenness"}
 
 
 def census_cap(spec: GameSpec) -> int:
     cap = CENSUS_CAP_EXACT
     for agent in spec.agents:
-        if isinstance(agent, NumericAgent):
-            if agent.measure.kind in APPROX_KINDS:
-                cap = min(cap, CENSUS_CAP_SPECTRAL)
-            elif agent.measure.kind in _LINEAR_SOLVE_KINDS:
-                cap = min(cap, CENSUS_CAP_LINEAR_SOLVE)
+        if isinstance(agent, NumericAgent) and agent.measure.kind in _SOLVE_KINDS:
+            cap = min(cap, CENSUS_CAP_SOLVE)
     return cap
 
 
@@ -155,13 +152,14 @@ def run_census(
         ckpt_fh = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
         if jobs > 1 and len(pending) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_scan_shard, *zip(*[(spec, n, k, shards) for k in pending]))
+            futures = {pool.submit(_scan_shard, spec, n, k, shards): k for k in pending}
+            results = ((futures[f], f.result()) for f in as_completed(futures))
         else:
             shared = cache or EvalCache()
-            results = (_scan_shard(spec, n, k, shards, shared) for k in pending)
-        # each record is written as its shard finishes, so an interrupted run
-        # keeps every shard done before it
-        for k, (stable, ambiguous) in zip(pending, results):
+            results = ((k, _scan_shard(spec, n, k, shards, shared)) for k in pending)
+        # each record is written as its shard finishes, in completion order,
+        # so an interrupted run keeps every shard done before it
+        for k, (stable, ambiguous) in results:
             done[k] = (stable, ambiguous)
             if ckpt_fh:
                 ckpt_fh.write(

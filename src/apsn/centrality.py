@@ -1,15 +1,15 @@
 """Centrality measures with exact rational arithmetic wherever possible.
 
 Exact measures return Fractions; spectral measures (eigenvector, Katz,
-PageRank) return floats and are tagged approximate.  Brute-force oracles
-(`brute_shapley`, `brute_betweenness`) and the rational walk solves
-(`hitting_times`, `absorption_probabilities`) are deliberately independent
-implementations kept for cross-checking the fast paths; the random-walk
-vectors themselves come from integer adjugates of reduced Laplacians.
-Closeness, decay, harmonic and eccentricity are read off one bitmask BFS
-distance histogram per vertex; these and betweenness and game-theoretic
-centrality sum integer numerators over one denominator and build a single
-Fraction per value, shared through bounded memos.
+PageRank) return floats and are tagged approximate.  The random-walk
+vectors come from integer adjugates of reduced Laplacians.  Closeness,
+decay, harmonic and eccentricity are read off one bitmask BFS distance
+histogram per vertex; these and betweenness and game-theoretic centrality
+sum integer numerators over one denominator and build a single Fraction per
+value, shared through bounded memos.  Each spectral vector is one dense
+numpy call: an ``eigh`` projection for eigenvector centrality, a linear
+solve for Katz and PageRank.  The independent oracles these kernels are
+checked against live with the tests.
 
 Conventions for degenerate inputs, applied consistently throughout:
 
@@ -23,16 +23,15 @@ Conventions for degenerate inputs, applied consistently throughout:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, SizeGuardError
-from .graphs import MAX_VERTICES, Graph, bits, component_masks, reachable_from
-from .linalg import det_adjugate, solve_rational
+from .errors import ParameterError
+from .graphs import MAX_VERTICES, Graph, bits, component_masks
+from .linalg import det_adjugate
 from .values import Approx, Exact, Value
 
 EXACT_KINDS = frozenset(
@@ -56,11 +55,9 @@ APPROX_KINDS = frozenset({"eigenvector", "katz", "pagerank"})
 #: monotonicity checks because the formula itself is undefined at that point.
 UNDEFINED_ON_ISOLATED = frozenset({"closeness", "rwcloseness", "eccentricity"})
 
-EIG_TOLERANCE = 1e-12
-EIG_MAX_ITER = 10**6
-PAGERANK_TOLERANCE = 1e-12
-PAGERANK_MAX_ITER = 10**6
-BRUTE_CAP = 7
+#: eigenvalues of A this close to the largest one span the eigenvector
+#: centrality eigenspace
+EIG_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -361,76 +358,6 @@ def _gametheoretic_vector(g: Graph) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def hitting_times(g: Graph, target: int) -> dict[int, Fraction]:
-    """Expected steps for a walk from each vertex of Conn(target) to first
-    hit the target, solved exactly."""
-    adj = g.adjacency()
-    comp = reachable_from(adj, 1 << target)
-    members = [v for v in bits(comp) if v != target]
-    if not members:
-        return {target: Fraction(0)}
-    index = {v: k for k, v in enumerate(members)}
-    size = len(members)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    rhs = [Fraction(1)] * size
-    for v in members:
-        r = index[v]
-        d = adj[v].bit_count()
-        matrix[r][r] = Fraction(1)
-        for w in bits(adj[v]):
-            if w != target:
-                matrix[r][index[w]] -= Fraction(1, d)
-    sol = solve_rational(matrix, rhs)
-    out = {target: Fraction(0)}
-    out.update({v: sol[index[v]] for v in members})
-    return out
-
-
-def absorption_probabilities(g: Graph, hit: int, avoid: int) -> dict[int, Fraction]:
-    """P[walk from v reaches `hit` before `avoid`] for all v, exactly.
-
-    Within a component containing both special vertices this is the standard
-    absorbing-walk solve.  A walk in a component containing `hit` but not
-    `avoid` reaches `hit` with probability 1 (finite recurrence); a walk in a
-    component without `hit` never does.
-    """
-    adj = g.adjacency()
-    comp_hit = reachable_from(adj, 1 << hit)
-    probs: dict[int, Fraction] = {}
-    if not comp_hit >> avoid & 1:
-        for v in range(g.n):
-            probs[v] = Fraction(1) if comp_hit >> v & 1 else Fraction(0)
-        probs[avoid] = Fraction(0)
-        return probs
-    members = [v for v in bits(comp_hit) if v not in (hit, avoid)]
-    index = {v: k for k, v in enumerate(members)}
-    size = len(members)
-    sol: list[Fraction] = []
-    if size:
-        matrix = [[Fraction(0)] * size for _ in range(size)]
-        rhs = [Fraction(0)] * size
-        for v in members:
-            r = index[v]
-            d = adj[v].bit_count()
-            matrix[r][r] = Fraction(1)
-            for w in bits(adj[v]):
-                if w == hit:
-                    rhs[r] += Fraction(1, d)
-                elif w != avoid:
-                    matrix[r][index[w]] -= Fraction(1, d)
-        sol = solve_rational(matrix, rhs)
-    for v in range(g.n):
-        if v == hit:
-            probs[v] = Fraction(1)
-        elif v == avoid:
-            probs[v] = Fraction(0)
-        elif comp_hit >> v & 1:
-            probs[v] = sol[index[v]]
-        else:
-            probs[v] = Fraction(0)
-    return probs
-
-
 def _reduced_laplacian_adjugates(g: Graph):
     """(k, rest, det L_k, adj L_k) for every vertex k of every component C
     with |C| > 1, where L_k is the integer Laplacian D - A on rest = C - {k}.
@@ -503,24 +430,18 @@ def spectral_radius_bound(g: Graph) -> int:
 
 
 def _eigenvector_vector(g: Graph) -> tuple[float, ...]:
-    n = g.n
-    if g.mask == 0:
-        # zero matrix: power iteration below would stall on the unit shift,
-        # and any vector is an eigenvector; report the uniform one.
-        return tuple([1.0 / math.sqrt(n)] * n)
-    a = _adjacency_matrix(g)
-    # The unit shift keeps eigenvectors, makes the dominant eigenvalue unique
-    # in magnitude (bipartite adjacency spectra are symmetric around 0, which
-    # makes unshifted power iteration oscillate forever).
-    shifted = a + np.eye(n)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(EIG_MAX_ITER):
-        y = shifted @ x
-        y /= np.linalg.norm(y)
-        if np.max(np.abs(y - x)) < EIG_TOLERANCE:
-            return tuple(float(v) for v in y)
-        x = y
-    raise ConvergenceError("eigenvector power iteration did not converge")
+    """The all-ones vector projected onto the eigenspace of the largest
+    eigenvalue of A, normalised.
+
+    The projection does not depend on the eigenbasis, so a tied top
+    eigenvalue (disjoint components of equal spectral radius, or the empty
+    graph, where every vector is an eigenvector) gets one well-defined
+    vector.  Eigenvalues within ``EIG_TIE`` of the largest count as tied.
+    """
+    w, v = np.linalg.eigh(_adjacency_matrix(g))
+    top = v[:, w > w[-1] - EIG_TIE]
+    x = top @ top.sum(axis=0)
+    return tuple((x / np.linalg.norm(x)).tolist())
 
 
 def _resolve_katz_alpha(m: Measure, g: Graph) -> float:
@@ -543,24 +464,16 @@ def _katz_vector(g: Graph, m: Measure) -> tuple[float, ...]:
 
 
 def _pagerank_vector(g: Graph, damping: float | None) -> tuple[float, ...]:
+    """The solution of (I - d P) x = (1 - d) / n 1, where P is the
+    column-stochastic walk matrix and a dangling (isolated) vertex's column
+    is uniform 1 / n."""
     d = 0.85 if damping is None else damping
     n = g.n
-    adj = g.adjacency()
-    degs = [a.bit_count() for a in adj]
-    p = [1.0 / n] * n
-    for _ in range(PAGERANK_MAX_ITER):
-        dangling = sum(p[u] for u in range(n) if degs[u] == 0)
-        base = (1.0 - d) / n + d * dangling / n
-        nxt = [base] * n
-        for u in range(n):
-            if degs[u]:
-                share = d * p[u] / degs[u]
-                for w in bits(adj[u]):
-                    nxt[w] += share
-        if max(abs(a - b) for a, b in zip(nxt, p)) < PAGERANK_TOLERANCE:
-            return tuple(nxt)
-        p = nxt
-    raise ConvergenceError("pagerank power iteration did not converge")
+    a = _adjacency_matrix(g)
+    deg = a.sum(axis=0)
+    walk = np.where(deg > 0, a / np.maximum(deg, 1.0), 1.0 / n)
+    x = np.linalg.solve(np.eye(n) - d * walk, np.full(n, (1.0 - d) / n))
+    return tuple(x.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -604,58 +517,3 @@ def centrality(m: Measure, g: Graph, i: int, tol: float = 1e-9) -> Value:
         raise ParameterError(f"vertex {i} outside 0..{g.n - 1}")
     raw = centrality_vector(m, g)[i]
     return Exact(raw) if m.is_exact else Approx(float(raw), tol)
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracles
-
-
-def brute_shapley(g: Graph, i: int) -> Fraction:
-    """Shapley value of vertex i in the coverage game, averaged over every
-    ordering of the players.  Independent of the closed-form path."""
-    if g.n > BRUTE_CAP:
-        raise SizeGuardError(f"brute shapley capped at n={BRUTE_CAP}")
-    adj = g.adjacency()
-    closed = [adj[v] | 1 << v for v in range(g.n)]
-    total = 0
-    for order in itertools.permutations(range(g.n)):
-        cover = 0
-        for v in order:
-            new = cover | closed[v]
-            if v == i:
-                total += new.bit_count() - cover.bit_count()
-                break
-            cover = new
-    return Fraction(total, math.factorial(g.n))
-
-
-def _all_simple_paths(adj: tuple[int, ...], src: int, dst: int):
-    stack = [(src, 1 << src, (src,))]
-    while stack:
-        v, seen, path = stack.pop()
-        if v == dst:
-            yield path
-            continue
-        for w in bits(adj[v] & ~seen):
-            stack.append((w, seen | 1 << w, path + (w,)))
-
-
-def brute_betweenness(g: Graph, i: int) -> Fraction:
-    """Betweenness from full enumeration of simple paths per pair."""
-    if g.n > BRUTE_CAP:
-        raise SizeGuardError(f"brute betweenness capped at n={BRUTE_CAP}")
-    adj = g.adjacency()
-    total = Fraction(0)
-    for y in range(g.n):
-        for z in range(y + 1, g.n):
-            if i in (y, z):
-                continue
-            paths = list(_all_simple_paths(adj, y, z))
-            if not paths:
-                continue
-            shortest = min(len(p) for p in paths)
-            on_shortest = [p for p in paths if len(p) == shortest]
-            through = sum(1 for p in on_shortest if i in p)
-            if through:
-                total += Fraction(through, len(on_shortest))
-    return total

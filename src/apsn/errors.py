@@ -27,12 +27,6 @@ class ParameterError(ApsnError):
     code = "parameter"
 
 
-class ConvergenceError(ApsnError):
-    """An iterative numeric method failed to converge within its cap."""
-
-    code = "convergence"
-
-
 class SpecValidationError(ApsnError):
     """A game specification is internally inconsistent."""
 

@@ -8,7 +8,13 @@ from .errors import SingularMatrixError
 
 
 def solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b exactly.  A is consumed as a working copy."""
+    """Solve A x = b exactly.  A is consumed as a working copy.
+
+    Nothing in the package calls it: the random-walk kernels use
+    `det_adjugate`, and the Fraction walk oracles in the tests use this.
+    It stays here because the benchmark's tracer patches it by name as
+    ``apsn.linalg.solve_rational``.
+    """
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(rhs[r])] for r, row in enumerate(matrix)]
     for col in range(n):

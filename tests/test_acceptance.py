@@ -12,7 +12,6 @@ from fractions import Fraction
 from apsn.census import conjecture_report, run_census
 from apsn.centrality import (
     betweenness,
-    brute_shapley,
     closeness,
     decay,
     degree,
@@ -65,6 +64,7 @@ from apsn.truncation import (
     truncated_game,
     universality_thresholds,
 )
+from oracles import brute_shapley
 
 CACHE = EvalCache()
 

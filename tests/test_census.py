@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,42 @@ def read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+CHECKPOINT_ENV = "APSN_TEST_CHECKPOINT"
+SCAN_SHARD = census._scan_shard
+
+
+def checkpoint_shards(path):
+    """Shards of the complete records in a checkpoint another process is
+    still appending to."""
+    text = path.read_text()
+    return [json.loads(line)["shard"] for line in text[: text.rfind("\n") + 1].splitlines()]
+
+
+def scan_shard_0_after_record_1(spec, n, shard, shards, cache=None):
+    """The census shard scan, except that shard 0 returns only once the
+    checkpoint named by $APSN_TEST_CHECKPOINT holds shard 1's record.  A
+    module-level function, so pool workers can unpickle it."""
+    if shard == 0:
+        path = Path(os.environ[CHECKPOINT_ENV])
+        deadline = time.monotonic() + 20
+        while 1 not in checkpoint_shards(path):
+            if time.monotonic() > deadline:
+                raise TimeoutError("shard 1's record did not reach the checkpoint")
+            time.sleep(0.005)
+    return SCAN_SHARD(spec, n, shard, shards, cache)
+
+
+def test_pool_writes_each_record_as_its_shard_finishes(tmp_path, monkeypatch):
+    spec = betweenness_game(4)
+    ckpt = tmp_path / "census.jsonl"
+    monkeypatch.setenv(CHECKPOINT_ENV, str(ckpt))
+    monkeypatch.setattr(census, "_scan_shard", scan_shard_0_after_record_1)
+    pooled = run_census(spec, 4, shards=2, jobs=2, checkpoint=str(ckpt))
+    assert [r["shard"] for r in read_records(ckpt)] == [1, 0]
+    monkeypatch.undo()
+    assert pooled.payload() == run_census(spec, 4, shards=2).payload()
+
+
 def test_interrupted_census_keeps_finished_shards(tmp_path, monkeypatch, shared_cache):
     spec = betweenness_game(4)
     ckpt = tmp_path / "census.jsonl"
@@ -158,7 +197,7 @@ def test_caps_by_measure_kind():
     assert census_cap(uniform_game(3, NumericAgent(degree()))) == 7
     assert census_cap(uniform_game(3, NumericAgent(rw_closeness()))) == 6
     assert (
-        census_cap(uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())) == 5
+        census_cap(uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())) == 6
     )
     with pytest.raises(SizeGuardError):
         run_census(uniform_game(8, NumericAgent(rw_closeness())), 8)
@@ -182,7 +221,14 @@ def test_conjecture_report_structure_rwb_n3():
 
 def test_conjecture_report_size_guard():
     with pytest.raises(SizeGuardError):
-        conjecture_report("eigenvector", 6)
+        conjecture_report("eigenvector", 7)
+
+
+def test_eigenvector_conjecture_holds_at_n6():
+    report = conjecture_report("eigenvector", 6)
+    assert report["verdict"] == "consistent with conjecture"
+    assert report["stable"] == ["E~~w"]  # K6
+    assert report["ambiguous"] == []
 
 
 def test_conjecture_report_size_guard_rwb():

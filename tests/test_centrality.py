@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,10 +9,7 @@ import pytest
 
 from apsn.centrality import (
     Measure,
-    absorption_probabilities,
     betweenness,
-    brute_betweenness,
-    brute_shapley,
     centrality,
     centrality_vector,
     closeness,
@@ -21,7 +19,6 @@ from apsn.centrality import (
     eigenvector,
     game_theoretic,
     harmonic,
-    hitting_times,
     katz,
     linear,
     pagerank,
@@ -39,6 +36,14 @@ from apsn.graphs import (
     same_component,
 )
 from apsn.values import Approx, Exact
+from oracles import (
+    absorption_probabilities,
+    brute_betweenness,
+    brute_shapley,
+    eigenvector_by_iteration,
+    hitting_times,
+    pagerank_by_iteration,
+)
 
 ALL_EXACT = [
     degree(),
@@ -294,35 +299,62 @@ def oracle_rwbetweenness(g: Graph) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def assert_rw_kernels_match_oracles(g: Graph):
-    assert centrality_vector(rw_closeness(), g) == oracle_rwcloseness(g), g.mask
-    assert centrality_vector(rw_betweenness(), g) == oracle_rwbetweenness(g), g.mask
+# -- kernel test graphs: the sets every kernel family is checked on ----------------
+
+
+def graphs_up_to_n5() -> list[Graph]:
+    """Every labeled graph with 1 to 5 vertices."""
+    return [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+
+
+def atlas_classes_n6() -> list[Graph]:
+    """One graph per isomorphism class on 6 vertices, from networkx's atlas."""
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
+    assert len(atlas) == 156
+    return [Graph.from_edges(6, list(h.edges())) for h in atlas]
+
+
+def random_graphs_n7(seed: int, extra: tuple[Graph, ...] = ()) -> list[Graph]:
+    """50 graphs on 7 vertices: `extra`, then seeded random ones of mixed density."""
+    rnd = random.Random(seed)
+    graphs = []
+    for _ in range(50 - len(extra)):
+        density = rnd.uniform(0.15, 0.7)
+        graphs.append(Graph.from_edges(
+            7, [(i, j) for i in range(7) for j in range(i + 1, 7) if rnd.random() < density]
+        ))
+    assert sum(not is_connected(g) for g in graphs) >= 5
+    return list(extra) + graphs
+
+
+def assert_kernels_match(oracles, g: Graph, tol: float | None = None):
+    """Each kernel equals its oracle exactly, or within `tol` when one is given."""
+    for m, oracle in oracles:
+        ours, theirs = centrality_vector(m, g), oracle(g)
+        if tol is None:
+            assert ours == theirs, (m, g.mask)
+        else:
+            assert max(abs(a - b) for a, b in zip(ours, theirs)) <= tol, (m, g.mask)
+
+
+# -- random-walk kernels against their rational-solve oracles ------------------------
+
+RW_ORACLES = [(rw_closeness(), oracle_rwcloseness), (rw_betweenness(), oracle_rwbetweenness)]
 
 
 def test_rw_kernels_match_oracles_exhaustive_n5():
-    for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
-            assert_rw_kernels_match_oracles(g)
+    for g in graphs_up_to_n5():
+        assert_kernels_match(RW_ORACLES, g)
 
 
 def test_rw_kernels_match_oracles_on_the_156_classes_n6():
-    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
-    assert len(atlas) == 156
-    for h in atlas:
-        assert_rw_kernels_match_oracles(Graph.from_edges(6, list(h.edges())))
+    for g in atlas_classes_n6():
+        assert_kernels_match(RW_ORACLES, g)
 
 
 def test_rw_kernels_match_oracles_random_n7():
-    rnd = random.Random(2005)
-    disconnected = 0
-    for _ in range(50):
-        density = rnd.uniform(0.15, 0.7)
-        g = Graph.from_edges(
-            7, [(i, j) for i in range(7) for j in range(i + 1, 7) if rnd.random() < density]
-        )
-        disconnected += not is_connected(g)
-        assert_rw_kernels_match_oracles(g)
-    assert disconnected >= 5
+    for g in random_graphs_n7(2005):
+        assert_kernels_match(RW_ORACLES, g)
 
 
 # -- distance kernels against the Fraction loops they replaced -------------------
@@ -421,35 +453,19 @@ DISTANCE_ORACLES = [
 ]
 
 
-def assert_distance_kernels_match_oracles(g: Graph):
-    for m, oracle in DISTANCE_ORACLES:
-        assert centrality_vector(m, g) == oracle(g), (m, g.mask)
-
-
 def test_distance_kernels_match_oracles_exhaustive_n5():
-    for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
-            assert_distance_kernels_match_oracles(g)
+    for g in graphs_up_to_n5():
+        assert_kernels_match(DISTANCE_ORACLES, g)
 
 
 def test_distance_kernels_match_oracles_on_the_156_classes_n6():
-    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
-    assert len(atlas) == 156
-    for h in atlas:
-        assert_distance_kernels_match_oracles(Graph.from_edges(6, list(h.edges())))
+    for g in atlas_classes_n6():
+        assert_kernels_match(DISTANCE_ORACLES, g)
 
 
 def test_distance_kernels_match_oracles_random_n7():
-    rnd = random.Random(2006)
-    disconnected = 0
-    for _ in range(50):
-        density = rnd.uniform(0.15, 0.7)
-        g = Graph.from_edges(
-            7, [(i, j) for i in range(7) for j in range(i + 1, 7) if rnd.random() < density]
-        )
-        disconnected += not is_connected(g)
-        assert_distance_kernels_match_oracles(g)
-    assert disconnected >= 5
+    for g in random_graphs_n7(2006):
+        assert_kernels_match(DISTANCE_ORACLES, g)
 
 
 # -- spectral measures -------------------------------------------------------------
@@ -488,6 +504,42 @@ def test_pagerank_matches_networkx():
         theirs = nx.pagerank(to_networkx(g), alpha=0.85, tol=1e-12, max_iter=500)
         for i in range(5):
             assert math.isclose(ours[i], theirs[i], abs_tol=1e-8)
+
+
+# -- spectral kernels against the power iterations they replaced ----------------
+
+SPECTRAL_ORACLES = [
+    (eigenvector(), eigenvector_by_iteration),
+    (pagerank(0.85), pagerank_by_iteration),
+    (pagerank(0.5), lambda g: pagerank_by_iteration(g, 0.5)),
+]
+
+
+def test_spectral_kernels_match_iterations_exhaustive_n5():
+    for g in graphs_up_to_n5():
+        assert_kernels_match(SPECTRAL_ORACLES, g, tol=1e-10)
+
+
+def test_spectral_kernels_match_iterations_on_the_156_classes_n6():
+    for g in atlas_classes_n6():
+        assert_kernels_match(SPECTRAL_ORACLES, g, tol=1e-10)
+
+
+def test_spectral_kernels_match_iterations_random_n7():
+    k1, k2, k3 = Graph.empty(1), Graph.complete(2), Graph.complete(3)
+    tied = tuple(  # a top eigenvalue shared by several components
+        functools.reduce(Graph.disjoint_union, parts)
+        for parts in ((Graph.cycle(4), k3), (k3, k3, k1), (k2, k2, k2, k1), (Graph.empty(7),))
+    )
+    for g in random_graphs_n7(2007, extra=tied):
+        assert_kernels_match(SPECTRAL_ORACLES, g, tol=1e-10)
+
+
+def test_eigenvector_tied_top_eigenvalue_spreads_over_components():
+    # C4 and K3 both have spectral radius 2; projecting the all-ones vector
+    # weights each component's Perron vector by its size
+    vec = centrality_vector(eigenvector(), Graph.disjoint_union(Graph.cycle(4), Graph.complete(3)))
+    assert all(math.isclose(v, 1 / math.sqrt(7), abs_tol=1e-12) for v in vec)
 
 
 def test_katz_explicit_alpha_matches_series():

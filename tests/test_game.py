@@ -36,6 +36,7 @@ from apsn.game import (
 )
 from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
 from apsn.values import Exact, sign_with_band
+from oracles import eigenvector_by_iteration, pagerank_by_iteration
 
 
 def numeric_game(n, measure, threshold=None):
@@ -316,6 +317,47 @@ def test_is_apsn_matches_per_flip_predicates_exhaustive_n5(spec_of):
             assert report.verdict == is_apsn(spec, g, cache, early_exit=True).verdict
     if isinstance(spec.policy, TolerantPolicy):
         assert ambiguous_seen > 0  # the near-band path ran
+
+
+class IterationCache(EvalCache):
+    """An evaluation cache whose spectral vectors come from the power
+    iterations that the closed-form kernels replaced."""
+
+    def __init__(self):
+        super().__init__()
+        self.iterated = {}
+
+    def vector(self, m, g):
+        key = (m, g)
+        if key not in self.iterated:
+            if m.kind == "eigenvector":
+                self.iterated[key] = eigenvector_by_iteration(g)
+            else:
+                self.iterated[key] = pagerank_by_iteration(g, m.damping)
+        return self.iterated[key]
+
+
+def outcome(report):
+    return (
+        report.verdict,
+        [flip_key(f) for f in report.blocking_flips],
+        [flip_key(f) for f in report.ambiguous_flips],
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-9, 3e-5])
+@pytest.mark.parametrize("measure", [eigenvector(), pagerank()], ids=["eigenvector", "pagerank"])
+def test_spectral_verdicts_match_power_iterations_exhaustive_n5(measure, tol):
+    closed, iterated = EvalCache(), IterationCache()
+    ambiguous_seen = 0
+    for n in range(1, 6):
+        spec = uniform_game(n, NumericAgent(measure), TolerantPolicy(tol))
+        for g in enumerate_labeled_graphs(n):
+            new, old = (is_apsn(spec, g, cache) for cache in (closed, iterated))
+            assert outcome(new) == outcome(old), g
+            ambiguous_seen += len(new.ambiguous_flips)
+    if tol == 3e-5:
+        assert ambiguous_seen > 0  # deltas in the near band were compared
 
 
 # -- homophilic rule agents -----------------------------------------------------------
