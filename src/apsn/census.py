@@ -1,10 +1,15 @@
 """Exhaustive stability censuses over all labeled graphs on n vertices.
 
-A census scans every adjacency mask once, classifies each graph as stable,
-unstable or (under the tolerant policy) ambiguous, and reports the stable
-set up to isomorphism.  The mask range splits into contiguous shards that
-share nothing, so shard count and worker count never change the result
-payload; per-shard checkpoint records make long runs resumable.
+A census classifies every labeled graph on n vertices as stable, unstable
+or (under the tolerant policy) ambiguous, and reports the stable set up to
+isomorphism.  When every agent is the same label-free agent and verdicts
+are exact, relabeling a graph relabels its verdict, so the census decides
+one canonical graph per isomorphism class (``graph_classes``) and expands
+each stable class to its labeled orbit: *orbit mode*.  Any other game has
+every adjacency mask decided once: *labeled mode*.  Either work list splits
+into contiguous shards that share nothing, so shard count, worker count and
+mode never change the result payload; per-shard checkpoint records make
+long runs resumable.
 """
 from __future__ import annotations
 
@@ -14,11 +19,30 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import Sequence
 
+from . import __version__
 from .centrality import APPROX_KINDS
 from .errors import ParameterError, SizeGuardError
-from .game import EvalCache, GameSpec, NumericAgent, TolerantPolicy, is_apsn, uniform_game
-from .graphs import Graph, canonical_form, graph_count, is_connected, shard_bounds, to_graph6
+from .game import (
+    EvalCache,
+    ExactPolicy,
+    GameSpec,
+    NumericAgent,
+    TolerantPolicy,
+    is_apsn,
+    uniform_game,
+)
+from .graphs import (
+    Graph,
+    canonical_form,
+    graph_classes,
+    graph_count,
+    is_connected,
+    orbit_masks,
+    shard_bounds,
+    to_graph6,
+)
 
 CENSUS_CAP_EXACT = 7
 CENSUS_CAP_SOLVE = 6
@@ -26,8 +50,28 @@ CENSUS_CAP_SOLVE = 6
 # Measures whose kernel is a linear solve or an eigendecomposition per graph.
 _SOLVE_KINDS = APPROX_KINDS | {"rwcloseness", "rwbetweenness"}
 
+#: Written into every checkpoint record; resume keeps only records with the
+#: current value.  Bump the engine tag whenever a change can alter a verdict
+#: or what a record holds.
+CODE_VERSION = f"{__version__}+engine.1"
+
+
+def orbit_mode(spec: GameSpec) -> bool:
+    """Whether a census may decide one graph per isomorphism class: all
+    agents equal, exact verdicts, and no measure that reads vertex labels
+    (a linear centrality's weight table does)."""
+    agents = set(spec.agents)
+    if len(agents) != 1 or not isinstance(spec.policy, ExactPolicy):
+        return False
+    (agent,) = agents
+    return not (isinstance(agent, NumericAgent) and agent.measure.kind == "linear")
+
 
 def census_cap(spec: GameSpec) -> int:
+    """Largest n a census of the game runs at: 7, except 6 on the labeled
+    path for measures that need a solve or an eigendecomposition per graph."""
+    if orbit_mode(spec):
+        return CENSUS_CAP_EXACT
     cap = CENSUS_CAP_EXACT
     for agent in spec.agents:
         if isinstance(agent, NumericAgent) and agent.measure.kind in _SOLVE_KINDS:
@@ -79,16 +123,24 @@ class CensusResult:
         return out
 
 
+def _work(spec: GameSpec, n: int) -> Sequence[int]:
+    """The masks a census decides: the canonical mask of each isomorphism
+    class in orbit mode, every labeled mask otherwise."""
+    return graph_classes(n) if orbit_mode(spec) else range(graph_count(n))
+
+
 def _scan_shard(
     spec: GameSpec, n: int, shard: int, shards: int, cache: EvalCache | None = None
 ) -> tuple[list[int], list[int]]:
-    """Stable and ambiguous masks of one shard; a fresh cache unless given one."""
-    lo, hi = shard_bounds(graph_count(n), shard, shards)
+    """Stable and ambiguous masks of one shard of the work list; a fresh
+    cache unless given one."""
+    work = _work(spec, n)
+    lo, hi = shard_bounds(len(work), shard, shards)
     if cache is None:
         cache = EvalCache()
     stable: list[int] = []
     ambiguous: list[int] = []
-    for mask in range(lo, hi):
+    for mask in work[lo:hi]:
         report = is_apsn(spec, Graph(n, mask), cache, early_exit=True)
         verdict = report.verdict
         if verdict == "stable":
@@ -98,15 +150,20 @@ def _scan_shard(
     return stable, ambiguous
 
 
-def _record_fits(rec: dict, layout: list[tuple[int, int]]) -> bool:
-    """Whether a checkpoint record covers one whole shard of the layout and
-    lists only masks inside it."""
+def _record_fits(
+    rec: dict, header: dict, layout: list[tuple[int, int]], work: Sequence[int]
+) -> bool:
+    """Whether a checkpoint record carries this census's header, covers one
+    whole shard of the layout and lists only masks of that shard's work."""
+    if any(rec.get(key) != value for key, value in header.items()):
+        return False
     shard = rec.get("shard")
     if not isinstance(shard, int) or not 0 <= shard < len(layout):
         return False
     lo, hi = layout[shard]
+    members = work[lo:hi]  # a range, or a slice of the class list
     return rec.get("scanned") == hi - lo and all(
-        lo <= m < hi for m in rec["stable"] + rec["ambiguous"]
+        m in members for m in rec["stable"] + rec["ambiguous"]
     )
 
 
@@ -119,7 +176,8 @@ def run_census(
     checkpoint: str | None = None,
     resume: str | None = None,
 ) -> CensusResult:
-    """Classify every labeled graph on n vertices for the given game."""
+    """Classify every labeled graph on n vertices for the given game, in
+    orbit mode when the game allows it (see ``orbit_mode``)."""
     cap = census_cap(spec)
     if n > cap:
         raise SizeGuardError(f"census capped at n={cap} for this game (got n={n})")
@@ -128,8 +186,17 @@ def run_census(
     if shards < 1:
         raise ParameterError("need at least one shard")
     start = time.monotonic()
-    fingerprint = game_fingerprint(spec)
-    layout = [shard_bounds(graph_count(n), k, shards) for k in range(shards)]
+    orbit = orbit_mode(spec)
+    # built here, before any pool starts, so forked workers inherit the memo
+    work = _work(spec, n)
+    layout = [shard_bounds(len(work), k, shards) for k in range(shards)]
+    header = {
+        "fingerprint": game_fingerprint(spec),
+        "n": n,
+        "shards": shards,
+        "mode": "orbit" if orbit else "labeled",
+        "code_version": CODE_VERSION,
+    }
 
     done: dict[int, tuple[list[int], list[int]]] = {}
     if resume:
@@ -139,12 +206,7 @@ def run_census(
                 if not line:
                     continue
                 rec = json.loads(line)
-                if (
-                    rec.get("fingerprint") == fingerprint
-                    and rec.get("n") == n
-                    and rec.get("shards") == shards
-                    and _record_fits(rec, layout)
-                ):
+                if _record_fits(rec, header, layout, work):
                     done[rec["shard"]] = (rec["stable"], rec["ambiguous"])
 
     pending = [k for k in range(shards) if k not in done]
@@ -162,34 +224,32 @@ def run_census(
         for k, (stable, ambiguous) in results:
             done[k] = (stable, ambiguous)
             if ckpt_fh:
-                ckpt_fh.write(
-                    json.dumps(
-                        {
-                            "fingerprint": fingerprint,
-                            "n": n,
-                            "shards": shards,
-                            "shard": k,
-                            "stable": stable,
-                            "ambiguous": ambiguous,
-                            "scanned": layout[k][1] - layout[k][0],
-                        }
-                    )
-                    + "\n"
-                )
+                record = {
+                    **header,
+                    "shard": k,
+                    "stable": stable,
+                    "ambiguous": ambiguous,
+                    "scanned": layout[k][1] - layout[k][0],
+                }
+                ckpt_fh.write(json.dumps(record) + "\n")
                 ckpt_fh.flush()
 
     stable_masks = sorted(m for k in done for m in done[k][0])
     ambiguous_masks = sorted(m for k in done for m in done[k][1])
-    reps: dict[int, int] = {}
-    for m in stable_masks:
-        c = canonical_form(Graph(n, m))
-        reps.setdefault(c, m)
-    apsn_canonical = [
-        (c, to_graph6(Graph(n, reps[c]))) for c in sorted(reps)
-    ]
+    if orbit:
+        # a class's canonical mask is the smallest mask of its orbit, so it
+        # is also the representative a labeled census would report; exact
+        # verdicts leave no ambiguous class to expand
+        apsn_canonical = [(c, to_graph6(Graph(n, c))) for c in stable_masks]
+        stable_masks = sorted(m for c in stable_masks for m in orbit_masks(n, c))
+    else:
+        reps: dict[int, int] = {}
+        for m in stable_masks:
+            reps.setdefault(canonical_form(Graph(n, m)), m)
+        apsn_canonical = [(c, to_graph6(Graph(n, reps[c]))) for c in sorted(reps)]
     return CensusResult(
         n=n,
-        fingerprint=fingerprint,
+        fingerprint=header["fingerprint"],
         stable_masks=stable_masks,
         ambiguous_masks=ambiguous_masks,
         apsn_canonical=apsn_canonical,

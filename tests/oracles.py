@@ -6,7 +6,9 @@
 * ``hitting_times`` and ``absorption_probabilities`` solve the walk systems
   over Fractions;
 * ``eigenvector_by_iteration`` and ``pagerank_by_iteration`` are the power
-  iterations that the closed-form spectral kernels replaced.
+  iterations that the closed-form spectral kernels replaced;
+* ``labeled_census`` decides every labeled graph, the census that orbit
+  mode in ``apsn.census`` replaces.
 """
 from __future__ import annotations
 
@@ -16,8 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from apsn.census import game_fingerprint
 from apsn.errors import SizeGuardError
-from apsn.graphs import Graph, bits, reachable_from
+from apsn.game import EvalCache, GameSpec, is_apsn
+from apsn.graphs import Graph, bits, canonical_form, graph_count, reachable_from, to_graph6
 from apsn.linalg import solve_rational
 
 EIG_TOLERANCE = 1e-12
@@ -202,3 +206,32 @@ def brute_betweenness(g: Graph, i: int) -> Fraction:
             if through:
                 total += Fraction(through, len(on_shortest))
     return total
+
+
+# -- census ------------------------------------------------------------------------
+
+
+def labeled_census(spec: GameSpec, n: int) -> dict:
+    """The payload of a one-shard census of the game, from ``is_apsn`` on
+    every labeled graph with one fresh cache."""
+    cache = EvalCache()
+    verdicts = {
+        mask: is_apsn(spec, Graph(n, mask), cache, early_exit=True).verdict
+        for mask in range(graph_count(n))
+    }
+    stable = [m for m, v in verdicts.items() if v == "stable"]
+    ambiguous = [m for m, v in verdicts.items() if v == "ambiguous"]
+    reps: dict[int, int] = {}
+    for m in stable:
+        reps.setdefault(canonical_form(Graph(n, m)), m)
+    return {
+        "n": n,
+        "fingerprint": game_fingerprint(spec),
+        "scanned": graph_count(n),
+        "stable_count": len(stable),
+        "ambiguous_count": len(ambiguous),
+        "apsn": [{"canonical": c, "graph6": to_graph6(Graph(n, reps[c]))} for c in sorted(reps)],
+        "stable_masks": stable,
+        "ambiguous_graph6": [to_graph6(Graph(n, m)) for m in ambiguous],
+        "shards": 1,
+    }

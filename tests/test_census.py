@@ -11,19 +11,28 @@ from apsn import census
 from apsn.census import census_cap, conjecture_report, game_fingerprint, run_census
 from apsn.centrality import (
     betweenness,
+    closeness,
     decay,
     degree,
     eigenvector,
+    game_theoretic,
+    linear,
+    rw_betweenness,
     rw_closeness,
 )
 from apsn.errors import ParameterError, SizeGuardError
 from apsn.game import (
+    GameSpec,
+    HomophilicAgent,
+    HomophilyFunction,
+    MonotoneAgent,
     NumericAgent,
     TolerantPolicy,
     is_apsn,
     uniform_game,
 )
 from apsn.graphs import Graph, canonical_form, graph_count
+from oracles import labeled_census
 
 
 def decay_game(n):
@@ -71,8 +80,9 @@ def test_checkpoint_resume(tmp_path, shared_cache):
 
 
 def betweenness_game(n):
-    # stable at n = 4: the empty graph (mask 0) and the C4s 30, 45 and 51,
-    # one in each of four shards, so every checkpoint record carries a mask
+    # an orbit census at n = 4: four shards decide the classes 0 1 3 |
+    # 7 11 12 | 13 15 30 | 31 63, and the stable ones are the empty graph
+    # (0) and C4 (30, whose labelings are 30, 45 and 51)
     return uniform_game(n, NumericAgent(betweenness()))
 
 
@@ -195,7 +205,10 @@ def test_stable_set_closed_under_isomorphism(rng, shared_cache):
 
 def test_caps_by_measure_kind():
     assert census_cap(uniform_game(3, NumericAgent(degree()))) == 7
-    assert census_cap(uniform_game(3, NumericAgent(rw_closeness()))) == 6
+    # orbit mode lifts the random-walk cap; the labeled path keeps 6
+    assert census_cap(uniform_game(3, NumericAgent(rw_closeness()))) == 7
+    mixed = GameSpec((NumericAgent(rw_closeness()),) * 2 + (NumericAgent(rw_betweenness()),))
+    assert census_cap(mixed) == 6
     assert (
         census_cap(uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())) == 6
     )
@@ -233,7 +246,15 @@ def test_eigenvector_conjecture_holds_at_n6():
 
 def test_conjecture_report_size_guard_rwb():
     with pytest.raises(SizeGuardError):
-        conjecture_report("rwbetweenness", 7)
+        conjecture_report("rwbetweenness", 8)
+
+
+def test_rwbetweenness_conjecture_holds_at_n7():
+    report = conjecture_report("rwbetweenness", 7)
+    assert report["verdict"] == "consistent with conjecture"
+    assert report["stable"] == ["F????", "F~~~w"]  # the empty graph and K7
+    assert report["census"]["scanned"] == graph_count(7)
+    assert report["census"]["stable_count"] == 2
 
 
 def test_bounded_cache_evicts_oldest():
@@ -267,3 +288,90 @@ def test_bounded_cache_evicts_oldest_first_over_many_evictions():
         assert len(cache.facts) == min(step, bound)
         if step % 37 == 0 or step == len(masks):
             assert list(cache.vectors) == keys[-bound:]
+
+
+def test_resume_rescans_records_of_another_mode_or_version(tmp_path, monkeypatch, shared_cache):
+    spec = betweenness_game(4)
+    ckpt = tmp_path / "census.jsonl"
+    fresh = run_census(spec, 4, shards=4, cache=shared_cache, checkpoint=str(ckpt))
+    records = read_records(ckpt)
+    assert [(r["mode"], r["code_version"]) for r in records] == [
+        ("orbit", census.CODE_VERSION)
+    ] * 4
+    assert [r["stable"] for r in records] == [[0], [], [30], []]
+    records[0]["mode"] = "labeled"
+    records[1]["code_version"] = "0.0.0+engine-0"
+    records[2]["stable"] = [45]  # a labeling of C4, not its class's mask
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in records))
+    scanned = scan_recorder(monkeypatch)
+    resumed = run_census(spec, 4, shards=4, cache=shared_cache, resume=str(ckpt))
+    assert scanned == [0, 1, 2]
+    assert resumed.payload() == fresh.payload()
+
+
+# ---------------------------------------------------------------------------
+# orbit mode against the labeled oracle
+
+ORBIT_GAMES = {
+    "degree": NumericAgent(degree()),
+    "closeness": NumericAgent(closeness()),
+    "decay": NumericAgent(decay(Fraction(1, 2))),
+    "betweenness": NumericAgent(betweenness()),
+    "gametheoretic": NumericAgent(game_theoretic()),
+    "rwcloseness": NumericAgent(rw_closeness()),
+    "rwbetweenness": NumericAgent(rw_betweenness()),
+    "monotone-1": MonotoneAgent("1"),
+    "monotone-1p": MonotoneAgent("1p"),
+    "monotone-2": MonotoneAgent("2"),
+    "monotone-2p": MonotoneAgent("2p"),
+    "homophilic": HomophilicAgent(),
+    "homophilic-table": HomophilicAgent(HomophilyFunction((0, 1, 3, 6, 10))),
+}
+
+
+def count_class_lists(monkeypatch):
+    """Patch census.graph_classes to count its calls."""
+    calls = []
+    original = census.graph_classes
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(census, "graph_classes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_GAMES))
+def test_orbit_census_matches_labeled_oracle(name, monkeypatch):
+    for n in range(1, 6):
+        spec = uniform_game(n, ORBIT_GAMES[name])
+        calls = count_class_lists(monkeypatch)
+        assert run_census(spec, n).payload() == labeled_census(spec, n)
+        assert calls and set(calls) == {n}  # the census ran in orbit mode
+        monkeypatch.undo()
+
+
+LABELED_GAMES = {
+    # float values under a tolerance: a class could straddle the near band
+    "tolerant": uniform_game(5, NumericAgent(eigenvector()), TolerantPolicy()),
+    "per-node": GameSpec(
+        (NumericAgent(closeness()),) * 3 + (NumericAgent(betweenness()),) * 2
+    ),
+    # the weight table reads vertex labels, so relabeling changes verdicts
+    "linear": uniform_game(
+        4, NumericAgent(linear([[0, 1, 5, 0], [1, 0, 0, 2], [5, 0, 0, 1], [0, 2, 1, 0]]))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELED_GAMES))
+def test_labeled_games_never_use_class_lists(name, monkeypatch):
+    spec = LABELED_GAMES[name]
+
+    def refuse(n):
+        raise AssertionError("a labeled census asked for the class list")
+
+    monkeypatch.setattr(census, "graph_classes", refuse)
+    assert not census.orbit_mode(spec)
+    assert run_census(spec, spec.n).payload() == labeled_census(spec, spec.n)

@@ -23,8 +23,10 @@ from apsn.graphs import (
     dominates,
     enumerate_labeled_graphs,
     from_graph6,
+    graph_classes,
     graph_count,
     is_connected,
+    orbit_masks,
     pair_count,
     read_edge_list,
     shard_bounds,
@@ -251,6 +253,13 @@ def test_canonical_form_matches_permutation_minimum_exhaustive_n5():
             assert canonical_form(g) == permutation_minimum(g), (n, g.mask)
 
 
+def test_graph_classes_counts():
+    # OEIS A000088: graphs on n unlabeled vertices
+    assert [len(graph_classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    with pytest.raises(SizeGuardError):
+        graph_classes(8)
+
+
 def test_canonical_form_matches_permutation_minimum_random_n7():
     rnd = random.Random(2014)
     for _ in range(50):
@@ -263,8 +272,10 @@ def test_canonical_forms_split_n6_into_its_156_classes():
     for g in enumerate_labeled_graphs(6):
         classes.setdefault(canonical_form(g), []).append(g.mask)
     assert len(classes) == 156
+    assert list(graph_classes(6)) == sorted(classes)
     for key, members in classes.items():
         assert key == min(members)
+        assert orbit_masks(6, key) == set(members)
 
 
 def petersen() -> Graph:
