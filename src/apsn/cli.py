@@ -18,7 +18,6 @@ from .game import (
     EvalCache,
     GameSpec,
     HomophilicAgent,
-    HomophilyFunction,
     MonotoneAgent,
     NumericAgent,
     TolerantPolicy,
@@ -28,7 +27,13 @@ from .game import (
 )
 from .graphs import Graph, from_graph6, read_edge_list, to_graph6
 from .learning import ApsnOracle, learn_threshold
-from .profiles import load_profile_file, measure_grammar, parse_measure
+from .profiles import (
+    load_profile_file,
+    measure_grammar,
+    parse_homophily,
+    parse_measure,
+    parse_threshold,
+)
 from .truncation import (
     greedy_linear_apsn,
     maximal_member,
@@ -37,7 +42,7 @@ from .truncation import (
     truncated_game,
     universality_thresholds,
 )
-from .values import Approx, Exact, format_rational, parse_rational, value_to_json
+from .values import Approx, Exact, format_rational, value_to_json
 
 
 def load_graph(path: str, fmt: str = "auto") -> Graph:
@@ -53,24 +58,20 @@ def load_graph(path: str, fmt: str = "auto") -> Graph:
     return from_graph6(text)
 
 
-def _parse_thresholds(text: str, n: int) -> list[Fraction | None]:
+def _parse_thresholds(text: str, n: int, what: str = "thresholds") -> list[Fraction | None]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise ParameterError(f"expected {n} thresholds, got {len(parts)}")
-    return [None if p == "inf" else parse_rational(p) for p in parts]
+        raise ParameterError(f"expected {n} {what}, got {len(parts)}")
+    return [parse_threshold(p) for p in parts]
 
 
 def _uniform_agent(args):
     if getattr(args, "rule", None):
         return MonotoneAgent(args.rule)
     if getattr(args, "homophily", None):
-        if args.homophily == "gt":
-            return HomophilicAgent()
-        return HomophilicAgent(HomophilyFunction(table=tuple(json.loads(args.homophily))))
+        return HomophilicAgent(parse_homophily(args.homophily))
     if getattr(args, "measure", None):
-        threshold = (
-            parse_rational(args.threshold) if getattr(args, "threshold", None) else None
-        )
+        threshold = parse_threshold(getattr(args, "threshold", None))
         return NumericAgent(parse_measure(args.measure), threshold)
     raise ParameterError("give --profile or one of --measure/--rule/--homophily")
 
@@ -176,11 +177,7 @@ def cmd_predict(args) -> int:
     elif args.family == "stratified":
         if args.n is None:
             raise ParameterError("stratified predictions need --n")
-        f = (
-            HomophilyFunction(table=tuple(json.loads(args.homophily)))
-            if args.homophily and args.homophily != "gt"
-            else HomophilyFunction()
-        )
+        f = parse_homophily(args.homophily or "gt")
         seqs = structure.stratified_sequences(args.n, f)
         payload.update(
             n=args.n,
@@ -248,7 +245,9 @@ def cmd_truncated(args) -> int:
         if not (args.n and args.measure and args.thresholds):
             raise ParameterError("maximal needs --n, --measure and --thresholds")
         thetas = _parse_thresholds(args.thresholds, args.n)
-        caps = [parse_rational(c) for c in args.caps.split(",")] if args.caps else None
+        caps = _parse_thresholds(args.caps, args.n, "caps") if args.caps else None
+        if caps is not None and None in caps:
+            raise ParameterError("caps must be finite")
         result = maximal_member(args.n, [parse_measure(args.measure)] * args.n, thetas, caps, cache)
         payload = {"op": "maximal", **result.to_json()}
     emit(args, payload)

@@ -1,15 +1,19 @@
 """Edge-flip game engine: utilities, improving moves and stability.
 
-The asymptotic (edge cost -> 0+) semantics compile to sign conditions:
+The asymptotic (edge cost -> 0+) semantics compile to one sign question per
+flip of pair ij: does adding ij to the graph without it (lo) give the graph
+with it (hi) an endpoint gains from?  An endpoint is willing when its
+truncated centrality strictly rises from lo to hi (under the tolerant policy,
+when ``sign_with_band`` reads the rise as positive).
 
-* an addition blocks stability iff both endpoints' centralities strictly
-  increase (a zero gain minus a positive cost is a strict loss);
-* a removal blocks stability iff at least one endpoint's centrality does
-  not decrease (the saved cost then strictly improves its utility).
+* an addition blocks stability iff both endpoints are willing (a zero gain
+  minus a positive cost is a strict loss);
+* a removal blocks stability iff at least one endpoint is not willing (the
+  saved cost then strictly improves its utility).
 
-Rule-based agents answer the same questions structurally instead of
-numerically: monotone types from the component/bridge geometry of the flip,
-degree-homophilic agents from their threshold function on degrees.
+Rule-based agents answer the same question structurally, from lo alone:
+monotone types from whether i and j share a component of lo, degree-homophilic
+agents from their threshold function on lo's degrees.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import Iterator, Optional, Union
 
 from .centrality import APPROX_KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
-from .graphs import Graph, component_masks, pair_list, reachable_from
+from .graphs import Graph, component_masks, pair_list
 from .values import (
     DEFAULT_TOLERANCE,
     Approx,
@@ -217,12 +221,11 @@ class EvalCache:
             self.vectors.put(key, out)
         return out
 
-    def graph_facts(self, g: Graph) -> tuple[list[int], frozenset, list[int]]:
-        """(component bitmask per vertex, bridge edge set, degrees)."""
+    def graph_facts(self, g: Graph) -> tuple[list[int], list[int]]:
+        """(component bitmask per vertex, degrees)."""
         key = g.mask << 4 | g.n - 1
         out = self.facts.get(key)
         if out is None:
-            adj = g.adjacency()
             comp_of = [0] * g.n
             for comp in component_masks(g):
                 m = comp
@@ -230,15 +233,7 @@ class EvalCache:
                     low = m & -m
                     comp_of[low.bit_length() - 1] = comp
                     m ^= low
-            bridges = set()
-            for i, j in g.edges():
-                cut = list(adj)
-                cut[i] &= ~(1 << j)
-                cut[j] &= ~(1 << i)
-                if not reachable_from(tuple(cut), 1 << i) >> j & 1:
-                    bridges.add((i, j))
-            degrees = [a.bit_count() for a in adj]
-            out = (comp_of, frozenset(bridges), degrees)
+            out = (comp_of, [a.bit_count() for a in g.adjacency()])
             self.facts.put(key, out)
         return out
 
@@ -278,31 +273,14 @@ def _monotone_willing_add(kind: str, same_comp: bool) -> bool:
     return not same_comp  # '2p'
 
 
-def _monotone_willing_remove(kind: str, bridge: bool) -> bool:
-    # Derived from the monotonicity axioms applied to the graph after the
-    # removal: an increasing agent always strictly loses; a decreasing agent
-    # always gains; a componentwise agent does not lose exactly when the
-    # removal disconnects the pair; a peripheral agent exactly when it does not.
-    if kind == "1":
-        return False
-    if kind == "1p":
-        return True
-    if kind == "2":
-        return bridge
-    return not bridge  # '2p'
-
-
-def _rule_willing(agent: Agent, k: int, i: int, j: int, adding: bool, facts) -> bool:
-    """Whether rule agent k, an endpoint of pair ij, accepts the flip."""
-    comp_of, bridges, degrees = facts
+def _rule_willing(agent: Agent, k: int, i: int, j: int, facts) -> bool:
+    """Whether rule agent k, an endpoint of pair ij, gains from adding ij to
+    the graph without it, whose ``graph_facts`` are ``facts``."""
+    comp_of, degrees = facts
     if isinstance(agent, MonotoneAgent):
-        if adding:
-            return _monotone_willing_add(agent.kind, bool(comp_of[i] >> j & 1))
-        return _monotone_willing_remove(agent.kind, (i, j) in bridges or (j, i) in bridges)
+        return _monotone_willing_add(agent.kind, bool(comp_of[i] >> j & 1))
     other = j if k == i else i
-    if adding:
-        return degrees[other] <= agent.f(degrees[k])
-    return degrees[other] - 1 > agent.f(degrees[k] - 1)
+    return degrees[other] <= agent.f(degrees[k])
 
 
 def _eval_flip(
@@ -318,8 +296,9 @@ def _eval_flip(
     """(blocking, ambiguous, values) of flipping pair ij, which turns g into h.
 
     ``values`` holds (before, after) truncated centralities per numeric
-    endpoint and None per rule endpoint.  An endpoint is willing to add when
-    its value strictly rises and to remove when its value does not fall;
+    endpoint and None per rule endpoint.  Each endpoint is asked whether it
+    gains from adding ij to lo, the one of g and h without the edge; an
+    addition blocks when both do and a removal when either does not.
     ``ambiguous`` means the verdict relies on a near-band float delta.
     ``before`` maps id(measure) to its vector on g, shared by the flips of
     one scan.
@@ -344,27 +323,23 @@ def _eval_flip(
             if agent.threshold is not None:
                 b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
             values.append((b, a))
+            lo, hi = (b, a) if adding else (a, b)
             if m.is_exact:
-                willing.append(a > b if adding else a >= b)
+                willing.append(hi > lo)
                 bands.append(False)
             else:
-                sign, near = sign_with_band(float(a) - float(b), spec.policy.tol)
-                willing.append(sign > 0 if adding else sign >= 0)
+                sign, near = sign_with_band(float(hi) - float(lo), spec.policy.tol)
+                willing.append(sign > 0)
                 bands.append(near)
         else:
             if facts is None:
-                facts = cache.graph_facts(g)
-            willing.append(_rule_willing(agent, k, i, j, adding, facts))
+                facts = cache.graph_facts(g if adding else h)
+            willing.append(_rule_willing(agent, k, i, j, facts))
             bands.append(False)
             values.append(None)
-    if adding:
-        blocking = willing[0] and willing[1]
-        # a confident refusal by either endpoint settles the verdict
-        settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
-    else:
-        blocking = willing[0] or willing[1]
-        # one confidently nonnegative endpoint settles the removal verdict
-        settled = (willing[0] and not bands[0]) or (willing[1] and not bands[1])
+    blocking = (willing[0] and willing[1]) == adding
+    # a confident refusal by either endpoint settles the verdict
+    settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
     return blocking, not settled and (bands[0] or bands[1]), values
 
 

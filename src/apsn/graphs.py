@@ -236,6 +236,20 @@ def is_connected(g: Graph) -> bool:
     return component_of(g, 0) == (1 << g.n) - 1
 
 
+def bridges(g: Graph) -> frozenset[tuple[int, int]]:
+    """Edges (i, j), i < j, whose removal separates i from j."""
+    adj = list(g.adjacency())
+    out = set()
+    for i, j in g.edges():
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+        if not reachable_from(adj, 1 << i) >> j & 1:
+            out.add((i, j))
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    return frozenset(out)
+
+
 def bfs_distances(adj: tuple[int, ...], src: int) -> list[int]:
     """Distances from src; -1 marks unreachable.  Internal helper."""
     n = len(adj)
@@ -277,24 +291,13 @@ def graph_count(n: int) -> int:
     return 1 << pair_count(n)
 
 
-def enumerate_labeled_graphs(n: int, shard: tuple[int, int] | None = None) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in increasing mask order.
-
-    ``shard=(k, total)`` yields only the k-th of ``total`` contiguous slices
-    of the mask range, for independent parallel walkers.
-    """
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All labeled graphs on n vertices in increasing mask order."""
     if n > MAX_ENUMERATION:
         raise SizeGuardError(
             f"full enumeration capped at n={MAX_ENUMERATION} (got {n})"
         )
-    total_graphs = graph_count(n)
-    lo, hi = 0, total_graphs
-    if shard is not None:
-        k, total = shard
-        if not (0 <= k < total):
-            raise ParameterError(f"shard index {k} outside 0..{total - 1}")
-        lo, hi = shard_bounds(total_graphs, k, total)
-    for mask in range(lo, hi):
+    for mask in range(graph_count(n)):
         yield Graph(n, mask)
 
 

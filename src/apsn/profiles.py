@@ -7,7 +7,9 @@ Grammar: ``degree``, ``linear:<weightfile>``, ``closeness``, ``eccentricity``,
 
 Profile files hold an array of agent entries, each with a ``node`` index and
 exactly one of ``measure`` (plus optional ``threshold``), ``rule``
-(``1|1p|2|2p``) or ``homophily_f`` (``"gt"`` or ``{"table": [...]}``).
+(``1|1p|2|2p``) or ``homophily_f`` (``"gt"`` or ``{"table": [...]}`` of
+integers).  ``parse_threshold`` and ``parse_homophily`` also read the CLI's
+``--threshold``/``--thresholds``/``--caps`` and ``--homophily`` values.
 A top-level object form adds ``policy`` and a ``default`` entry applied to
 nodes without their own row.
 """
@@ -18,8 +20,9 @@ import os
 from fractions import Fraction
 
 from .centrality import APPROX_KINDS, Measure
-from .errors import MeasureGrammarError, ProfileError
+from .errors import MeasureGrammarError, ParameterError, ProfileError
 from .game import (
+    GT_HOMOPHILY,
     Agent,
     ExactPolicy,
     GameSpec,
@@ -84,16 +87,35 @@ def measure_grammar(m: Measure) -> str:
     return m.kind
 
 
-def _parse_threshold(text) -> Fraction | None:
+def parse_threshold(text) -> Fraction | None:
+    """A truncation threshold: ``p/q`` or a decimal, or None for ``inf``
+    (and for a missing one)."""
     if text is None or text == "inf":
         return None
     try:
         return parse_rational(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ProfileError(f"bad threshold {text!r}: {exc}")
+        raise ParameterError(f"{text!r} is neither p/q nor inf: {exc}")
+
+
+def parse_homophily(spec) -> HomophilyFunction:
+    """``"gt"`` (the game-theoretic closed form) or an integer threshold
+    table, given as a list or as the JSON text of one."""
+    if spec == "gt":
+        return GT_HOMOPHILY
+    if isinstance(spec, str):
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"homophily table is not valid JSON: {exc}")
+    if not (isinstance(spec, list) and all(type(d) is int for d in spec)):
+        raise ParameterError(f"homophily table must be a list of integers, got {spec!r}")
+    return HomophilyFunction(table=tuple(spec))
 
 
 def _entry_to_agent(entry: dict, base_dir: str | None) -> Agent:
+    if not isinstance(entry, dict):
+        raise ProfileError(f"agent entry must be a JSON object, got {entry!r}")
     keys = [k for k in ("measure", "rule", "homophily_f") if k in entry]
     if len(keys) != 1:
         raise ProfileError(
@@ -101,7 +123,7 @@ def _entry_to_agent(entry: dict, base_dir: str | None) -> Agent:
         )
     if "measure" in entry:
         measure = parse_measure(entry["measure"], base_dir)
-        return NumericAgent(measure, _parse_threshold(entry.get("threshold")))
+        return NumericAgent(measure, parse_threshold(entry.get("threshold")))
     if "threshold" in entry:
         raise ProfileError("thresholds apply to numeric agents only")
     if "rule" in entry:
@@ -109,8 +131,8 @@ def _entry_to_agent(entry: dict, base_dir: str | None) -> Agent:
     spec = entry["homophily_f"]
     if spec == "gt":
         return HomophilicAgent()
-    if isinstance(spec, dict) and "table" in spec:
-        return HomophilicAgent(HomophilyFunction(table=tuple(spec["table"])))
+    if isinstance(spec, dict) and isinstance(spec.get("table"), list):
+        return HomophilicAgent(parse_homophily(spec["table"]))
     raise ProfileError(f"homophily_f must be 'gt' or {{'table': [...]}}, got {spec!r}")
 
 
@@ -120,7 +142,10 @@ def _parse_policy(raw):
     if raw == "exact":
         return ExactPolicy()
     if isinstance(raw, dict) and "tolerant" in raw:
-        return TolerantPolicy(float(raw["tolerant"]))
+        try:
+            return TolerantPolicy(float(raw["tolerant"]))
+        except (TypeError, ValueError) as exc:
+            raise ProfileError(f"bad tolerance {raw['tolerant']!r}: {exc}")
     raise ProfileError(f"policy must be 'exact' or {{'tolerant': tol}}, got {raw!r}")
 
 
@@ -138,9 +163,11 @@ def load_profile(text: str, n: int, base_dir: str | None = None) -> GameSpec:
         policy_raw = doc.get("policy")
     else:
         raise ProfileError("profile must be a JSON array or object")
+    if not isinstance(entries, list):
+        raise ProfileError(f"profile agents must be a JSON array, got {entries!r}")
     agents: list[Agent | None] = [None] * n
     for entry in entries:
-        if "node" not in entry:
+        if not isinstance(entry, dict) or "node" not in entry:
             raise ProfileError(f"agent entry without node index: {entry!r}")
         k = entry["node"]
         if not (isinstance(k, int) and 0 <= k < n):

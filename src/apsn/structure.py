@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     bfs_distances,
     bits,
+    bridges,
     component_masks,
     enumerate_labeled_graphs,
     to_graph6,
@@ -48,7 +49,7 @@ INFER_CAP = 15
 
 
 def _pair_constraint_ok(g: Graph, facts, u: int, tu: str, v: int, tv: str) -> bool:
-    comp_of, _, _ = facts
+    comp_of, _ = facts
     same_comp = bool(comp_of[u] >> v & 1)
     adjacent = g.has_edge(u, v)
     if tu == "1" and tv == "1" and not adjacent:
@@ -62,19 +63,19 @@ def _pair_constraint_ok(g: Graph, facts, u: int, tu: str, v: int, tv: str) -> bo
     return True
 
 
-def _unary_candidates(g: Graph, facts) -> list[set[str]]:
-    _, bridges, degrees = facts
+def _unary_candidates(g: Graph) -> list[set[str]]:
+    cut = bridges(g)
     adj = g.adjacency()
     out = []
     for v in range(g.n):
         cands = {"1"}
-        if degrees[v] == 0:
+        if adj[v] == 0:
             cands |= {"1p", "2", "2p"}
         else:
             incident = [(min(v, w), max(v, w)) for w in bits(adj[v])]
-            if all(e not in bridges for e in incident):
+            if all(e not in cut for e in incident):
                 cands.add("2")
-            if all(e in bridges for e in incident):
+            if all(e in cut for e in incident):
                 cands.add("2p")
         out.append(cands)
     return out
@@ -97,7 +98,7 @@ def check_monotone_structure(g: Graph, types) -> bool:
             raise ParameterError(f"unknown monotone type {t!r}")
     cache = EvalCache()
     facts = cache.graph_facts(g)
-    unary = _unary_candidates(g, facts)
+    unary = _unary_candidates(g)
     for v, t in enumerate(types):
         if t not in unary[v]:
             return False
@@ -120,7 +121,7 @@ def infer_types(
         raise SizeGuardError(f"type inference capped at n={INFER_CAP}")
     cache = EvalCache()
     facts = cache.graph_facts(g)
-    unary = _unary_candidates(g, facts)
+    unary = _unary_candidates(g)
     if known_types:
         for v, t in known_types.items():
             if t not in MONOTONE_TYPES:
@@ -452,8 +453,7 @@ def falsify_axiom(
     for n in range(1, n_max + 1):
         for g in enumerate_labeled_graphs(n):
             base = cache.vector(measure, g)
-            facts = cache.graph_facts(g)
-            comp_of, _, degrees = facts
+            comp_of, degrees = cache.graph_facts(g)
             for i, j in g.non_edges():
                 h = g.add_edge(i, j)
                 hvec = cache.vector(measure, h)

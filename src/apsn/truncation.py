@@ -144,14 +144,13 @@ def compute_caps(
     measures: Sequence[Measure],
     thetas: Sequence[Threshold],
     cache: EvalCache | None = None,
-    verify: bool = True,
 ) -> tuple[Fraction, ...]:
     """Per-vertex caps: the largest value an agent still below its threshold
     can reach through one more edge, maximized over every graph on n
-    vertices.  With ``verify`` the separation property behind the capped
-    growth (value after an addition is within the cap iff the value before
-    it was below the threshold) is checked exhaustively and a violation is
-    reported with a witness."""
+    vertices.  The separation property behind the capped growth (value after
+    an addition is within the cap iff the value before it was below the
+    threshold) is then checked exhaustively, and a violation is reported
+    with a witness."""
     from .graphs import enumerate_labeled_graphs
 
     if n > MAXIMAL_MEMBER_CAP:
@@ -171,19 +170,18 @@ def compute_caps(
                     if caps[k] is None or after > caps[k]:
                         caps[k] = after
     filled = tuple(Fraction(0) if c is None else c for c in caps)
-    if verify:
-        for g in enumerate_labeled_graphs(n):
-            values = [cache.vector(m, g)[i] for i, m in enumerate(measures)]
-            for i, j in g.non_edges():
-                h = g.add_edge(i, j)
-                for k in (i, j):
-                    after = cache.vector(measures[k], h)[k]
-                    if after <= filled[k] and not _below(values[k], thetas[k]):
-                        raise ContractError(
-                            "capped-growth precondition failed: on "
-                            f"{to_graph6(g)} adding ({i},{j}) keeps vertex {k} "
-                            "within its cap although it already met its threshold"
-                        )
+    for g in enumerate_labeled_graphs(n):
+        values = [cache.vector(m, g)[i] for i, m in enumerate(measures)]
+        for i, j in g.non_edges():
+            h = g.add_edge(i, j)
+            for k in (i, j):
+                after = cache.vector(measures[k], h)[k]
+                if after <= filled[k] and not _below(values[k], thetas[k]):
+                    raise ContractError(
+                        "capped-growth precondition failed: on "
+                        f"{to_graph6(g)} adding ({i},{j}) keeps vertex {k} "
+                        "within its cap although it already met its threshold"
+                    )
     return filled
 
 

@@ -8,7 +8,10 @@
 * ``eigenvector_by_iteration`` and ``pagerank_by_iteration`` are the power
   iterations that the closed-form spectral kernels replaced;
 * ``labeled_census`` decides every labeled graph, the census that orbit
-  mode in ``apsn.census`` replaces.
+  mode in ``apsn.census`` replaces;
+* ``two_way_eval_flip`` spells out the willingness rules of additions and
+  removals separately, the flip evaluation that ``game._eval_flip``'s one
+  rule replaced.
 """
 from __future__ import annotations
 
@@ -20,8 +23,18 @@ import numpy as np
 
 from apsn.census import game_fingerprint
 from apsn.errors import SizeGuardError
-from apsn.game import EvalCache, GameSpec, is_apsn
-from apsn.graphs import Graph, bits, canonical_form, graph_count, reachable_from, to_graph6
+from apsn.game import EvalCache, GameSpec, MonotoneAgent, NumericAgent, is_apsn
+from apsn.graphs import (
+    Graph,
+    bits,
+    bridges,
+    canonical_form,
+    component_of,
+    graph_count,
+    reachable_from,
+    to_graph6,
+)
+from apsn.values import sign_with_band
 from apsn.linalg import solve_rational
 
 EIG_TOLERANCE = 1e-12
@@ -235,3 +248,58 @@ def labeled_census(spec: GameSpec, n: int) -> dict:
         "ambiguous_graph6": [to_graph6(Graph(n, m)) for m in ambiguous],
         "shards": 1,
     }
+
+
+# -- flip evaluation -------------------------------------------------------------
+
+
+def _two_way_rule_willing(agent, k: int, i: int, j: int, g: Graph, adding: bool) -> bool:
+    """Whether rule agent k accepts flipping ij in g, read off g itself."""
+    degrees = g.degrees()
+    if isinstance(agent, MonotoneAgent):
+        if adding:
+            same_comp = bool(component_of(g, i) >> j & 1)
+            return {"1": True, "1p": False, "2": same_comp, "2p": not same_comp}[agent.kind]
+        # the monotonicity axioms applied to the graph after the removal: an
+        # increasing agent always strictly loses, a decreasing one always
+        # gains, a componentwise one does not lose exactly when the removal
+        # disconnects the pair, a peripheral one exactly when it does not
+        bridge = (i, j) in bridges(g)
+        return {"1": False, "1p": True, "2": bridge, "2p": not bridge}[agent.kind]
+    other = j if k == i else i
+    if adding:
+        return degrees[other] <= agent.f(degrees[k])
+    return degrees[other] - 1 > agent.f(degrees[k] - 1)
+
+
+def two_way_eval_flip(spec, g, h, i, j, adding, cache, before):
+    """(blocking, ambiguous, values) of flipping pair ij in g, with the
+    signature of ``game._eval_flip``: an endpoint is willing to add when its
+    truncated value strictly rises and to remove when it does not fall."""
+    willing, bands, values = [], [], []
+    for k in (i, j):
+        agent = spec.agents[k]
+        if not isinstance(agent, NumericAgent):
+            willing.append(_two_way_rule_willing(agent, k, i, j, g, adding))
+            bands.append(False)
+            values.append(None)
+            continue
+        b, a = cache.vector(agent.measure, g)[k], cache.vector(agent.measure, h)[k]
+        if agent.threshold is not None:
+            cap = agent.threshold if agent.measure.is_exact else float(agent.threshold)
+            b, a = min(b, cap), min(a, cap)
+        values.append((b, a))
+        if agent.measure.is_exact:
+            willing.append(a > b if adding else a >= b)
+            bands.append(False)
+        else:
+            sign, near = sign_with_band(float(a) - float(b), spec.policy.tol)
+            willing.append(sign > 0 if adding else sign >= 0)
+            bands.append(near)
+    if adding:
+        blocking = willing[0] and willing[1]
+        settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
+    else:
+        blocking = willing[0] or willing[1]
+        settled = (willing[0] and not bands[0]) or (willing[1] and not bands[1])
+    return blocking, not settled and (bands[0] or bands[1]), values

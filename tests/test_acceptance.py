@@ -5,6 +5,7 @@ report.  Exhaustive sweeps share one evaluation cache across the module, so
 the whole suite stays well inside the stated runtime budgets.
 """
 import functools
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -33,17 +34,14 @@ from apsn.game import (
 )
 from apsn.graphs import (
     Graph,
+    bridges,
     canonical_form,
     enumerate_labeled_graphs,
     graph_count,
+    read_edge_list,
 )
 from apsn.learning import ApsnOracle, learn_threshold
-from apsn.named import (
-    CORE_PERIPHERY_TYPES,
-    core_periphery_fifteen,
-    six_vertex_eccentricity_stable,
-    ten_vertex_betweenness_stable,
-)
+from apsn.profiles import load_profile_file
 from apsn.structure import (
     check_monotone_structure,
     ecc_necessary,
@@ -67,6 +65,11 @@ from apsn.truncation import (
 from oracles import brute_shapley
 
 CACHE = EvalCache()
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def data_graph(name):
+    return read_edge_list((DATA / f"{name}.edges").read_text())
 
 
 def criterion(cid, label):
@@ -167,9 +170,9 @@ def test_criterion_04_monotone_structure():
             if check_monotone_structure(g, types)
         }
         assert stable == predicted, f"assignment {types}: census != structure test"
-    fixture = core_periphery_fifteen()
-    assert check_monotone_structure(fixture, CORE_PERIPHERY_TYPES)
-    spec = GameSpec(tuple(MonotoneAgent(t) for t in CORE_PERIPHERY_TYPES))
+    fixture = data_graph("core_periphery_fifteen")
+    spec = load_profile_file(str(DATA / "core_periphery_types.json"), fixture.n)
+    assert check_monotone_structure(fixture, [agent.kind for agent in spec.agents])
     assert is_apsn(spec, fixture, CACHE).stable
 
 
@@ -202,7 +205,7 @@ def test_criterion_06_betweenness_census():
         assert stable == predicted, f"n={n}"
         for g6_member in _expected_betweenness_members(n):
             assert g6_member.mask in stable
-    fixture = ten_vertex_betweenness_stable()
+    fixture = data_graph("betweenness_ten")
     spec10 = uniform_game(10, NumericAgent(betweenness()))
     assert is_apsn(spec10, fixture, CACHE).stable
     assert fixture.has_edge(3, 4) and fixture.has_edge(3, 8) and fixture.has_edge(4, 8)
@@ -230,7 +233,7 @@ def test_criterion_07_eccentricity():
         for g in enumerate_labeled_graphs(n):
             if ecc_sufficient(g):
                 assert g.mask in stable, f"sufficient graph unstable at n={n}: {g.mask}"
-    fixture = six_vertex_eccentricity_stable()
+    fixture = data_graph("eccentricity_six")
     spec6 = uniform_game(6, NumericAgent(eccentricity()))
     assert is_apsn(spec6, fixture, CACHE).stable
 
@@ -246,7 +249,7 @@ def test_criterion_08_flip_monotonicity_laws():
             evec = CACHE.vector(ecc, g)
             adj = g.adjacency()
             degs = [a.bit_count() for a in adj]
-            comp_of, bridges, _ = CACHE.graph_facts(g)
+            comp_of, _ = CACHE.graph_facts(g)
             for i, j in g.non_edges():
                 h = g.add_edge(i, j)
                 bh = CACHE.vector(bet, h)
@@ -272,12 +275,11 @@ def test_criterion_08_flip_monotonicity_laws():
                             assert strict
                         elif strict:
                             paths_gap_seen = True
-            for i, j in g.edges():
-                if (i, j) in bridges:
-                    h = g.remove_edge(i, j)
-                    bh = CACHE.vector(bet, h)
-                    for k in (i, j):
-                        assert (bh[k] >= bvec[k]) == (degs[k] == 1)
+            for i, j in bridges(g):
+                h = g.remove_edge(i, j)
+                bh = CACHE.vector(bet, h)
+                for k in (i, j):
+                    assert (bh[k] >= bvec[k]) == (degs[k] == 1)
     # the 'all shortest paths' reading provably misses strict increases
     assert paths_gap_seen
 

@@ -200,6 +200,47 @@ def test_domain_error_is_structured_json(capsys, tmp_path):
     assert payload["error"] == "parse_vertex_range"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "--graph", "K3", "--homophily", "notjson"], "parameter"),
+        (["check", "--graph", "K3", "--homophily", "5"], "parameter"),
+        (["check", "--graph", "K3", "--measure", "degree", "--threshold", "abc"], "parameter"),
+        (["truncated", "--op", "pareto", "--graph", "K3", "--measure", "degree",
+          "--thresholds", "1,x,2"], "parameter"),
+        (["truncated", "--op", "maximal", "--n", "3", "--measure", "degree",
+          "--thresholds", "1,1,1", "--caps", "1,zz,1"], "parameter"),
+        (["predict", "--family", "stratified", "--n", "3", "--homophily", "notjson"], "parameter"),
+        (["check", "--graph", "K3", "--profile",
+          {"default": {"homophily_f": {"table": 5}}, "agents": []}], "profile"),
+        (["check", "--graph", "K3", "--profile",
+          {"policy": {"tolerant": "x"}, "default": {"measure": "degree"}, "agents": []}], "profile"),
+    ],
+    ids=[
+        "homophily-notjson",
+        "homophily-5",
+        "threshold",
+        "thresholds",
+        "caps",
+        "predict-homophily",
+        "profile-table",
+        "profile-tolerance",
+    ],
+)
+def test_malformed_number_is_structured_error(capsys, tmp_path, argv, code):
+    k3 = tmp_path / "k3.edges"
+    k3.write_text(write_edge_list(Graph.complete(3)))
+    argv = [str(k3) if arg == "K3" else arg for arg in argv]
+    profile = tmp_path / "profile.json"
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            profile.write_text(json.dumps(arg))
+            argv[k] = str(profile)
+    exit_code, _, err = run_cli(capsys, *argv)
+    assert exit_code == 1
+    assert json.loads(err)["error"] == code
+
+
 def test_size_guard_error_code(capsys):
     code, _, err = run_cli(capsys, "census", "--n", "9", "--measure", "degree")
     assert code == 1

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from apsn import game
 from apsn.centrality import (
     betweenness,
     closeness,
@@ -36,7 +38,7 @@ from apsn.game import (
 )
 from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
 from apsn.values import Exact, sign_with_band
-from oracles import eigenvector_by_iteration, pagerank_by_iteration
+from oracles import eigenvector_by_iteration, pagerank_by_iteration, two_way_eval_flip
 
 
 def numeric_game(n, measure, threshold=None):
@@ -358,6 +360,65 @@ def test_spectral_verdicts_match_power_iterations_exhaustive_n5(measure, tol):
             ambiguous_seen += len(new.ambiguous_flips)
     if tol == 3e-5:
         assert ambiguous_seen > 0  # deltas in the near band were compared
+
+
+# -- one flip rule against the two-direction oracle -----------------------------------
+
+
+def cycled(n, agents):
+    return GameSpec(tuple(agents[k % len(agents)] for k in range(n)))
+
+
+def tolerant_game(n, measure, tol):
+    return uniform_game(n, NumericAgent(measure), TolerantPolicy(tol))
+
+
+ONE_RULE_GAMES = {
+    **{f"monotone-{kind}": partial(rule_game, kind=kind) for kind in ("1", "1p", "2", "2p")},
+    "monotone-mixed": partial(cycled, agents=[MonotoneAgent(t) for t in ("1", "2p", "2", "1p", "2")]),
+    "homophilic-gt": partial(uniform_game, agent=HomophilicAgent()),
+    "homophilic-table": partial(
+        uniform_game, agent=HomophilicAgent(HomophilyFunction(table=(0, 1, 2, 4, 8)))
+    ),
+    "truncated-closeness": partial(numeric_game, measure=closeness(), threshold=Fraction(1, 5)),
+    "numeric-rule-mixed": partial(cycled, agents=[
+        NumericAgent(decay(Fraction(1, 2))),
+        MonotoneAgent("2"),
+        HomophilicAgent(),
+        NumericAgent(degree(), Fraction(2)),
+        MonotoneAgent("2p"),
+    ]),
+    **{f"{name}-{tol:g}": partial(tolerant_game, measure=m, tol=tol)
+       for name, m in (("eigenvector", eigenvector()), ("pagerank", pagerank()))
+       for tol in (3e-5, 1e-3)},
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_RULE_GAMES))
+def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, shared_cache):
+    """Every report, with and without early exit, equals the one built by the
+    flip evaluation that spells out additions and removals separately."""
+    cases = [
+        (ONE_RULE_GAMES[name](n), g, early)
+        for n in range(1, 6)
+        for g in enumerate_labeled_graphs(n)
+        for early in (False, True)
+    ]
+    reports = [is_apsn(spec, g, shared_cache, early_exit=early) for spec, g, early in cases]
+    monkeypatch.setattr(game, "_eval_flip", two_way_eval_flip)
+    for (spec, g, early), report in zip(cases, reports):
+        expected = is_apsn(spec, g, shared_cache, early_exit=early)
+        assert report.to_json() == expected.to_json(), (g, early)
+        assert report.verdict == expected.verdict, (g, early)
+    if name == "eigenvector-0.001":
+        # both readings of an ambiguous removal were compared
+        removals = [
+            f in r.blocking_flips
+            for r in reports[::2]
+            for f in r.ambiguous_flips
+            if f.kind == "remove"
+        ]
+        assert True in removals and False in removals
 
 
 # -- homophilic rule agents -----------------------------------------------------------

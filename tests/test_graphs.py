@@ -19,6 +19,7 @@ from apsn.graphs import (
     Graph,
     apply_permutation,
     bfs_distances,
+    bridges,
     canonical_form,
     dominates,
     enumerate_labeled_graphs,
@@ -132,10 +133,6 @@ def test_dominates_transitive_exhaustive_n5():
 # -- bridges -------------------------------------------------------------------
 
 
-def bridges(g: Graph) -> frozenset:
-    return EvalCache().graph_facts(g)[1]
-
-
 def test_tree_edges_are_bridges():
     g = Graph.path(4)
     assert bridges(g) == set(g.edges())
@@ -174,13 +171,13 @@ def test_enumeration_guard():
 
 
 def test_shards_partition_the_range():
-    n = 4
-    total = graph_count(n)
-    seen = []
-    for k in range(5):
-        seen.extend(g.mask for g in enumerate_labeled_graphs(n, shard=(k, 5)))
-    assert seen == list(range(total))
-    assert shard_bounds(total, 0, 5)[0] == 0
+    total = graph_count(4)
+    for shards in (1, 5, 64, 100):
+        slices = [shard_bounds(total, k, shards) for k in range(shards)]
+        seen = [mask for lo, hi in slices for mask in range(lo, hi)]
+        assert seen == list(range(total))
+        sizes = {hi - lo for lo, hi in slices}
+        assert max(sizes) - min(sizes) <= 1
 
 
 # -- canonical forms -------------------------------------------------------------

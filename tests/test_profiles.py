@@ -116,6 +116,9 @@ def test_profile_spectral_measures_default_to_tolerant():
         '[{"node": 0, "measure": "degree"}]',
         '[{"node": 0, "measure": "degree"}, {"node": 0, "measure": "degree"}]',
         "not json",
+        "[5]",
+        '{"agents": 5, "default": {"measure": "degree"}}',
+        '{"agents": [], "default": 5}',
     ],
 )
 def test_profile_errors(doc):

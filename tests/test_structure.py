@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -23,15 +24,9 @@ from apsn.game import (
     NumericAgent,
     uniform_game,
 )
-from apsn.graphs import Graph, canonical_form, enumerate_labeled_graphs
+from apsn.graphs import Graph, canonical_form, enumerate_labeled_graphs, read_edge_list
 from apsn.game import is_apsn
-from apsn.named import (
-    CORE_PERIPHERY_TYPES,
-    core_periphery_fifteen,
-    six_vertex_eccentricity_stable,
-    ten_vertex_betweenness_stable,
-    wheel,
-)
+from apsn.profiles import load_profile_file
 from apsn.structure import (
     check_monotone_structure,
     ecc_necessary,
@@ -45,6 +40,22 @@ from apsn.structure import (
     stratified_sequences,
     betweenness_condition,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+CORE_PERIPHERY_TYPES = tuple(
+    agent.kind
+    for agent in load_profile_file(str(DATA / "core_periphery_types.json"), 15).agents
+)
+
+
+def data_graph(name):
+    return read_edge_list((DATA / f"{name}.edges").read_text())
+
+
+def wheel(n):
+    """Hub 0 joined to an (n-1)-cycle."""
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)] + rim)
 
 
 def monotone_game(types):
@@ -67,7 +78,7 @@ def monotone_census_matches_predicate(n, types, cache=None):
 
 
 def test_core_periphery_fixture_passes():
-    g = core_periphery_fifteen()
+    g = data_graph("core_periphery_fifteen")
     assert check_monotone_structure(g, CORE_PERIPHERY_TYPES)
 
 
@@ -133,7 +144,7 @@ def test_monotone_census_equivalence_all_two_type_mixes_n3():
 
 
 def test_infer_types_on_fixture_matches_ground_truth():
-    g = core_periphery_fifteen()
+    g = data_graph("core_periphery_fifteen")
     candidates = infer_types(g)
     for v, t in enumerate(CORE_PERIPHERY_TYPES):
         assert t in candidates[v]
@@ -263,7 +274,7 @@ def test_betweenness_condition_examples():
 
 
 def test_fixture_ten_vertex_graph():
-    g = ten_vertex_betweenness_stable()
+    g = data_graph("betweenness_ten")
     assert betweenness_condition(g)
     assert g.has_edge(3, 4) and g.has_edge(3, 8) and g.has_edge(4, 8)  # a triangle
     spec = uniform_game(10, NumericAgent(betweenness()))
@@ -288,13 +299,13 @@ def test_betweenness_census_equivalence_n4(shared_cache):
 
 
 def test_ecc_necessary_examples():
-    assert ecc_necessary(six_vertex_eccentricity_stable())
+    assert ecc_necessary(data_graph("eccentricity_six"))
     assert not ecc_necessary(Graph.path(3))
     assert ecc_necessary(Graph.from_edges(4, [(0, 1), (2, 3)]))  # pair components fine
 
 
 def test_fixture_six_vertex_graph_is_stable():
-    g = six_vertex_eccentricity_stable()
+    g = data_graph("eccentricity_six")
     spec = uniform_game(6, NumericAgent(eccentricity()))
     assert is_apsn(spec, g).stable
     assert ecc_sufficient(g)
