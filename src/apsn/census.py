@@ -2,14 +2,18 @@
 
 A census classifies every labeled graph on n vertices as stable, unstable
 or (under the tolerant policy) ambiguous, and reports the stable set up to
-isomorphism.  When every agent is the same label-free agent and verdicts
-are exact, relabeling a graph relabels its verdict, so the census decides
-one canonical graph per isomorphism class (``graph_classes``) and expands
-each stable class to its labeled orbit: *orbit mode*.  Any other game has
-every adjacency mask decided once: *labeled mode*.  Either work list splits
-into contiguous shards that share nothing, so shard count, worker count and
-mode never change the result payload; per-shard checkpoint records make
-long runs resumable.
+isomorphism.  When every agent is the same label-free agent, relabeling a
+graph relabels its verdict, so the census decides one canonical graph per
+isomorphism class (``graph_classes``) and expands each stable or ambiguous
+class to its labeled orbit: *orbit mode*.  Exact verdicts carry over as they
+are.  A tolerant verdict reads float deltas, which two labelings of a graph
+may give in different last digits; when ``is_apsn`` reports a delta on an
+edge of the ambiguity band (``StabilityReport.fragile``), the census decides
+every labeled member of that class instead.  Any other game has every
+adjacency mask decided once: *labeled mode*.  Either work list splits into
+contiguous shards that share nothing, so shard count, worker count and mode
+never change the result payload; per-shard checkpoint records make long runs
+resumable.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from .centrality import APPROX_KINDS
 from .errors import ParameterError, SizeGuardError
 from .game import (
     EvalCache,
-    ExactPolicy,
     GameSpec,
     NumericAgent,
     TolerantPolicy,
@@ -53,15 +56,22 @@ _SOLVE_KINDS = APPROX_KINDS | {"rwcloseness", "rwbetweenness"}
 #: Written into every checkpoint record; resume keeps only records with the
 #: current value.  Bump the engine tag whenever a change can alter a verdict
 #: or what a record holds.
-CODE_VERSION = f"{__version__}+engine.1"
+CODE_VERSION = f"{__version__}+engine.2"
 
 
 def orbit_mode(spec: GameSpec) -> bool:
     """Whether a census may decide one graph per isomorphism class: all
-    agents equal, exact verdicts, and no measure that reads vertex labels
-    (a linear centrality's weight table does)."""
+    agents equal, no measure that reads vertex labels (a linear centrality's
+    weight table does), and exact verdicts or a tolerance of at least 0.
+
+    Tolerant classes whose verdict is fragile fall back to their labeled
+    members (see the module docstring).  A negative tolerance gives a float
+    zero a sign, an edge that fragility does not track, so it stays labeled.
+    """
     agents = set(spec.agents)
-    if len(agents) != 1 or not isinstance(spec.policy, ExactPolicy):
+    if len(agents) != 1:
+        return False
+    if isinstance(spec.policy, TolerantPolicy) and not spec.policy.tol >= 0:
         return False
     (agent,) = agents
     return not (isinstance(agent, NumericAgent) and agent.measure.kind == "linear")
@@ -131,23 +141,32 @@ def _work(spec: GameSpec, n: int) -> Sequence[int]:
 
 def _scan_shard(
     spec: GameSpec, n: int, shard: int, shards: int, cache: EvalCache | None = None
-) -> tuple[list[int], list[int]]:
-    """Stable and ambiguous masks of one shard of the work list; a fresh
-    cache unless given one."""
+) -> tuple[list[int], list[int], list[int]]:
+    """Stable, ambiguous and fragile masks of one shard of the work list; a
+    fresh cache unless given one.  Only orbit mode lists fragile classes,
+    and a fragile class is in neither of the other lists."""
+    orbit = orbit_mode(spec)
     work = _work(spec, n)
     lo, hi = shard_bounds(len(work), shard, shards)
     if cache is None:
         cache = EvalCache()
     stable: list[int] = []
     ambiguous: list[int] = []
+    fragile: list[int] = []
     for mask in work[lo:hi]:
         report = is_apsn(spec, Graph(n, mask), cache, early_exit=True)
         verdict = report.verdict
-        if verdict == "stable":
+        if orbit and report.fragile:
+            fragile.append(mask)
+        elif verdict == "stable":
             stable.append(mask)
         elif verdict == "ambiguous":
             ambiguous.append(mask)
-    return stable, ambiguous
+    return stable, ambiguous, fragile
+
+
+#: The mask lists of a checkpoint record, in ``_scan_shard``'s order.
+_RECORD_LISTS = ("stable", "ambiguous", "fragile")
 
 
 def _record_fits(
@@ -162,9 +181,41 @@ def _record_fits(
         return False
     lo, hi = layout[shard]
     members = work[lo:hi]  # a range, or a slice of the class list
-    return rec.get("scanned") == hi - lo and all(
-        m in members for m in rec["stable"] + rec["ambiguous"]
+    lists = [rec.get(key) for key in _RECORD_LISTS]
+    return (
+        rec.get("scanned") == hi - lo
+        and all(isinstance(masks, list) for masks in lists)
+        and all(m in members for masks in lists for m in masks)
     )
+
+
+def _expand_classes(
+    spec: GameSpec, n: int, stable: list[int], ambiguous: list[int],
+    fragile: list[int], cache: EvalCache,
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """(stable masks, ambiguous masks, (class, representative) per stable
+    class) of an orbit census from its class verdicts.
+
+    A stable or ambiguous class contributes its whole orbit.  Its canonical
+    mask is the smallest mask of the orbit, so it is also the representative
+    a labeled census would report.  A fragile class has each labeled member
+    decided on its own, and its smallest stable member, if any, represents it.
+    """
+    stable_masks = [m for c in stable for m in orbit_masks(n, c)]
+    ambiguous_masks = [m for c in ambiguous for m in orbit_masks(n, c)]
+    reps = [(c, c) for c in stable]
+    for c in fragile:
+        kept = []
+        for m in sorted(orbit_masks(n, c)):
+            verdict = is_apsn(spec, Graph(n, m), cache, early_exit=True).verdict
+            if verdict == "stable":
+                kept.append(m)
+            elif verdict == "ambiguous":
+                ambiguous_masks.append(m)
+        stable_masks += kept
+        if kept:
+            reps.append((c, kept[0]))
+    return sorted(stable_masks), sorted(ambiguous_masks), sorted(reps)
 
 
 def run_census(
@@ -198,7 +249,7 @@ def run_census(
         "code_version": CODE_VERSION,
     }
 
-    done: dict[int, tuple[list[int], list[int]]] = {}
+    done: dict[int, tuple[list[int], ...]] = {}
     if resume:
         with open(resume) as fh:
             for line in fh:
@@ -207,9 +258,10 @@ def run_census(
                     continue
                 rec = json.loads(line)
                 if _record_fits(rec, header, layout, work):
-                    done[rec["shard"]] = (rec["stable"], rec["ambiguous"])
+                    done[rec["shard"]] = tuple(rec[key] for key in _RECORD_LISTS)
 
     pending = [k for k in range(shards) if k not in done]
+    shared = cache or EvalCache()
     with ExitStack() as stack:
         ckpt_fh = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
         if jobs > 1 and len(pending) > 1:
@@ -217,36 +269,34 @@ def run_census(
             futures = {pool.submit(_scan_shard, spec, n, k, shards): k for k in pending}
             results = ((futures[f], f.result()) for f in as_completed(futures))
         else:
-            shared = cache or EvalCache()
             results = ((k, _scan_shard(spec, n, k, shards, shared)) for k in pending)
         # each record is written as its shard finishes, in completion order,
         # so an interrupted run keeps every shard done before it
-        for k, (stable, ambiguous) in results:
-            done[k] = (stable, ambiguous)
+        for k, lists in results:
+            done[k] = lists
             if ckpt_fh:
                 record = {
                     **header,
                     "shard": k,
-                    "stable": stable,
-                    "ambiguous": ambiguous,
+                    **dict(zip(_RECORD_LISTS, lists)),
                     "scanned": layout[k][1] - layout[k][0],
                 }
                 ckpt_fh.write(json.dumps(record) + "\n")
                 ckpt_fh.flush()
 
-    stable_masks = sorted(m for k in done for m in done[k][0])
-    ambiguous_masks = sorted(m for k in done for m in done[k][1])
+    stable_masks, ambiguous_masks, fragile = (
+        sorted(m for k in done for m in done[k][i]) for i in range(3)
+    )
     if orbit:
-        # a class's canonical mask is the smallest mask of its orbit, so it
-        # is also the representative a labeled census would report; exact
-        # verdicts leave no ambiguous class to expand
-        apsn_canonical = [(c, to_graph6(Graph(n, c))) for c in stable_masks]
-        stable_masks = sorted(m for c in stable_masks for m in orbit_masks(n, c))
+        stable_masks, ambiguous_masks, reps = _expand_classes(
+            spec, n, stable_masks, ambiguous_masks, fragile, shared
+        )
     else:
-        reps: dict[int, int] = {}
+        first: dict[int, int] = {}
         for m in stable_masks:
-            reps.setdefault(canonical_form(Graph(n, m)), m)
-        apsn_canonical = [(c, to_graph6(Graph(n, reps[c]))) for c in sorted(reps)]
+            first.setdefault(canonical_form(Graph(n, m)), m)
+        reps = sorted(first.items())
+    apsn_canonical = [(c, to_graph6(Graph(n, rep))) for c, rep in reps]
     return CensusResult(
         n=n,
         fingerprint=header["fingerprint"],

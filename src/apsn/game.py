@@ -31,6 +31,7 @@ from .values import (
     Approx,
     Exact,
     Value,
+    on_band_edge,
     sign_with_band,
     value_to_json,
 )
@@ -292,20 +293,24 @@ def _eval_flip(
     adding: bool,
     cache: EvalCache,
     before: dict,
-) -> tuple[bool, bool, list]:
-    """(blocking, ambiguous, values) of flipping pair ij, which turns g into h.
+) -> tuple[bool, bool, bool, list]:
+    """(blocking, ambiguous, fragile, values) of flipping pair ij, which
+    turns g into h.
 
     ``values`` holds (before, after) truncated centralities per numeric
     endpoint and None per rule endpoint.  Each endpoint is asked whether it
     gains from adding ij to lo, the one of g and h without the edge; an
     addition blocks when both do and a removal when either does not.
-    ``ambiguous`` means the verdict relies on a near-band float delta.
-    ``before`` maps id(measure) to its vector on g, shared by the flips of
-    one scan.
+    ``ambiguous`` means the verdict relies on a near-band float delta, and
+    ``fragile`` that a float delta sits on an edge of the band
+    (``on_band_edge``), so another labeling of g could read the flip
+    differently.  ``before`` maps id(measure) to its vector on g, shared by
+    the flips of one scan.
     """
     agents = spec.agents
     willing = []
     bands = []
+    fragile = False
     values = []
     after = {}
     facts = None
@@ -328,9 +333,11 @@ def _eval_flip(
                 willing.append(hi > lo)
                 bands.append(False)
             else:
-                sign, near = sign_with_band(float(hi) - float(lo), spec.policy.tol)
+                x = float(hi) - float(lo)
+                sign, near = sign_with_band(x, spec.policy.tol)
                 willing.append(sign > 0)
                 bands.append(near)
+                fragile = fragile or on_band_edge(x, spec.policy.tol, b, a)
         else:
             if facts is None:
                 facts = cache.graph_facts(g if adding else h)
@@ -340,7 +347,7 @@ def _eval_flip(
     blocking = (willing[0] and willing[1]) == adding
     # a confident refusal by either endpoint settles the verdict
     settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
-    return blocking, not settled and (bands[0] or bands[1]), values
+    return blocking, not settled and (bands[0] or bands[1]), fragile, values
 
 
 def _flipped(spec: GameSpec, g: Graph, i: int, j: int, adding: bool) -> Graph:
@@ -358,7 +365,7 @@ def _flip_deltas(
     h = _flipped(spec, g, i, j, adding)
     if not all(isinstance(spec.agents[k], NumericAgent) for k in (i, j)):
         raise ContractError("centrality deltas are defined for numeric agents only")
-    (bi, ai), (bj, aj) = _eval_flip(spec, g, h, i, j, adding, cache or EvalCache(), {})[2]
+    (bi, ai), (bj, aj) = _eval_flip(spec, g, h, i, j, adding, cache or EvalCache(), {})[3]
     return _delta_value(spec, bi, ai, i), _delta_value(spec, bj, aj, j)
 
 
@@ -416,6 +423,9 @@ class StabilityReport:
     blocking_flips: list[Flip] = field(default_factory=list)
     ambiguous_flips: list[Flip] = field(default_factory=list)
     confident_block: bool = False
+    #: a flip the scan read has a float delta on a band edge, so another
+    #: labeling of the graph may get another verdict; not part of to_json()
+    fragile: bool = False
 
     @property
     def verdict(self) -> str:
@@ -474,9 +484,11 @@ def is_apsn(
     before: dict = {}
     for kind, i, j in candidate_flips(g):
         h = g.toggled(i * (row - i) // 2 + j - i - 1)
-        blocking, ambiguous, values = _eval_flip(
+        blocking, ambiguous, fragile, values = _eval_flip(
             spec, g, h, i, j, kind == "add", cache, before
         )
+        if fragile:
+            report.fragile = True
         if not (blocking or ambiguous):
             continue
         deltas = [

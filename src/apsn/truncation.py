@@ -200,6 +200,8 @@ def maximal_member(
     """
     if len(measures) != n or len(thetas) != n:
         raise ParameterError("measures and thresholds must match the vertex count")
+    if caps is not None and len(caps) != n:
+        raise ParameterError(f"need one cap per vertex: {n} caps, got {len(caps)}")
     _check_increasing(measures)
     cache = cache or EvalCache()
     resolved = (

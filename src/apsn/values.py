@@ -58,6 +58,24 @@ def sign_with_band(x: float, tol: float) -> tuple[int, bool]:
     return (1 if x > 0 else -1, abs(x) <= AMBIGUITY_BAND * tol)
 
 
+#: Half-width, relative to max(1, |before|, |after|), of the zone around each
+#: edge of ``sign_with_band`` in which a delta is fragile.  Two labelings of
+#: one graph give the spectral kernels' flip deltas that differ by at most
+#: 2.0e-15 in that unit (every labeled graph with n <= 6, eigenvector,
+#: PageRank and Katz), 500 times below the margin.
+FRAGILE_MARGIN = 1e-12
+
+
+def on_band_edge(x: float, tol: float, before: float, after: float) -> bool:
+    """Whether the float delta x = after - before is fragile: within
+    ``FRAGILE_MARGIN`` of tol or of AMBIGUITY_BAND * tol in magnitude, where
+    last-digit noise could change how ``sign_with_band`` reads it.  For
+    tol >= 0 these are its only edges (a delta within tol of zero reads 0)."""
+    margin = FRAGILE_MARGIN * max(1.0, abs(before), abs(after))
+    size = abs(x)
+    return abs(size - tol) <= margin or abs(size - AMBIGUITY_BAND * tol) <= margin
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or a plain integer/decimal string into a Fraction."""
     return Fraction(text.strip())

@@ -7,6 +7,10 @@
   over Fractions;
 * ``eigenvector_by_iteration`` and ``pagerank_by_iteration`` are the power
   iterations that the closed-form spectral kernels replaced;
+* ``oracle_rwcloseness`` and ``oracle_rwbetweenness`` build the random-walk
+  vectors from those rational solves, and ``oracle_closeness``,
+  ``oracle_betweenness`` and the other distance oracles are the
+  ``Fraction`` loops that the integer BFS kernels replaced;
 * ``labeled_census`` decides every labeled graph, the census that orbit
   mode in ``apsn.census`` replaces;
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
@@ -26,15 +30,17 @@ from apsn.errors import SizeGuardError
 from apsn.game import EvalCache, GameSpec, MonotoneAgent, NumericAgent, is_apsn
 from apsn.graphs import (
     Graph,
+    bfs_distances,
     bits,
     bridges,
     canonical_form,
     component_of,
     graph_count,
     reachable_from,
+    same_component,
     to_graph6,
 )
-from apsn.values import sign_with_band
+from apsn.values import on_band_edge, sign_with_band
 from apsn.linalg import solve_rational
 
 EIG_TOLERANCE = 1e-12
@@ -167,6 +173,113 @@ def absorption_probabilities(g: Graph, hit: int, avoid: int) -> dict[int, Fracti
     return probs
 
 
+# -- centrality vectors from Fraction loops ---------------------------------------
+
+
+def oracle_rwcloseness(g: Graph) -> tuple[Fraction, ...]:
+    """One rational hitting-time solve per target."""
+    out = []
+    for i in range(g.n):
+        total = sum(hitting_times(g, i).values(), Fraction(0))
+        out.append(1 / total if total else Fraction(0))
+    return tuple(out)
+
+
+def oracle_rwbetweenness(g: Graph) -> tuple[Fraction, ...]:
+    """One rational absorption solve per ordered pair (i, k) in a component."""
+    out = []
+    for i in range(g.n):
+        others = [v for v in range(g.n) if v != i and same_component(g, i, v)]
+        total = Fraction(0)
+        for k in others:
+            probs = absorption_probabilities(g, hit=i, avoid=k)
+            total += sum((probs[j] for j in others if j != k), Fraction(0))
+        out.append(total)
+    return tuple(out)
+
+
+def oracle_path_counts(adj):
+    """(dist, sigma): shortest-path lengths and counts from every source."""
+    n = len(adj)
+    dist = []
+    sigma = []
+    for s in range(n):
+        d = [-1] * n
+        sig = [0] * n
+        d[s] = 0
+        sig[s] = 1
+        frontier = [s]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for w in bits(adj[v]):
+                    if d[w] == -1:
+                        d[w] = level
+                        nxt.append(w)
+                    if d[w] == level:
+                        sig[w] += sig[v]
+            frontier = nxt
+        dist.append(d)
+        sigma.append(sig)
+    return dist, sigma
+
+
+def oracle_distance_vector(g: Graph, value) -> tuple[Fraction, ...]:
+    adj = g.adjacency()
+    return tuple(value([d for d in bfs_distances(adj, i) if d > 0]) for i in range(g.n))
+
+
+def oracle_closeness(g: Graph) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: Fraction(1, sum(ds)) if ds else Fraction(0))
+
+
+def oracle_harmonic(g: Graph) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: sum((Fraction(1, d) for d in ds), Fraction(0)))
+
+
+def oracle_decay(g: Graph, beta: Fraction) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: sum((beta**d for d in ds), Fraction(0)))
+
+
+def oracle_eccentricity(g: Graph) -> tuple[Fraction, ...]:
+    return oracle_distance_vector(g, lambda ds: Fraction(g.n - 1, max(ds)) if ds else Fraction(0))
+
+
+def oracle_betweenness(g: Graph) -> tuple[Fraction, ...]:
+    dist, sigma = oracle_path_counts(g.adjacency())
+    bet = [Fraction(0)] * g.n
+    for y in range(g.n):
+        dy = dist[y]
+        sy = sigma[y]
+        for z in range(y + 1, g.n):
+            dyz = dy[z]
+            if dyz <= 1:
+                continue
+            syz = sy[z]
+            for i in range(g.n):
+                if i == y or i == z:
+                    continue
+                if dy[i] > 0 and dist[i][z] > 0 and dy[i] + dist[i][z] == dyz:
+                    inner = sy[i] * sigma[i][z]
+                    if inner:
+                        bet[i] += Fraction(inner, syz)
+    return tuple(bet)
+
+
+def oracle_gametheoretic(g: Graph) -> tuple[Fraction, ...]:
+    adj = g.adjacency()
+    deg = [a.bit_count() for a in adj]
+    out = []
+    for i in range(g.n):
+        total = Fraction(1, deg[i] + 1)
+        for j in bits(adj[i]):
+            total += Fraction(1, deg[j] + 1)
+        out.append(total)
+    return tuple(out)
+
+
 # -- brute force -------------------------------------------------------------------
 
 
@@ -273,10 +386,11 @@ def _two_way_rule_willing(agent, k: int, i: int, j: int, g: Graph, adding: bool)
 
 
 def two_way_eval_flip(spec, g, h, i, j, adding, cache, before):
-    """(blocking, ambiguous, values) of flipping pair ij in g, with the
-    signature of ``game._eval_flip``: an endpoint is willing to add when its
-    truncated value strictly rises and to remove when it does not fall."""
+    """(blocking, ambiguous, fragile, values) of flipping pair ij in g, with
+    the signature of ``game._eval_flip``: an endpoint is willing to add when
+    its truncated value strictly rises and to remove when it does not fall."""
     willing, bands, values = [], [], []
+    fragile = False
     for k in (i, j):
         agent = spec.agents[k]
         if not isinstance(agent, NumericAgent):
@@ -293,13 +407,15 @@ def two_way_eval_flip(spec, g, h, i, j, adding, cache, before):
             willing.append(a > b if adding else a >= b)
             bands.append(False)
         else:
-            sign, near = sign_with_band(float(a) - float(b), spec.policy.tol)
+            x = float(a) - float(b)
+            sign, near = sign_with_band(x, spec.policy.tol)
             willing.append(sign > 0 if adding else sign >= 0)
             bands.append(near)
+            fragile = fragile or on_band_edge(x, spec.policy.tol, b, a)
     if adding:
         blocking = willing[0] and willing[1]
         settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
     else:
         blocking = willing[0] or willing[1]
         settled = (willing[0] and not bands[0]) or (willing[1] and not bands[1])
-    return blocking, not settled and (bands[0] or bands[1]), values
+    return blocking, not settled and (bands[0] or bands[1]), fragile, values

@@ -16,7 +16,9 @@ from apsn.centrality import (
     degree,
     eigenvector,
     game_theoretic,
+    katz,
     linear,
+    pagerank,
     rw_betweenness,
     rw_closeness,
 )
@@ -28,6 +30,7 @@ from apsn.game import (
     MonotoneAgent,
     NumericAgent,
     TolerantPolicy,
+    delta_remove,
     is_apsn,
     uniform_game,
 )
@@ -209,9 +212,14 @@ def test_caps_by_measure_kind():
     assert census_cap(uniform_game(3, NumericAgent(rw_closeness()))) == 7
     mixed = GameSpec((NumericAgent(rw_closeness()),) * 2 + (NumericAgent(rw_betweenness()),))
     assert census_cap(mixed) == 6
+    # and so it does for spectral games
     assert (
-        census_cap(uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())) == 6
+        census_cap(uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())) == 7
     )
+    spectral = GameSpec(
+        (NumericAgent(eigenvector()),) * 2 + (NumericAgent(pagerank()),), TolerantPolicy()
+    )
+    assert census_cap(spectral) == 6
     with pytest.raises(SizeGuardError):
         run_census(uniform_game(8, NumericAgent(rw_closeness())), 8)
 
@@ -234,7 +242,7 @@ def test_conjecture_report_structure_rwb_n3():
 
 def test_conjecture_report_size_guard():
     with pytest.raises(SizeGuardError):
-        conjecture_report("eigenvector", 7)
+        conjecture_report("eigenvector", 8)
 
 
 def test_eigenvector_conjecture_holds_at_n6():
@@ -242,6 +250,15 @@ def test_eigenvector_conjecture_holds_at_n6():
     assert report["verdict"] == "consistent with conjecture"
     assert report["stable"] == ["E~~w"]  # K6
     assert report["ambiguous"] == []
+
+
+def test_eigenvector_conjecture_holds_at_n7():
+    report = conjecture_report("eigenvector", 7)
+    assert report["verdict"] == "consistent with conjecture"
+    assert report["stable"] == ["F~~~w"]  # K7
+    assert report["ambiguous"] == []
+    assert report["census"]["scanned"] == graph_count(7)
+    assert report["census"]["stable_count"] == 1
 
 
 def test_conjecture_report_size_guard_rwb():
@@ -352,9 +369,86 @@ def test_orbit_census_matches_labeled_oracle(name, monkeypatch):
         monkeypatch.undo()
 
 
+# Spectral games decide one graph per class too; classes with a fragile
+# verdict are decided per labeled member, so the payloads still match.
+TOLERANT_AGENTS = {
+    "eigenvector": NumericAgent(eigenvector()),
+    "pagerank": NumericAgent(pagerank()),
+    "katz": NumericAgent(katz()),
+    "katz-0.1": NumericAgent(katz(0.1)),
+    "truncated-eigenvector": NumericAgent(eigenvector(), Fraction(2, 5)),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 3e-5, 1e-3])
+@pytest.mark.parametrize("name", sorted(TOLERANT_AGENTS))
+def test_tolerant_orbit_census_matches_labeled_oracle(name, tol, monkeypatch):
+    for n in range(1, 6):
+        spec = uniform_game(n, TOLERANT_AGENTS[name], TolerantPolicy(tol))
+        calls = count_class_lists(monkeypatch)
+        assert run_census(spec, n).payload() == labeled_census(spec, n)
+        assert calls and set(calls) == {n}  # the census ran in orbit mode
+        monkeypatch.undo()
+
+
+def record_fragile(monkeypatch):
+    """Patch census._scan_shard to collect the fragile classes it lists."""
+    scan = census._scan_shard
+    fragile = []
+
+    def recorded(*args, **kwargs):
+        lists = scan(*args, **kwargs)
+        fragile.extend(lists[2])
+        return lists
+
+    monkeypatch.setattr(census, "_scan_shard", recorded)
+    return fragile
+
+
+def test_katz_deltas_on_the_band_edge_fall_back_to_labeled_members(monkeypatch):
+    # Katz with its default alpha gives an edge between two isolated
+    # vertices a value of 1 at each end, which is AMBIGUITY_BAND * 1e-3
+    spec = uniform_game(5, NumericAgent(katz()), TolerantPolicy(1e-3))
+    fragile = record_fragile(monkeypatch)
+    assert run_census(spec, 5).payload() == labeled_census(spec, 5)
+    assert 0 in fragile  # the empty graph
+
+
+def test_tolerance_equal_to_a_delta_falls_back_to_labeled_members(monkeypatch):
+    # the centre of a star on 4 vertices loses the same value whichever
+    # leaf edge goes, but its labelings compute it in different last digits;
+    # at a tolerance of exactly that value each labeling reads it its own way
+    star = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    probe = uniform_game(4, NumericAgent(pagerank()), TolerantPolicy())
+    tol = abs(delta_remove(probe, star, 0, 3)[1].value)
+    spec = uniform_game(4, NumericAgent(pagerank()), TolerantPolicy(tol))
+    fragile = record_fragile(monkeypatch)
+    assert run_census(spec, 4).payload() == labeled_census(spec, 4)
+    assert canonical_form(star) in fragile
+
+
+def test_resume_checks_the_fragile_lists(tmp_path, monkeypatch, shared_cache):
+    spec = uniform_game(4, NumericAgent(katz()), TolerantPolicy(1e-3))
+    ckpt = tmp_path / "census.jsonl"
+    fresh = run_census(spec, 4, shards=2, cache=shared_cache, checkpoint=str(ckpt))
+    records = read_records(ckpt)
+    assert 0 in records[0]["fragile"]
+    scanned = scan_recorder(monkeypatch)
+    resumed = run_census(spec, 4, shards=2, cache=shared_cache, resume=str(ckpt))
+    assert scanned == [] and resumed.payload() == fresh.payload()
+    records[0]["fragile"].append(63)  # K4, a class of shard 1
+    del records[1]["fragile"]
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in records))
+    resumed = run_census(spec, 4, shards=2, cache=shared_cache, resume=str(ckpt))
+    assert scanned == [0, 1] and resumed.payload() == fresh.payload()
+
+
 LABELED_GAMES = {
-    # float values under a tolerance: a class could straddle the near band
-    "tolerant": uniform_game(5, NumericAgent(eigenvector()), TolerantPolicy()),
+    # a negative tolerance gives a float zero a sign, which fragility does
+    # not track
+    "negative-tolerance": uniform_game(
+        4, NumericAgent(eigenvector()), TolerantPolicy(-1e-9)
+    ),
     "per-node": GameSpec(
         (NumericAgent(closeness()),) * 3 + (NumericAgent(betweenness()),) * 2
     ),

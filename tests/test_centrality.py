@@ -28,12 +28,9 @@ from apsn.centrality import (
 from apsn.errors import ParameterError, SizeGuardError
 from apsn.graphs import (
     Graph,
-    bfs_distances,
-    bits,
     enumerate_labeled_graphs,
     graph_count,
     is_connected,
-    same_component,
 )
 from apsn.values import Approx, Exact
 from oracles import (
@@ -42,6 +39,14 @@ from oracles import (
     brute_shapley,
     eigenvector_by_iteration,
     hitting_times,
+    oracle_betweenness,
+    oracle_closeness,
+    oracle_decay,
+    oracle_eccentricity,
+    oracle_gametheoretic,
+    oracle_harmonic,
+    oracle_rwbetweenness,
+    oracle_rwcloseness,
     pagerank_by_iteration,
 )
 
@@ -277,28 +282,6 @@ def test_rwbetweenness_path_middle():
     assert vec[0] < vec[1]
 
 
-def oracle_rwcloseness(g: Graph) -> tuple[Fraction, ...]:
-    """One rational hitting-time solve per target."""
-    out = []
-    for i in range(g.n):
-        total = sum(hitting_times(g, i).values(), Fraction(0))
-        out.append(1 / total if total else Fraction(0))
-    return tuple(out)
-
-
-def oracle_rwbetweenness(g: Graph) -> tuple[Fraction, ...]:
-    """One rational absorption solve per ordered pair (i, k) in a component."""
-    out = []
-    for i in range(g.n):
-        others = [v for v in range(g.n) if v != i and same_component(g, i, v)]
-        total = Fraction(0)
-        for k in others:
-            probs = absorption_probabilities(g, hit=i, avoid=k)
-            total += sum((probs[j] for j in others if j != k), Fraction(0))
-        out.append(total)
-    return tuple(out)
-
-
 # -- kernel test graphs: the sets every kernel family is checked on ----------------
 
 
@@ -358,88 +341,6 @@ def test_rw_kernels_match_oracles_random_n7():
 
 
 # -- distance kernels against the Fraction loops they replaced -------------------
-
-
-def oracle_path_counts(adj):
-    """(dist, sigma): shortest-path lengths and counts from every source."""
-    n = len(adj)
-    dist = []
-    sigma = []
-    for s in range(n):
-        d = [-1] * n
-        sig = [0] * n
-        d[s] = 0
-        sig[s] = 1
-        frontier = [s]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for v in frontier:
-                for w in bits(adj[v]):
-                    if d[w] == -1:
-                        d[w] = level
-                        nxt.append(w)
-                    if d[w] == level:
-                        sig[w] += sig[v]
-            frontier = nxt
-        dist.append(d)
-        sigma.append(sig)
-    return dist, sigma
-
-
-def oracle_distance_vector(g: Graph, value) -> tuple[Fraction, ...]:
-    adj = g.adjacency()
-    return tuple(value([d for d in bfs_distances(adj, i) if d > 0]) for i in range(g.n))
-
-
-def oracle_closeness(g: Graph) -> tuple[Fraction, ...]:
-    return oracle_distance_vector(g, lambda ds: Fraction(1, sum(ds)) if ds else Fraction(0))
-
-
-def oracle_harmonic(g: Graph) -> tuple[Fraction, ...]:
-    return oracle_distance_vector(g, lambda ds: sum((Fraction(1, d) for d in ds), Fraction(0)))
-
-
-def oracle_decay(g: Graph, beta: Fraction) -> tuple[Fraction, ...]:
-    return oracle_distance_vector(g, lambda ds: sum((beta**d for d in ds), Fraction(0)))
-
-
-def oracle_eccentricity(g: Graph) -> tuple[Fraction, ...]:
-    return oracle_distance_vector(g, lambda ds: Fraction(g.n - 1, max(ds)) if ds else Fraction(0))
-
-
-def oracle_betweenness(g: Graph) -> tuple[Fraction, ...]:
-    dist, sigma = oracle_path_counts(g.adjacency())
-    bet = [Fraction(0)] * g.n
-    for y in range(g.n):
-        dy = dist[y]
-        sy = sigma[y]
-        for z in range(y + 1, g.n):
-            dyz = dy[z]
-            if dyz <= 1:
-                continue
-            syz = sy[z]
-            for i in range(g.n):
-                if i == y or i == z:
-                    continue
-                if dy[i] > 0 and dist[i][z] > 0 and dy[i] + dist[i][z] == dyz:
-                    inner = sy[i] * sigma[i][z]
-                    if inner:
-                        bet[i] += Fraction(inner, syz)
-    return tuple(bet)
-
-
-def oracle_gametheoretic(g: Graph) -> tuple[Fraction, ...]:
-    adj = g.adjacency()
-    deg = [a.bit_count() for a in adj]
-    out = []
-    for i in range(g.n):
-        total = Fraction(1, deg[i] + 1)
-        for j in bits(adj[i]):
-            total += Fraction(1, deg[j] + 1)
-        out.append(total)
-    return tuple(out)
 
 
 DISTANCE_ORACLES = [

@@ -410,6 +410,7 @@ def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, s
         expected = is_apsn(spec, g, shared_cache, early_exit=early)
         assert report.to_json() == expected.to_json(), (g, early)
         assert report.verdict == expected.verdict, (g, early)
+        assert report.fragile == expected.fragile, (g, early)
     if name == "eigenvector-0.001":
         # both readings of an ambiguous removal were compared
         removals = [

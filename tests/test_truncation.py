@@ -155,6 +155,12 @@ def test_maximal_member_zero_thresholds():
     assert result.graph == Graph.empty(3)
 
 
+def test_maximal_member_rejects_a_caps_list_of_the_wrong_length():
+    for caps in ([Fraction(1)], [Fraction(1)] * 4):
+        with pytest.raises(ParameterError):
+            maximal_member(3, [degree()] * 3, [Fraction(1)] * 3, caps)
+
+
 def test_stable_graphs_are_edge_maximal_within_caps(shared_cache):
     n = 4
     measures = [degree()] * n
