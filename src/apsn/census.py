@@ -2,27 +2,32 @@
 
 A census classifies every labeled graph on n vertices as stable, unstable
 or (under the tolerant policy) ambiguous, and reports the stable set up to
-isomorphism.  When every agent is the same label-free agent, relabeling a
-graph relabels its verdict, so the census decides one canonical graph per
-isomorphism class (``graph_classes``) and expands each stable or ambiguous
-class to its labeled orbit: *orbit mode*.  Exact verdicts carry over as they
-are.  A tolerant verdict reads float deltas, which two labelings of a graph
-may give in different last digits; when ``is_apsn`` reports a delta on an
-edge of the ambiguity band (``StabilityReport.fragile``), the census decides
-every labeled member of that class instead.  Any other game has every
-adjacency mask decided once: *labeled mode*.  Either work list splits into
-contiguous shards that share nothing, so shard count, worker count and mode
-never change the result payload; per-shard checkpoint records make long runs
-resumable.
+isomorphism.  It colours each vertex by its agent (``colouring``).  A
+relabeling that maps every vertex to one of the same colour, and so of the
+same agent, relabels the verdict too, so the census decides one graph per
+class of such relabelings (``graph_classes``): the isomorphism classes of a
+uniform game, single masks when every vertex has its own colour, and
+anything between for a mixture.  Each stable or ambiguous class expands to
+its orbit under those relabelings (``orbit_masks``).
+
+Exact verdicts carry over as they are.  A tolerant verdict reads float
+deltas, which two labelings of a graph may give in different last digits;
+when ``is_apsn`` reports a delta on an edge of the ambiguity band
+(``StabilityReport.fragile``), the census decides every member of that class
+instead: the fragile fallback.  The class list splits into contiguous shards
+that share nothing, so shard count and worker count never change the result
+payload; per-shard checkpoint records make long runs resumable.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Sequence
 
 from . import __version__
@@ -56,37 +61,35 @@ _SOLVE_KINDS = APPROX_KINDS | {"rwcloseness", "rwbetweenness"}
 #: Written into every checkpoint record; resume keeps only records with the
 #: current value.  Bump the engine tag whenever a change can alter a verdict
 #: or what a record holds.
-CODE_VERSION = f"{__version__}+engine.2"
+CODE_VERSION = f"{__version__}+engine.3"
 
 
-def orbit_mode(spec: GameSpec) -> bool:
-    """Whether a census may decide one graph per isomorphism class: all
-    agents equal, no measure that reads vertex labels (a linear centrality's
-    weight table does), and exact verdicts or a tolerance of at least 0.
-
-    Tolerant classes whose verdict is fragile fall back to their labeled
-    members (see the module docstring).  A negative tolerance gives a float
-    zero a sign, an edge that fragility does not track, so it stays labeled.
-    """
-    agents = set(spec.agents)
-    if len(agents) != 1:
-        return False
-    if isinstance(spec.policy, TolerantPolicy) and not spec.policy.tol >= 0:
-        return False
-    (agent,) = agents
-    return not (isinstance(agent, NumericAgent) and agent.measure.kind == "linear")
+def colouring(spec: GameSpec) -> tuple[int, ...]:
+    """One colour per vertex, numbered in order of first appearance: equal
+    agents share a colour.  A linear centrality's weight table reads vertex
+    labels, so a game with a linear agent gives every vertex its own colour."""
+    agents = spec.agents
+    if any(isinstance(a, NumericAgent) and a.measure.kind == "linear" for a in agents):
+        return tuple(range(spec.n))
+    first: dict = {}
+    return tuple(first.setdefault(agent, len(first)) for agent in agents)
 
 
 def census_cap(spec: GameSpec) -> int:
-    """Largest n a census of the game runs at: 7, except 6 on the labeled
-    path for measures that need a solve or an eigendecomposition per graph."""
-    if orbit_mode(spec):
-        return CENSUS_CAP_EXACT
-    cap = CENSUS_CAP_EXACT
-    for agent in spec.agents:
-        if isinstance(agent, NumericAgent) and agent.measure.kind in _SOLVE_KINDS:
-            cap = min(cap, CENSUS_CAP_SOLVE)
-    return cap
+    """Largest n a census of the game runs at: 7, or 6 for a game with a
+    measure that needs a solve or an eigendecomposition per graph when it
+    would decide more than graph_count(6) = 32,768 classes.  The test is on
+    graph_count(n) / prod(k!) over the sizes k of the colours, a lower bound
+    on the classes by orbit-stabiliser: 416 for one colour at n = 7, and at
+    most 32,768 for any game at n <= 6."""
+    if any(
+        isinstance(a, NumericAgent) and a.measure.kind in _SOLVE_KINDS
+        for a in spec.agents
+    ):
+        relabelings = prod(factorial(k) for k in Counter(colouring(spec)).values())
+        if graph_count(spec.n) > graph_count(CENSUS_CAP_SOLVE) * relabelings:
+            return CENSUS_CAP_SOLVE
+    return CENSUS_CAP_EXACT
 
 
 def game_fingerprint(spec: GameSpec) -> str:
@@ -133,20 +136,13 @@ class CensusResult:
         return out
 
 
-def _work(spec: GameSpec, n: int) -> Sequence[int]:
-    """The masks a census decides: the canonical mask of each isomorphism
-    class in orbit mode, every labeled mask otherwise."""
-    return graph_classes(n) if orbit_mode(spec) else range(graph_count(n))
-
-
 def _scan_shard(
     spec: GameSpec, n: int, shard: int, shards: int, cache: EvalCache | None = None
 ) -> tuple[list[int], list[int], list[int]]:
-    """Stable, ambiguous and fragile masks of one shard of the work list; a
-    fresh cache unless given one.  Only orbit mode lists fragile classes,
-    and a fragile class is in neither of the other lists."""
-    orbit = orbit_mode(spec)
-    work = _work(spec, n)
+    """Stable, ambiguous and fragile classes of one shard of the class list;
+    a fresh cache unless given one.  A fragile class is in neither of the
+    other lists."""
+    work = graph_classes(n, colouring(spec))
     lo, hi = shard_bounds(len(work), shard, shards)
     if cache is None:
         cache = EvalCache()
@@ -156,7 +152,7 @@ def _scan_shard(
     for mask in work[lo:hi]:
         report = is_apsn(spec, Graph(n, mask), cache, early_exit=True)
         verdict = report.verdict
-        if orbit and report.fragile:
+        if report.fragile:
             fragile.append(mask)
         elif verdict == "stable":
             stable.append(mask)
@@ -190,32 +186,36 @@ def _record_fits(
 
 
 def _expand_classes(
-    spec: GameSpec, n: int, stable: list[int], ambiguous: list[int],
-    fragile: list[int], cache: EvalCache,
+    spec: GameSpec, n: int, colours: tuple[int, ...], stable: list[int],
+    ambiguous: list[int], fragile: list[int], cache: EvalCache,
 ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """(stable masks, ambiguous masks, (class, representative) per stable
-    class) of an orbit census from its class verdicts.
+    """(stable masks, ambiguous masks, (isomorphism class, representative)
+    per stable isomorphism class) of a census from its class verdicts.
 
-    A stable or ambiguous class contributes its whole orbit.  Its canonical
-    mask is the smallest mask of the orbit, so it is also the representative
-    a labeled census would report.  A fragile class has each labeled member
-    decided on its own, and its smallest stable member, if any, represents it.
+    A stable or ambiguous class contributes its whole orbit, and its mask,
+    the smallest of the orbit, is its smallest stable member.  A fragile
+    class has each member decided on its own, and its smallest stable
+    member, if any, stands for it.  The smallest of these members per
+    uncoloured ``canonical_form`` represents that isomorphism class, as a
+    scan of every mask would report it.
     """
-    stable_masks = [m for c in stable for m in orbit_masks(n, c)]
-    ambiguous_masks = [m for c in ambiguous for m in orbit_masks(n, c)]
-    reps = [(c, c) for c in stable]
+    stable_masks = [m for c in stable for m in orbit_masks(n, c, colours)]
+    ambiguous_masks = [m for c in ambiguous for m in orbit_masks(n, c, colours)]
+    smallest = list(stable)
     for c in fragile:
         kept = []
-        for m in sorted(orbit_masks(n, c)):
+        for m in sorted(orbit_masks(n, c, colours)):
             verdict = is_apsn(spec, Graph(n, m), cache, early_exit=True).verdict
             if verdict == "stable":
                 kept.append(m)
             elif verdict == "ambiguous":
                 ambiguous_masks.append(m)
         stable_masks += kept
-        if kept:
-            reps.append((c, kept[0]))
-    return sorted(stable_masks), sorted(ambiguous_masks), sorted(reps)
+        smallest += kept[:1]
+    reps: dict[int, int] = {}
+    for m in sorted(smallest):
+        reps.setdefault(canonical_form(Graph(n, m)), m)
+    return sorted(stable_masks), sorted(ambiguous_masks), sorted(reps.items())
 
 
 def run_census(
@@ -227,8 +227,9 @@ def run_census(
     checkpoint: str | None = None,
     resume: str | None = None,
 ) -> CensusResult:
-    """Classify every labeled graph on n vertices for the given game, in
-    orbit mode when the game allows it (see ``orbit_mode``)."""
+    """Classify every labeled graph on n vertices for the given game, one
+    class of colour-preserving relabelings at a time (see the module
+    docstring)."""
     cap = census_cap(spec)
     if n > cap:
         raise SizeGuardError(f"census capped at n={cap} for this game (got n={n})")
@@ -237,15 +238,15 @@ def run_census(
     if shards < 1:
         raise ParameterError("need at least one shard")
     start = time.monotonic()
-    orbit = orbit_mode(spec)
+    colours = colouring(spec)
     # built here, before any pool starts, so forked workers inherit the memo
-    work = _work(spec, n)
+    work = graph_classes(n, colours)
     layout = [shard_bounds(len(work), k, shards) for k in range(shards)]
     header = {
         "fingerprint": game_fingerprint(spec),
         "n": n,
         "shards": shards,
-        "mode": "orbit" if orbit else "labeled",
+        "mode": list(colours),
         "code_version": CODE_VERSION,
     }
 
@@ -284,18 +285,12 @@ def run_census(
                 ckpt_fh.write(json.dumps(record) + "\n")
                 ckpt_fh.flush()
 
-    stable_masks, ambiguous_masks, fragile = (
+    stable, ambiguous, fragile = (
         sorted(m for k in done for m in done[k][i]) for i in range(3)
     )
-    if orbit:
-        stable_masks, ambiguous_masks, reps = _expand_classes(
-            spec, n, stable_masks, ambiguous_masks, fragile, shared
-        )
-    else:
-        first: dict[int, int] = {}
-        for m in stable_masks:
-            first.setdefault(canonical_form(Graph(n, m)), m)
-        reps = sorted(first.items())
+    stable_masks, ambiguous_masks, reps = _expand_classes(
+        spec, n, colours, stable, ambiguous, fragile, shared
+    )
     apsn_canonical = [(c, to_graph6(Graph(n, rep))) for c, rep in reps]
     return CensusResult(
         n=n,

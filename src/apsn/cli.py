@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import census as census_mod
 from . import structure
-from .centrality import centrality_vector
+from .centrality import centrality, centrality_vector
 from .errors import ApsnError, ParameterError
 from .game import (
     EvalCache,
@@ -110,7 +110,7 @@ def cmd_centrality(args) -> int:
     payload = {"graph6": to_graph6(g), "measure": measure_grammar(m), "values": values}
     if args.vertex is not None:
         payload["vertex"] = args.vertex
-        payload["value"] = values[args.vertex]
+        payload["value"] = value_to_json(centrality(m, g, args.vertex))
     emit(args, payload)
     return 0
 

@@ -107,6 +107,11 @@ class ExactPolicy:
 class TolerantPolicy:
     tol: float = DEFAULT_TOLERANCE
 
+    def __post_init__(self):
+        # a negative tolerance would read a float zero as a confident sign
+        if not self.tol >= 0:
+            raise ParameterError(f"tolerance must be a number >= 0 (got {self.tol})")
+
 
 Policy = Union[ExactPolicy, TolerantPolicy]
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .census import run_census
-from .errors import ContractError
+from .errors import ContractError, ParameterError
 from .game import EvalCache, GameSpec, NumericAgent
 from .graphs import Graph, canonical_form, to_graph6
 from .values import format_rational
@@ -103,6 +103,8 @@ def learn_threshold(oracle: ApsnOracle, i: int) -> LearnResult:
     to a point; with an unverifiable hypothesis the result carries the flag
     rather than a correction.
     """
+    if not 0 <= i < oracle.n:
+        raise ParameterError(f"agent {i} outside 0..{oracle.n - 1}")
     start = len(oracle.transcript)
     g = Graph.empty(oracle.n)
     while True:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .centrality import UNDEFINED_ON_ISOLATED, Measure
 from .errors import ContractError, ParameterError, SizeGuardError
-from .game import EvalCache, HomophilyFunction
+from .game import MONOTONE_KINDS, EvalCache, HomophilyFunction
 from .graphs import (
     Graph,
     bfs_distances,
@@ -37,8 +37,6 @@ from .graphs import (
     to_graph6,
 )
 from .values import sign_with_band
-
-MONOTONE_TYPES = ("1", "1p", "2", "2p")
 
 FALSIFIER_CAP = 6
 INFER_CAP = 15
@@ -94,7 +92,7 @@ def check_monotone_structure(g: Graph, types) -> bool:
     if len(types) != g.n:
         raise ParameterError(f"{len(types)} types for {g.n} vertices")
     for t in types:
-        if t not in MONOTONE_TYPES:
+        if t not in MONOTONE_KINDS:
             raise ParameterError(f"unknown monotone type {t!r}")
     cache = EvalCache()
     facts = cache.graph_facts(g)
@@ -124,7 +122,7 @@ def infer_types(
     unary = _unary_candidates(g)
     if known_types:
         for v, t in known_types.items():
-            if t not in MONOTONE_TYPES:
+            if t not in MONOTONE_KINDS:
                 raise ParameterError(f"unknown monotone type {t!r}")
             unary[v] = unary[v] & {t}
             if not unary[v]:

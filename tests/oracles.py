@@ -11,8 +11,9 @@
   vectors from those rational solves, and ``oracle_closeness``,
   ``oracle_betweenness`` and the other distance oracles are the
   ``Fraction`` loops that the integer BFS kernels replaced;
-* ``labeled_census`` decides every labeled graph, the census that orbit
-  mode in ``apsn.census`` replaces;
+* ``labeled_census`` decides every labeled graph, the census that
+  ``apsn.census`` replaces with one decision per class of colour-preserving
+  relabelings;
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
   removals separately, the flip evaluation that ``game._eval_flip``'s one
   rule replaced.

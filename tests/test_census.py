@@ -24,6 +24,7 @@ from apsn.centrality import (
 )
 from apsn.errors import ParameterError, SizeGuardError
 from apsn.game import (
+    ExactPolicy,
     GameSpec,
     HomophilicAgent,
     HomophilyFunction,
@@ -83,7 +84,7 @@ def test_checkpoint_resume(tmp_path, shared_cache):
 
 
 def betweenness_game(n):
-    # an orbit census at n = 4: four shards decide the classes 0 1 3 |
+    # a census at n = 4: four shards decide the classes 0 1 3 |
     # 7 11 12 | 13 15 30 | 31 63, and the stable ones are the empty graph
     # (0) and C4 (30, whose labelings are 30, 45 and 51)
     return uniform_game(n, NumericAgent(betweenness()))
@@ -208,18 +209,26 @@ def test_stable_set_closed_under_isomorphism(rng, shared_cache):
 
 def test_caps_by_measure_kind():
     assert census_cap(uniform_game(3, NumericAgent(degree()))) == 7
-    # orbit mode lifts the random-walk cap; the labeled path keeps 6
     assert census_cap(uniform_game(3, NumericAgent(rw_closeness()))) == 7
-    mixed = GameSpec((NumericAgent(rw_closeness()),) * 2 + (NumericAgent(rw_betweenness()),))
-    assert census_cap(mixed) == 6
-    # and so it does for spectral games
+    # a solve-kind game is capped at 6 only when graph_count(n) / prod(k!)
+    # over its colour sizes k exceeds graph_count(6): 2^21 / (4! 3!) = 14,563
+    # for colours 4 + 3 at n = 7, but 2^21 for seven colours
+    mixed = GameSpec((NumericAgent(rw_closeness()),) * 4 + (NumericAgent(rw_betweenness()),) * 3)
+    assert census_cap(mixed) == 7
+    distinct = GameSpec(tuple(NumericAgent(rw_closeness(), Fraction(k, 10)) for k in range(7)))
+    assert census_cap(distinct) == 6
+    with pytest.raises(SizeGuardError):
+        run_census(distinct, 7)
     assert (
         census_cap(uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())) == 7
     )
     spectral = GameSpec(
         (NumericAgent(eigenvector()),) * 2 + (NumericAgent(pagerank()),), TolerantPolicy()
     )
-    assert census_cap(spectral) == 6
+    assert census_cap(spectral) == 7
+    # a linear table gives every vertex its own colour; linear is no solve kind
+    table = [[0 if i == j else i + j for j in range(7)] for i in range(7)]
+    assert census_cap(uniform_game(7, NumericAgent(linear(table)))) == 7
     with pytest.raises(SizeGuardError):
         run_census(uniform_game(8, NumericAgent(rw_closeness())), 8)
 
@@ -313,10 +322,10 @@ def test_resume_rescans_records_of_another_mode_or_version(tmp_path, monkeypatch
     fresh = run_census(spec, 4, shards=4, cache=shared_cache, checkpoint=str(ckpt))
     records = read_records(ckpt)
     assert [(r["mode"], r["code_version"]) for r in records] == [
-        ("orbit", census.CODE_VERSION)
+        ([0, 0, 0, 0], census.CODE_VERSION)
     ] * 4
     assert [r["stable"] for r in records] == [[0], [], [30], []]
-    records[0]["mode"] = "labeled"
+    records[0]["mode"] = [0, 1, 2, 3]  # the colouring of a game of four agents
     records[1]["code_version"] = "0.0.0+engine-0"
     records[2]["stable"] = [45]  # a labeling of C4, not its class's mask
     ckpt.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -327,7 +336,7 @@ def test_resume_rescans_records_of_another_mode_or_version(tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# orbit mode against the labeled oracle
+# one decision per isomorphism class against the labeled oracle
 
 ORBIT_GAMES = {
     "degree": NumericAgent(degree()),
@@ -347,13 +356,13 @@ ORBIT_GAMES = {
 
 
 def count_class_lists(monkeypatch):
-    """Patch census.graph_classes to count its calls."""
+    """Patch census.graph_classes to record the colouring of each call."""
     calls = []
     original = census.graph_classes
 
-    def counted(n):
-        calls.append(n)
-        return original(n)
+    def counted(n, colours=None):
+        calls.append(colours)
+        return original(n, colours)
 
     monkeypatch.setattr(census, "graph_classes", counted)
     return calls
@@ -365,7 +374,7 @@ def test_orbit_census_matches_labeled_oracle(name, monkeypatch):
         spec = uniform_game(n, ORBIT_GAMES[name])
         calls = count_class_lists(monkeypatch)
         assert run_census(spec, n).payload() == labeled_census(spec, n)
-        assert calls and set(calls) == {n}  # the census ran in orbit mode
+        assert calls and set(calls) == {(0,) * n}  # one colour: isomorphism classes
         monkeypatch.undo()
 
 
@@ -387,7 +396,7 @@ def test_tolerant_orbit_census_matches_labeled_oracle(name, tol, monkeypatch):
         spec = uniform_game(n, TOLERANT_AGENTS[name], TolerantPolicy(tol))
         calls = count_class_lists(monkeypatch)
         assert run_census(spec, n).payload() == labeled_census(spec, n)
-        assert calls and set(calls) == {n}  # the census ran in orbit mode
+        assert calls and set(calls) == {(0,) * n}
         monkeypatch.undo()
 
 
@@ -443,29 +452,49 @@ def test_resume_checks_the_fragile_lists(tmp_path, monkeypatch, shared_cache):
     assert scanned == [0, 1] and resumed.payload() == fresh.payload()
 
 
-LABELED_GAMES = {
-    # a negative tolerance gives a float zero a sign, which fragility does
-    # not track
-    "negative-tolerance": uniform_game(
-        4, NumericAgent(eigenvector()), TolerantPolicy(-1e-9)
+def halves(n, first, second, policy=ExactPolicy()):
+    """A game whose first (n + 1) // 2 agents are ``first`` and the rest
+    ``second``."""
+    return GameSpec((first,) * ((n + 1) // 2) + (second,) * (n // 2), policy)
+
+
+def weight_table(n):
+    """A symmetric weight table whose off-diagonal weights (i+1)(j+1) - 1 all
+    differ for n <= 5, so no relabeling of three to five vertices keeps it."""
+    return [[0 if i == j else i + j + i * j for j in range(n)] for i in range(n)]
+
+
+MIXED_GAMES = {
+    "monotone": lambda n: GameSpec(
+        tuple(MonotoneAgent(("1", "2p", "2", "1p")[k % 4]) for k in range(n))
     ),
-    "per-node": GameSpec(
-        (NumericAgent(closeness()),) * 3 + (NumericAgent(betweenness()),) * 2
+    "homophilic": lambda n: halves(
+        n, HomophilicAgent(), HomophilicAgent(HomophilyFunction((0, 1, 3, 6, 10)))
     ),
-    # the weight table reads vertex labels, so relabeling changes verdicts
-    "linear": uniform_game(
-        4, NumericAgent(linear([[0, 1, 5, 0], [1, 0, 0, 2], [5, 0, 0, 1], [0, 2, 1, 0]]))
+    "closeness-betweenness": lambda n: halves(
+        n, NumericAgent(closeness()), NumericAgent(betweenness())
     ),
+    "truncated": lambda n: halves(
+        n, NumericAgent(decay(Fraction(1, 2)), Fraction(3, 2)), NumericAgent(decay(Fraction(1, 2)))
+    ),
+    "eigenvector-pagerank": lambda n: halves(
+        n, NumericAgent(eigenvector()), NumericAgent(pagerank()), TolerantPolicy(1e-9)
+    ),
+    "katz": lambda n: halves(
+        n, NumericAgent(katz()), NumericAgent(katz(0.1)), TolerantPolicy(1e-3)
+    ),
+    "linear": lambda n: uniform_game(n, NumericAgent(linear(weight_table(n)))),
 }
 
 
-@pytest.mark.parametrize("name", sorted(LABELED_GAMES))
-def test_labeled_games_never_use_class_lists(name, monkeypatch):
-    spec = LABELED_GAMES[name]
-
-    def refuse(n):
-        raise AssertionError("a labeled census asked for the class list")
-
-    monkeypatch.setattr(census, "graph_classes", refuse)
-    assert not census.orbit_mode(spec)
-    assert run_census(spec, spec.n).payload() == labeled_census(spec, spec.n)
+@pytest.mark.parametrize("name", sorted(MIXED_GAMES))
+def test_mixed_census_matches_labeled_oracle(name, monkeypatch):
+    fragile = record_fragile(monkeypatch)
+    for n in range(1, 6):
+        spec = MIXED_GAMES[name](n)
+        assert run_census(spec, n).payload() == labeled_census(spec, n)
+        if name == "linear":
+            # every vertex has its own colour, so each mask is its own class
+            assert census.graph_classes(n, census.colouring(spec)) == range(graph_count(n))
+    if name == "katz":
+        assert fragile  # the fragile fallback ran

@@ -84,6 +84,35 @@ def test_centrality_command(capsys, k4_file):
     assert payload["value"] == {"exact": "3"}
 
 
+@pytest.mark.parametrize("vertex", ["-1", "6"])
+def test_centrality_vertex_outside_the_graph_is_a_parameter_error(capsys, vertex):
+    code, out, err = run_cli(
+        capsys, "centrality", "--graph", str(DATA / "eccentricity_six.edges"),
+        "--measure", "degree", "--vertex", vertex,
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize("agent", ["-1", "7"])
+def test_learn_agent_outside_the_game_is_a_parameter_error(capsys, agent):
+    code, out, err = run_cli(
+        capsys, "learn", "--n", "4", "--profile", str(DATA / "degree_theta2.json"),
+        "--agent", agent,
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parameter"
+
+
+def test_census_negative_tolerance_is_a_parameter_error(capsys):
+    # argparse reads a lone "-1e-9" as an option, hence the "=" form
+    code, out, err = run_cli(
+        capsys, "census", "--n", "3", "--measure", "eigenvector", "--tolerant=-1e-9"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parameter"
+
+
 def test_predict_stratified(capsys):
     code, out, _ = run_cli(capsys, "predict", "--family", "stratified", "--n", "6")
     assert code == 0

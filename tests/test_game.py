@@ -15,7 +15,7 @@ from apsn.centrality import (
     harmonic,
     pagerank,
 )
-from apsn.errors import ContractError, SpecValidationError
+from apsn.errors import ContractError, ParameterError, SpecValidationError
 from apsn.game import (
     EvalCache,
     ExactPolicy,
@@ -182,6 +182,15 @@ def test_approx_requires_tolerant_policy():
     with pytest.raises(SpecValidationError):
         uniform_game(3, NumericAgent(eigenvector()), ExactPolicy())
     uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())  # fine
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("-inf")])
+def test_tolerant_policy_rejects_negative_or_nan_tolerance(tol):
+    # with tol < 0, sign_with_band(0.0, tol) reads an exact zero as a
+    # confident loss, and a census's fragile fallback does not track that
+    with pytest.raises(ParameterError):
+        TolerantPolicy(tol)
+    assert TolerantPolicy(0.0).tol == 0.0
 
 
 def test_engine_reads_a_float_zero_as_a_confident_zero():

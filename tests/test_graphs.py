@@ -275,6 +275,67 @@ def test_canonical_forms_split_n6_into_its_156_classes():
         assert orbit_masks(6, key) == set(members)
 
 
+def colour_patterns(n):
+    """Every colouring of n vertices up to renaming the colours, each
+    numbered in order of first appearance."""
+    if n == 0:
+        yield ()
+        return
+    for head in colour_patterns(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield head + (c,)
+
+
+SIX_VERTEX_PATTERNS = [(0, 0, 0, 1, 1, 1), (0, 1, 0, 1, 2, 2), (0, 0, 0, 0, 0, 1)]
+
+
+def test_coloured_canonical_form_is_the_colour_preserving_minimum():
+    rnd = random.Random(1981)
+    for n in range(1, 7):
+        for _ in range(100):
+            colours = tuple(rnd.randrange(3) for _ in range(n))
+            mask = rnd.randrange(graph_count(n))
+            keep = [
+                p for p in itertools.permutations(range(n))
+                if all(colours[v] == colours[p[v]] for v in range(n))
+            ]
+            expected = min(apply_permutation(n, mask, p) for p in keep)
+            assert canonical_form(Graph(n, mask), colours) == expected, (colours, mask)
+
+
+def test_one_colour_is_no_colour():
+    rnd = random.Random(7)
+    for _ in range(50):
+        g = Graph(7, rnd.randrange(graph_count(7)))
+        assert canonical_form(g, (3,) * 7) == canonical_form(g)
+    assert graph_classes(6, (1,) * 6) == graph_classes(6)
+
+
+COLOURINGS = [
+    (n, c) for n in range(1, 6) for c in colour_patterns(n)
+] + [(6, c) for c in SIX_VERTEX_PATTERNS]
+
+
+def test_coloured_classes_match_canonical_forms_of_every_mask():
+    for n, colours in COLOURINGS:
+        forms = {canonical_form(Graph(n, m), colours) for m in range(graph_count(n))}
+        assert list(graph_classes(n, colours)) == sorted(forms), colours
+
+
+def test_coloured_orbits_partition_the_labeled_graphs():
+    # orbit-stabiliser: the orbits of the classes cover every mask once
+    for n, colours in [(n, None) for n in range(1, 7)] + COLOURINGS:
+        orbits = [orbit_masks(n, c, colours) for c in graph_classes(n, colours)]
+        assert sum(map(len, orbits)) == graph_count(n), colours
+        assert set().union(*orbits) == set(range(graph_count(n))), colours
+
+
+def test_distinct_colours_list_every_mask():
+    for n in range(1, 8):
+        assert graph_classes(n, tuple(range(n))) == range(graph_count(n))
+    assert len(graph_classes(7, (0, 0, 0, 0, 1, 1, 1))) == 20364
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
