@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Probe the two open families (random-walk betweenness, eigenvector) for
-stable networks beyond the conjectured ones and write the reports.
+"""Probe the three open families (random-walk betweenness, eigenvector,
+PageRank) for stable networks beyond the conjectured ones and write the
+reports.
 
 Any ambiguity under the tolerant policy lands in its own bucket in the
 report instead of being rounded into a verdict.
@@ -27,7 +28,7 @@ def main() -> int:
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for kind in ("rwbetweenness", "eigenvector"):
+    for kind in ("rwbetweenness", "eigenvector", "pagerank"):
         for n in range(3, args.max_n + 1):
             start = time.monotonic()
             try:

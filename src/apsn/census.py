@@ -305,29 +305,40 @@ def run_census(
 
 
 # ---------------------------------------------------------------------------
-# conjecture hunting for the two measures without a proven characterization
+# conjecture hunting for the three measures without a proven characterization
 
 
 def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> dict:
-    """Census a random-walk-betweenness or eigenvector game and compare the
-    stable set against the conjectured one.
+    """Census a random-walk-betweenness, eigenvector or PageRank game and
+    compare the stable set against the conjectured one.
 
     Both outcomes are reportable: a match confirms consistency, a mismatch
     lists counterexample graphs.  Ambiguous verdicts land in their own bucket
     rather than being forced either way.
     """
-    from .centrality import eigenvector, rw_betweenness
+    from .centrality import eigenvector, pagerank, rw_betweenness
 
-    if kind not in ("rwbetweenness", "eigenvector"):
-        raise ParameterError("conjecture reports cover 'rwbetweenness' and 'eigenvector'")
+    if kind not in ("rwbetweenness", "eigenvector", "pagerank"):
+        raise ParameterError(
+            "conjecture reports cover 'rwbetweenness', 'eigenvector' and 'pagerank'"
+        )
     if kind == "rwbetweenness":
         spec = uniform_game(n, NumericAgent(rw_betweenness()))
         expected = [Graph.empty(n), Graph.complete(n)]
         conjecture = "the empty and the complete graph are the only stable networks"
-    else:
+    elif kind == "eigenvector":
         spec = uniform_game(n, NumericAgent(eigenvector()), TolerantPolicy(tol))
         expected = [Graph.complete(n)]
         conjecture = "the complete graph is the only stable network"
+    else:
+        spec = uniform_game(n, NumericAgent(pagerank()), TolerantPolicy(tol))
+        expected = [Graph.complete(n)]
+        if n >= 6:
+            expected.append(Graph.disjoint_union(Graph.complete(n - 2), Graph.complete(2)))
+        conjecture = (
+            "the complete graph K_n is the only stable network for n <= 5; "
+            "for n >= 6, K_n and K_{n-2} + K_2 are"
+        )
     result = run_census(spec, n, jobs=jobs)
     expected_canon = sorted(canonical_form(g) for g in expected)
     found_canon = [c for c, _ in result.apsn_canonical]

@@ -283,6 +283,22 @@ def test_rwbetweenness_conjecture_holds_at_n7():
     assert report["census"]["stable_count"] == 2
 
 
+def test_pagerank_conjecture_holds_at_n5_and_n7():
+    report = conjecture_report("pagerank", 5)
+    assert report["verdict"] == "consistent with conjecture"
+    assert report["stable"] == ["D~{"]  # K5
+    report = conjecture_report("pagerank", 7)
+    assert report["verdict"] == "consistent with conjecture"
+    assert report["stable"] == ["FJ\\{?", "F~~~w"]  # K5 + K2 and K7
+    assert report["ambiguous"] == []
+    assert report["census"]["stable_count"] == 22  # 21 labelings of K5 + K2, K7
+
+
+def test_conjecture_report_rejects_other_measures():
+    with pytest.raises(ParameterError, match="'pagerank'"):
+        conjecture_report("closeness", 4)
+
+
 def test_bounded_cache_evicts_oldest():
     from apsn.game import EvalCache as Cache
 

@@ -289,16 +289,22 @@ def colour_patterns(n):
 SIX_VERTEX_PATTERNS = [(0, 0, 0, 1, 1, 1), (0, 1, 0, 1, 2, 2), (0, 0, 0, 0, 0, 1)]
 
 
+def colour_preserving(n, colours):
+    """The permutations of 0..n-1 that keep every vertex's colour, by
+    definition: all n! of them without colours."""
+    return [
+        p for p in itertools.permutations(range(n))
+        if colours is None or all(colours[v] == colours[p[v]] for v in range(n))
+    ]
+
+
 def test_coloured_canonical_form_is_the_colour_preserving_minimum():
     rnd = random.Random(1981)
     for n in range(1, 7):
         for _ in range(100):
             colours = tuple(rnd.randrange(3) for _ in range(n))
             mask = rnd.randrange(graph_count(n))
-            keep = [
-                p for p in itertools.permutations(range(n))
-                if all(colours[v] == colours[p[v]] for v in range(n))
-            ]
+            keep = colour_preserving(n, colours)
             expected = min(apply_permutation(n, mask, p) for p in keep)
             assert canonical_form(Graph(n, mask), colours) == expected, (colours, mask)
 
@@ -323,11 +329,34 @@ def test_coloured_classes_match_canonical_forms_of_every_mask():
 
 
 def test_coloured_orbits_partition_the_labeled_graphs():
-    # orbit-stabiliser: the orbits of the classes cover every mask once
-    for n, colours in [(n, None) for n in range(1, 7)] + COLOURINGS:
-        orbits = [orbit_masks(n, c, colours) for c in graph_classes(n, colours)]
+    # orbit-stabiliser: the orbits of the classes cover every mask once, and
+    # each class is the smallest mask of its orbit
+    cases = [(n, None) for n in range(1, 8)] + COLOURINGS + [(7, (0, 0, 0, 0, 1, 1, 1))]
+    for n, colours in cases:
+        classes = graph_classes(n, colours)
+        orbits = [orbit_masks(n, c, colours) for c in classes]
         assert sum(map(len, orbits)) == graph_count(n), colours
-        assert set().union(*orbits) == set(range(graph_count(n))), colours
+        assert all(min(o) == c for c, o in zip(classes, orbits)), colours
+        if n <= 6:
+            assert set().union(*orbits) == set(range(graph_count(n))), colours
+
+
+def test_orbit_masks_match_the_relabeling_oracle():
+    rnd = random.Random(1998)
+    cases = [(n, c) for n in range(1, 6) for c in colour_patterns(n)]
+    cases += [(6, c) for c in SIX_VERTEX_PATTERNS + [None]] + [(7, None)]
+    for n, colours in cases:
+        keep = colour_preserving(n, colours)
+        full = graph_count(n) - 1
+        for mask in [0, full] + [rnd.randrange(full + 1) for _ in range(6)]:
+            expected = {apply_permutation(n, mask, p) for p in keep}
+            assert orbit_masks(n, mask, colours) == expected, (n, colours, mask)
+
+
+def test_orbit_guard():
+    assert orbit_masks(8, graph_count(8) - 1) == {graph_count(8) - 1}
+    with pytest.raises(SizeGuardError):
+        orbit_masks(9, 0)
 
 
 def test_distinct_colours_list_every_mask():
