@@ -11,7 +11,9 @@ once in the base checkout and once in this one, with seed S = pair number
 and T = BENCHMARK.json's run_seconds, and alternates which side runs first.
 The JSON file at this repository's root holds every run's end-to-end metrics
 and, per workload and metric, each side's median and quartiles and the
-number of pairs this checkout won.
+number of pairs this checkout won.  A run that exits non-zero stops the
+comparison: its workload, seed, side and the tail of its stderr go to stderr
+and the script exits non-zero.
 """
 from __future__ import annotations
 
@@ -26,14 +28,22 @@ from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
 PAIRS = 10
+#: stderr lines of a failed run worth showing
+STDERR_TAIL = 20
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, side: str) -> dict:
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if out.returncode:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        sys.exit(
+            f"{workload} seed {seed} on {side} ({checkout}) exited {out.returncode}; "
+            f"stderr ends:\n{tail}"
+        )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {
         "correct": result["correct"],
@@ -88,7 +98,7 @@ def main() -> int:
             run = {"seed": seed, "first": sides[0]}
             for side in sides:
                 checkout = args.base if side == "base" else HEAD
-                run[side] = run_once(checkout, workload, seed, seconds)
+                run[side] = run_once(checkout, workload, seed, seconds, side)
             runs.append(run)
             print(workload, json.dumps(run), file=sys.stderr)
         report["workloads"][workload] = {

@@ -31,7 +31,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from . import __version__
-from .centrality import APPROX_KINDS
+from .centrality import KINDS
 from .errors import ParameterError, SizeGuardError
 from .game import (
     EvalCache,
@@ -55,9 +55,6 @@ from .graphs import (
 CENSUS_CAP_EXACT = 7
 CENSUS_CAP_SOLVE = 6
 
-# Measures whose kernel is a linear solve or an eigendecomposition per graph.
-_SOLVE_KINDS = APPROX_KINDS | {"rwcloseness", "rwbetweenness"}
-
 #: Written into every checkpoint record; resume keeps only records with the
 #: current value.  Bump the engine tag whenever a change can alter a verdict
 #: or what a record holds.
@@ -69,7 +66,7 @@ def colouring(spec: GameSpec) -> tuple[int, ...]:
     agents share a colour.  A linear centrality's weight table reads vertex
     labels, so a game with a linear agent gives every vertex its own colour."""
     agents = spec.agents
-    if any(isinstance(a, NumericAgent) and a.measure.kind == "linear" for a in agents):
+    if any(isinstance(a, NumericAgent) and KINDS[a.measure.kind].labeled for a in agents):
         return tuple(range(spec.n))
     first: dict = {}
     return tuple(first.setdefault(agent, len(first)) for agent in agents)
@@ -83,7 +80,7 @@ def census_cap(spec: GameSpec) -> int:
     on the classes by orbit-stabiliser: 416 for one colour at n = 7, and at
     most 32,768 for any game at n <= 6."""
     if any(
-        isinstance(a, NumericAgent) and a.measure.kind in _SOLVE_KINDS
+        isinstance(a, NumericAgent) and KINDS[a.measure.kind].solve
         for a in spec.agents
     ):
         relabelings = prod(factorial(k) for k in Counter(colouring(spec)).values())
@@ -318,10 +315,6 @@ def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> di
     """
     from .centrality import eigenvector, pagerank, rw_betweenness
 
-    if kind not in ("rwbetweenness", "eigenvector", "pagerank"):
-        raise ParameterError(
-            "conjecture reports cover 'rwbetweenness', 'eigenvector' and 'pagerank'"
-        )
     if kind == "rwbetweenness":
         spec = uniform_game(n, NumericAgent(rw_betweenness()))
         expected = [Graph.empty(n), Graph.complete(n)]
@@ -330,7 +323,7 @@ def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> di
         spec = uniform_game(n, NumericAgent(eigenvector()), TolerantPolicy(tol))
         expected = [Graph.complete(n)]
         conjecture = "the complete graph is the only stable network"
-    else:
+    elif kind == "pagerank":
         spec = uniform_game(n, NumericAgent(pagerank()), TolerantPolicy(tol))
         expected = [Graph.complete(n)]
         if n >= 6:
@@ -338,6 +331,10 @@ def conjecture_report(kind: str, n: int, tol: float = 1e-9, jobs: int = 1) -> di
         conjecture = (
             "the complete graph K_n is the only stable network for n <= 5; "
             "for n >= 6, K_n and K_{n-2} + K_2 are"
+        )
+    else:
+        raise ParameterError(
+            "conjecture reports cover 'rwbetweenness', 'eigenvector' and 'pagerank'"
         )
     result = run_census(spec, n, jobs=jobs)
     expected_canon = sorted(canonical_form(g) for g in expected)

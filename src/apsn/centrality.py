@@ -11,6 +11,9 @@ numpy call: an ``eigh`` projection for eigenvector centrality, a linear
 solve for Katz and PageRank.  The independent oracles these kernels are
 checked against live with the tests.
 
+``KINDS`` maps every measure kind to its kernel and to every fact about the
+kind that other modules need; no other module keeps a list of kinds.
+
 Conventions for degenerate inputs, applied consistently throughout:
 
 * closeness, random-walk closeness and eccentricity of an isolated vertex
@@ -26,6 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -33,27 +37,6 @@ from .errors import ParameterError
 from .graphs import MAX_VERTICES, Graph, bits, component_masks
 from .linalg import det_adjugate
 from .values import Approx, Exact, Value
-
-EXACT_KINDS = frozenset(
-    {
-        "degree",
-        "linear",
-        "closeness",
-        "eccentricity",
-        "rwcloseness",
-        "decay",
-        "harmonic",
-        "betweenness",
-        "rwbetweenness",
-        "gametheoretic",
-    }
-)
-APPROX_KINDS = frozenset({"eigenvector", "katz", "pagerank"})
-
-#: Measures whose defining formula is a reciprocal of an (empty) sum at
-#: isolated vertices; their conventional 0 there is excluded from axiom and
-#: monotonicity checks because the formula itself is undefined at that point.
-UNDEFINED_ON_ISOLATED = frozenset({"closeness", "rwcloseness", "eccentricity"})
 
 #: eigenvalues of A this close to the largest one span the eigenvector
 #: centrality eigenspace
@@ -69,7 +52,7 @@ class Measure:
     weights: tuple[tuple[int, ...], ...] | None = None  # linear
 
     def __post_init__(self):
-        if self.kind not in EXACT_KINDS | APPROX_KINDS:
+        if self.kind not in KINDS:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
         if self.kind == "decay":
             if self.beta is None or not (0 < self.beta < 1):
@@ -99,7 +82,7 @@ class Measure:
 
     @property
     def is_exact(self) -> bool:
-        return self.kind in EXACT_KINDS
+        return KINDS[self.kind].exact
 
 
 def degree() -> Measure:
@@ -243,11 +226,12 @@ def _fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _degree_vector(g: Graph) -> tuple[Fraction, ...]:
+def _degree_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     return tuple(_fraction(a.bit_count(), 1) for a in g.adjacency())
 
 
-def _linear_vector(g: Graph, weights) -> tuple[Fraction, ...]:
+def _linear_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
+    weights = m.weights
     if len(weights) != g.n:
         raise ParameterError(f"weight table is {len(weights)}x{len(weights)}, graph has n={g.n}")
     adj = g.adjacency()
@@ -287,20 +271,20 @@ def _decay_value(p: int, q: int, hist: tuple[int, ...]) -> Fraction:
     return Fraction(num, q ** len(hist))
 
 
-def _closeness_vector(g: Graph) -> tuple[Fraction, ...]:
+def _closeness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     return tuple(map(_closeness_value, _distance_histograms(g.adjacency())))
 
 
-def _harmonic_vector(g: Graph) -> tuple[Fraction, ...]:
+def _harmonic_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     return tuple(map(_harmonic_value, _distance_histograms(g.adjacency())))
 
 
-def _decay_vector(g: Graph, beta: Fraction) -> tuple[Fraction, ...]:
-    p, q = beta.numerator, beta.denominator
+def _decay_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
+    p, q = m.beta.numerator, m.beta.denominator
     return tuple(_decay_value(p, q, hist) for hist in _distance_histograms(g.adjacency()))
 
 
-def _eccentricity_vector(g: Graph) -> tuple[Fraction, ...]:
+def _eccentricity_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     # (n-1) / max distance within the own component; 0 for isolated vertices.
     return tuple(
         _fraction(g.n - 1, len(hist)) if hist else _ZERO
@@ -308,7 +292,7 @@ def _eccentricity_vector(g: Graph) -> tuple[Fraction, ...]:
     )
 
 
-def _betweenness_vector(g: Graph) -> tuple[Fraction, ...]:
+def _betweenness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     """Pair (y, z) at distance D >= 2 gives vertex i on a shortest y-z path
     (at distance k from y and D - k from z) sigma_yi sigma_iz / sigma_yz.
     The terms are summed as integers over the lcm of all sigma_yz."""
@@ -341,7 +325,7 @@ def _betweenness_vector(g: Graph) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) if x else _ZERO for x in num)
 
 
-def _gametheoretic_vector(g: Graph) -> tuple[Fraction, ...]:
+def _gametheoretic_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     """Sum over the closed neighbourhood of 1 / (degree + 1), as integers
     lcm(1..n) / (degree + 1) over lcm(1..n)."""
     adj = g.adjacency()
@@ -382,7 +366,7 @@ def _reduced_laplacian_adjugates(g: Graph):
             yield k, rest, det, adjugate
 
 
-def _rwcloseness_vector(g: Graph) -> tuple[Fraction, ...]:
+def _rwcloseness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     """1 / (sum of hitting times to t).  The hitting times solve L_t H = d,
     so the vertex's value is det L_t / (1^T adj(L_t) d)."""
     adj = g.adjacency()
@@ -394,7 +378,7 @@ def _rwcloseness_vector(g: Graph) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _rwbetweenness_vector(g: Graph) -> tuple[Fraction, ...]:
+def _rwbetweenness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     """Sum over ordered pairs (j, k) of the probability that a walk started
     at j with absorbing vertex k passes through i, for j, k in Conn(i) - {i}
     (other pairs contribute 0).
@@ -429,7 +413,7 @@ def spectral_radius_bound(g: Graph) -> int:
     return max(1, max(g.degrees(), default=0))
 
 
-def _eigenvector_vector(g: Graph) -> tuple[float, ...]:
+def _eigenvector_vector(g: Graph, m: Measure) -> tuple[float, ...]:
     """The all-ones vector projected onto the eigenspace of the largest
     eigenvalue of A, normalised.
 
@@ -463,11 +447,11 @@ def _katz_vector(g: Graph, m: Measure) -> tuple[float, ...]:
     return tuple(float(v) for v in sol)
 
 
-def _pagerank_vector(g: Graph, damping: float | None) -> tuple[float, ...]:
+def _pagerank_vector(g: Graph, m: Measure) -> tuple[float, ...]:
     """The solution of (I - d P) x = (1 - d) / n 1, where P is the
     column-stochastic walk matrix and a dangling (isolated) vertex's column
     is uniform 1 / n."""
-    d = 0.85 if damping is None else damping
+    d = 0.85 if m.damping is None else m.damping
     n = g.n
     a = _adjacency_matrix(g)
     deg = a.sum(axis=0)
@@ -477,43 +461,50 @@ def _pagerank_vector(g: Graph, damping: float | None) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the measure-kind table
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A measure kind's kernel ``vector(g, m)`` (most kernels read only g)
+    and the facts other modules ask about it."""
+
+    vector: Callable[[Graph, Measure], tuple]
+    exact: bool = True  # Fractions, not tagged floats
+    solve: bool = False  # a linear solve or eigendecomposition per graph: census cap
+    increasing: bool = False  # strictly gains from every incident addition: truncation
+    undefined_on_isolated: bool = False  # empty sum at an isolated vertex: axiom checks skip it
+    labeled: bool = False  # reads vertex labels: a census colours every vertex apart
+
+
+KINDS: dict[str, Kind] = {
+    "degree": Kind(_degree_vector, increasing=True),
+    "linear": Kind(_linear_vector, increasing=True, labeled=True),
+    "closeness": Kind(_closeness_vector, undefined_on_isolated=True),
+    "eccentricity": Kind(_eccentricity_vector, undefined_on_isolated=True),
+    "rwcloseness": Kind(_rwcloseness_vector, solve=True, undefined_on_isolated=True),
+    "decay": Kind(_decay_vector, increasing=True),
+    "harmonic": Kind(_harmonic_vector, increasing=True),
+    "betweenness": Kind(_betweenness_vector),
+    "rwbetweenness": Kind(_rwbetweenness_vector, solve=True),
+    "gametheoretic": Kind(_gametheoretic_vector),
+    "eigenvector": Kind(_eigenvector_vector, exact=False, solve=True),
+    "katz": Kind(_katz_vector, exact=False, solve=True, increasing=True),
+    "pagerank": Kind(_pagerank_vector, exact=False, solve=True, increasing=True),
+}
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 
 def centrality_vector(m: Measure, g: Graph):
     """All vertices' centrality values as raw numbers (Fraction or float)."""
-    kind = m.kind
-    if kind == "degree":
-        return _degree_vector(g)
-    if kind == "linear":
-        return _linear_vector(g, m.weights)
-    if kind == "closeness":
-        return _closeness_vector(g)
-    if kind == "eccentricity":
-        return _eccentricity_vector(g)
-    if kind == "rwcloseness":
-        return _rwcloseness_vector(g)
-    if kind == "decay":
-        return _decay_vector(g, m.beta)
-    if kind == "harmonic":
-        return _harmonic_vector(g)
-    if kind == "betweenness":
-        return _betweenness_vector(g)
-    if kind == "rwbetweenness":
-        return _rwbetweenness_vector(g)
-    if kind == "gametheoretic":
-        return _gametheoretic_vector(g)
-    if kind == "eigenvector":
-        return _eigenvector_vector(g)
-    if kind == "katz":
-        return _katz_vector(g, m)
-    if kind == "pagerank":
-        return _pagerank_vector(g, m.damping)
-    raise ParameterError(f"unknown measure kind {kind!r}")
+    return KINDS[m.kind].vector(g, m)
 
 
-def centrality(m: Measure, g: Graph, i: int, tol: float = 1e-9) -> Value:
+def centrality(m: Measure, g: Graph, i: int) -> Value:
     if not 0 <= i < g.n:
         raise ParameterError(f"vertex {i} outside 0..{g.n - 1}")
     raw = centrality_vector(m, g)[i]
-    return Exact(raw) if m.is_exact else Approx(float(raw), tol)
+    return Exact(raw) if m.is_exact else Approx(float(raw))

@@ -22,6 +22,7 @@ from .game import (
     NumericAgent,
     TolerantPolicy,
     best_response_dynamics,
+    default_policy,
     is_apsn,
     uniform_game,
 )
@@ -82,9 +83,7 @@ def build_game(args, n: int) -> GameSpec:
     agent = _uniform_agent(args)
     if getattr(args, "tolerant", None) is not None:
         return uniform_game(n, agent, TolerantPolicy(args.tolerant))
-    if isinstance(agent, NumericAgent) and not agent.measure.is_exact:
-        return uniform_game(n, agent, TolerantPolicy())
-    return uniform_game(n, agent)
+    return uniform_game(n, agent, default_policy([agent]))
 
 
 def emit(args, payload) -> None:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .centrality import APPROX_KINDS, Measure, centrality_vector
+from .centrality import Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
-from .graphs import Graph, component_masks, pair_list
+from .graphs import Graph, bits, component_masks, pair_list
 from .values import (
     DEFAULT_TOLERANCE,
     Approx,
@@ -122,16 +122,16 @@ class GameSpec:
     policy: Policy = ExactPolicy()
 
     def __post_init__(self):
-        kinds = {
-            agent.measure.kind in APPROX_KINDS
+        exact = {
+            agent.measure.is_exact
             for agent in self.agents
             if isinstance(agent, NumericAgent)
         }
-        if kinds == {True, False}:
+        if exact == {True, False}:
             raise SpecValidationError(
                 "mixing exact and approximate measures in one game is rejected"
             )
-        if kinds == {True} and isinstance(self.policy, ExactPolicy):
+        if exact == {False} and isinstance(self.policy, ExactPolicy):
             raise SpecValidationError(
                 "approximate (spectral) measures require the tolerant policy"
             )
@@ -145,6 +145,14 @@ class GameSpec:
             raise SpecValidationError(
                 f"game has {self.n} agents but graph has {g.n} vertices"
             )
+
+
+def default_policy(agents) -> Policy:
+    """Tolerant at ``DEFAULT_TOLERANCE`` when a numeric agent's measure is
+    approximate, exact otherwise."""
+    if any(isinstance(a, NumericAgent) and not a.measure.is_exact for a in agents):
+        return TolerantPolicy()
+    return ExactPolicy()
 
 
 def uniform_game(n: int, agent: Agent, policy: Policy = ExactPolicy()) -> GameSpec:
@@ -234,11 +242,8 @@ class EvalCache:
         if out is None:
             comp_of = [0] * g.n
             for comp in component_masks(g):
-                m = comp
-                while m:
-                    low = m & -m
-                    comp_of[low.bit_length() - 1] = comp
-                    m ^= low
+                for v in bits(comp):
+                    comp_of[v] = comp
             out = (comp_of, [a.bit_count() for a in g.adjacency()])
             self.facts.put(key, out)
         return out

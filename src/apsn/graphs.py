@@ -562,9 +562,11 @@ def from_graph6(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise SizeGuardError(f"graph6 input has n={n} > {MAX_VERTICES}")
     need = (pair_count(n) + 5) // 6
-    body = s[1 : 1 + need]
-    if len(body) != need:
+    body = s[1:]
+    if len(body) < need:
         raise MalformedLineError("graph6 body truncated")
+    if len(body) > need:
+        raise MalformedLineError(f"unexpected characters after the graph6 body: {body[need:]!r}")
     stream = []
     for ch in body:
         val = ord(ch) - 63

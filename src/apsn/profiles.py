@@ -19,7 +19,7 @@ import json
 import os
 from fractions import Fraction
 
-from .centrality import APPROX_KINDS, Measure
+from .centrality import KINDS, Measure
 from .errors import MeasureGrammarError, ParameterError, ProfileError
 from .game import (
     GT_HOMOPHILY,
@@ -31,31 +31,15 @@ from .game import (
     MonotoneAgent,
     NumericAgent,
     TolerantPolicy,
+    default_policy,
 )
 from .truncation import read_weight_table
-from .values import DEFAULT_TOLERANCE, format_rational, parse_rational
-
-_PLAIN_KINDS = {
-    "degree",
-    "closeness",
-    "eccentricity",
-    "rwcloseness",
-    "harmonic",
-    "betweenness",
-    "rwbetweenness",
-    "eigenvector",
-    "gametheoretic",
-}
-
+from .values import format_rational, parse_rational
 
 def parse_measure(text: str, base_dir: str | None = None) -> Measure:
     text = text.strip()
     kind, _, arg = text.partition(":")
     try:
-        if kind in _PLAIN_KINDS:
-            if arg:
-                raise MeasureGrammarError(f"{kind} takes no parameter, got {arg!r}")
-            return Measure(kind)
         if kind == "decay":
             if not arg:
                 raise MeasureGrammarError("decay needs a rational parameter p/q")
@@ -72,7 +56,11 @@ def parse_measure(text: str, base_dir: str | None = None) -> Measure:
                 return Measure("linear", weights=read_weight_table(fh.read()))
     except (ValueError, ZeroDivisionError) as exc:
         raise MeasureGrammarError(f"cannot parse measure {text!r}: {exc}")
-    raise MeasureGrammarError(f"unknown measure {text!r}")
+    if kind not in KINDS:
+        raise MeasureGrammarError(f"unknown measure {text!r}")
+    if arg:
+        raise MeasureGrammarError(f"{kind} takes no parameter, got {arg!r}")
+    return Measure(kind)
 
 
 def measure_grammar(m: Measure) -> str:
@@ -183,11 +171,7 @@ def load_profile(text: str, n: int, base_dir: str | None = None) -> GameSpec:
         raise ProfileError(f"no agent for nodes {missing} and no default entry")
     policy = _parse_policy(policy_raw)
     if policy is None:
-        approx = any(
-            isinstance(a, NumericAgent) and a.measure.kind in APPROX_KINDS
-            for a in agents
-        )
-        policy = TolerantPolicy(DEFAULT_TOLERANCE) if approx else ExactPolicy()
+        policy = default_policy(agents)
     return GameSpec(tuple(agents), policy)
 
 

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .centrality import UNDEFINED_ON_ISOLATED, Measure
+from .centrality import KINDS, Measure
 from .errors import ContractError, ParameterError, SizeGuardError
 from .game import MONOTONE_KINDS, EvalCache, HomophilyFunction
 from .graphs import (
@@ -33,6 +33,7 @@ from .graphs import (
     bits,
     bridges,
     component_masks,
+    dominates,
     enumerate_labeled_graphs,
     to_graph6,
 )
@@ -46,8 +47,7 @@ INFER_CAP = 15
 # monotone mixtures: structure test and type inference
 
 
-def _pair_constraint_ok(g: Graph, facts, u: int, tu: str, v: int, tv: str) -> bool:
-    comp_of, _ = facts
+def _pair_constraint_ok(g: Graph, comp_of, u: int, tu: str, v: int, tv: str) -> bool:
     same_comp = bool(comp_of[u] >> v & 1)
     adjacent = g.has_edge(u, v)
     if tu == "1" and tv == "1" and not adjacent:
@@ -94,14 +94,13 @@ def check_monotone_structure(g: Graph, types) -> bool:
     for t in types:
         if t not in MONOTONE_KINDS:
             raise ParameterError(f"unknown monotone type {t!r}")
-    cache = EvalCache()
-    facts = cache.graph_facts(g)
+    comp_of = {v: comp for comp in component_masks(g) for v in bits(comp)}
     unary = _unary_candidates(g)
     for v, t in enumerate(types):
         if t not in unary[v]:
             return False
     for u, v in itertools.combinations(range(g.n), 2):
-        if not _pair_constraint_ok(g, facts, u, types[u], v, types[v]):
+        if not _pair_constraint_ok(g, comp_of, u, types[u], v, types[v]):
             return False
     return True
 
@@ -117,8 +116,7 @@ def infer_types(
     """
     if g.n > INFER_CAP:
         raise SizeGuardError(f"type inference capped at n={INFER_CAP}")
-    cache = EvalCache()
-    facts = cache.graph_facts(g)
+    comp_of = {v: comp for comp in component_masks(g) for v in bits(comp)}
     unary = _unary_candidates(g)
     if known_types:
         for v, t in known_types.items():
@@ -135,7 +133,7 @@ def infer_types(
         for t in sorted(unary[v]):
             assignment = {v: t}
             rest = [u for u in order if u != v]
-            if _extend_over(g, facts, unary, assignment, rest, 0):
+            if _extend_over(g, comp_of, unary, assignment, rest, 0):
                 candidates[v].add(t)
                 feasible_any = True
     if not feasible_any:
@@ -143,14 +141,14 @@ def infer_types(
     return tuple(frozenset(c) for c in candidates)
 
 
-def _extend_over(g, facts, unary, assignment, order, pos) -> bool:
+def _extend_over(g, comp_of, unary, assignment, order, pos) -> bool:
     if pos == len(order):
         return True
     v = order[pos]
     for t in sorted(unary[v]):
-        if all(_pair_constraint_ok(g, facts, u, tu, v, t) for u, tu in assignment.items()):
+        if all(_pair_constraint_ok(g, comp_of, u, tu, v, t) for u, tu in assignment.items()):
             assignment[v] = t
-            if _extend_over(g, facts, unary, assignment, order, pos + 1):
+            if _extend_over(g, comp_of, unary, assignment, order, pos + 1):
                 del assignment[v]
                 return True
             del assignment[v]
@@ -264,7 +262,7 @@ def is_stratified(g: Graph, f: HomophilyFunction) -> bool:
 def betweenness_condition(g: Graph) -> bool:
     """Isolated vertices plus at most one component with >= 2 vertices in
     which every degree is >= 2, the diameter is 2, and a pair is adjacent
-    exactly when neither of N(i) - {j}, N(j) - {i} contains the other."""
+    exactly when neither of the two dominates the other."""
     adj = g.adjacency()
     nontrivial = [c for c in component_masks(g) if c.bit_count() >= 2]
     if not nontrivial:
@@ -282,10 +280,7 @@ def betweenness_condition(g: Graph) -> bool:
     if diam != 2:
         return False
     for u, v in itertools.combinations(members, 2):
-        nu = adj[u] & ~(1 << v)
-        nv = adj[v] & ~(1 << u)
-        comparable = (nu & ~nv == 0) or (nv & ~nu == 0)
-        if g.has_edge(u, v) == comparable:
+        if g.has_edge(u, v) == (dominates(g, v, u) or dominates(g, u, v)):
             return False
     return True
 
@@ -442,7 +437,7 @@ def falsify_axiom(
         )
     cache = cache or EvalCache()
     exact = measure.is_exact
-    guard_isolated = measure.kind in UNDEFINED_ON_ISOLATED
+    guard_isolated = KINDS[measure.kind].undefined_on_isolated
     near: list[AxiomInstance] = []
 
     if axiom == "3":

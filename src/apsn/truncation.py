@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .centrality import Measure
+from .centrality import KINDS, Measure
 from .errors import (
     ContractError,
     MalformedLineError,
@@ -23,11 +23,6 @@ from .errors import (
 from .game import EvalCache, GameSpec, NumericAgent
 from .graphs import Graph, pair_list, to_graph6
 
-#: Measure kinds that gain strictly from every incident edge addition.
-INCREASING_KINDS = frozenset(
-    {"degree", "linear", "harmonic", "decay", "katz", "pagerank"}
-)
-
 MAXIMAL_MEMBER_CAP = 6
 
 Threshold = Optional[Fraction]
@@ -35,7 +30,7 @@ Threshold = Optional[Fraction]
 
 def _check_increasing(measures: Sequence[Measure]) -> None:
     for m in measures:
-        if m.kind not in INCREASING_KINDS:
+        if not KINDS[m.kind].increasing:
             raise ParameterError(
                 f"{m.kind} is not an increasing measure; truncation analysis "
                 "requires one"

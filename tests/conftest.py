@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,6 +20,17 @@ def shared_cache():
     from apsn.game import EvalCache
 
     return EvalCache()
+
+
+@pytest.fixture()
+def one_measure_per_kind():
+    """A measure of every kind in ``KINDS`` but linear, whose weight table
+    fixes n: decay 1/2, Katz alpha 0.1, PageRank damping 0.85 and the
+    parameterless kinds."""
+    from apsn.centrality import KINDS, Measure, decay, katz, pagerank
+
+    params = {"decay": decay(Fraction(1, 2)), "katz": katz(0.1), "pagerank": pagerank(0.85)}
+    return [params.get(kind) or Measure(kind) for kind in KINDS if kind != "linear"]
 
 
 @pytest.fixture()

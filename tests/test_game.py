@@ -27,6 +27,7 @@ from apsn.game import (
     TolerantPolicy,
     best_response_dynamics,
     candidate_flips,
+    default_policy,
     delta_add,
     delta_remove,
     epsilon_witness,
@@ -182,6 +183,12 @@ def test_approx_requires_tolerant_policy():
     with pytest.raises(SpecValidationError):
         uniform_game(3, NumericAgent(eigenvector()), ExactPolicy())
     uniform_game(3, NumericAgent(eigenvector()), TolerantPolicy())  # fine
+
+
+def test_default_policy_is_tolerant_only_for_approximate_measures():
+    assert default_policy([NumericAgent(eigenvector())]) == TolerantPolicy(1e-9)
+    assert default_policy([NumericAgent(degree()), MonotoneAgent("1")]) == ExactPolicy()
+    assert default_policy([HomophilicAgent()]) == ExactPolicy()
 
 
 @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("-inf")])

@@ -434,6 +434,14 @@ def test_edge_list_errors_are_distinct(text, exc):
 def test_graph6_k3_matches_published_format():
     assert to_graph6(Graph.complete(3)) == "Bw"
     assert from_graph6("Bw") == Graph.complete(3)
+    assert from_graph6(">>graph6<<Bw\n") == Graph.complete(3)
+
+
+@pytest.mark.parametrize("text", ["BwGARBAGE", "Bw\nC~", "Bw C~"])
+def test_graph6_rejects_trailing_input(text):
+    # a file of several graphs must not read as its first graph
+    with pytest.raises(MalformedLineError):
+        from_graph6(text)
 
 
 @given(graphs_strategy(max_n=7))

@@ -47,16 +47,20 @@ def test_linear_measure_reads_weight_file(tmp_path):
     assert m.weights[0][1] == 4 and m.weights[2][1] == 2
 
 
-def test_grammar_round_trip():
+def test_grammar_round_trip(one_measure_per_kind):
     for text in ("degree", "decay:1/2", "katz:0.25", "pagerank:0.9", "gametheoretic"):
         assert measure_grammar(parse_measure(text)) == text
+    for m in one_measure_per_kind:
+        assert parse_measure(measure_grammar(m)) == m
 
 
-def test_unknown_measure_rejected():
-    with pytest.raises(MeasureGrammarError):
+def test_unknown_measure_rejected(one_measure_per_kind):
+    with pytest.raises(MeasureGrammarError, match="unknown measure"):
         parse_measure("pagerangk")
-    with pytest.raises(MeasureGrammarError):
-        parse_measure("degree:3")
+    for m in one_measure_per_kind:
+        if m.kind not in ("decay", "katz", "pagerank"):
+            with pytest.raises(MeasureGrammarError, match="takes no parameter"):
+                parse_measure(f"{m.kind}:3")
 
 
 def test_out_of_range_parameter_is_a_parameter_error():
