@@ -3,7 +3,9 @@
 
     python3 scripts/bench_compare.py --base ../apsn-parent --label spectral_kernels
 
-For every workload in BENCHMARK.json, each of ten pairs runs
+First every workload in BENCHMARK.json runs traced (``--trace 1``) with
+seeds 1, 2 and 3 on both sides.  Then, for every workload, each of ten pairs
+runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -11,9 +13,10 @@ once in the base checkout and once in this one, with seed S = pair number
 and T = BENCHMARK.json's run_seconds, and alternates which side runs first.
 The JSON file at this repository's root holds every run's end-to-end metrics
 and, per workload and metric, each side's median and quartiles and the
-number of pairs this checkout won.  A run that exits non-zero stops the
-comparison: its workload, seed, side and the tail of its stderr go to stderr
-and the script exits non-zero.
+number of pairs this checkout won, and whether each traced run was correct.
+A run that exits non-zero stops the comparison: its workload, seed, side,
+whether it was traced and the tail of its stderr go to stderr and the
+script exits non-zero.
 """
 from __future__ import annotations
 
@@ -28,21 +31,25 @@ from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
 PAIRS = 10
+#: seeds of the traced runs made on each side before the pairs
+TRACED_SEEDS = (1, 2, 3)
 #: stderr lines of a failed run worth showing
 STDERR_TAIL = 20
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, side: str) -> dict:
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, side: str, trace: int = 0
+) -> dict:
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     out = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if out.returncode:
         tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
         sys.exit(
-            f"{workload} seed {seed} on {side} ({checkout}) exited {out.returncode}; "
-            f"stderr ends:\n{tail}"
+            f"{workload} seed {seed}{' traced' if trace else ''} on {side} ({checkout}) "
+            f"exited {out.returncode}; stderr ends:\n{tail}"
         )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {
@@ -73,11 +80,11 @@ def compare(runs: list[dict], spec: dict) -> dict:
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="checkout to compare against")
     parser.add_argument("--label", required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     bench = json.loads((HEAD / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -91,7 +98,16 @@ def main() -> int:
         },
         "workloads": {},
     }
-    for workload in (w["name"] for w in bench["workloads"]):
+    names = [w["name"] for w in bench["workloads"]]
+    traced = {name: [] for name in names}
+    for workload in names:
+        for seed in TRACED_SEEDS:
+            for side, checkout in (("base", args.base), ("head", HEAD)):
+                run = run_once(checkout, workload, seed, seconds, side, trace=1)
+                traced[workload].append(
+                    {"seed": seed, "side": side, "correct": run["correct"], "failed": run["failed"]}
+                )
+    for workload in names:
         runs = []
         for seed in range(1, PAIRS + 1):
             sides = ["base", "head"] if seed % 2 else ["head", "base"]
@@ -106,6 +122,7 @@ def main() -> int:
             "failed": {s: sum(r[s]["failed"] for r in runs) for s in ("base", "head")},
             "metrics": {spec["name"]: compare(runs, spec) for spec in bench["end_to_end"]},
             "runs": runs,
+            "traced": traced[workload],
         }
     out = HEAD / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")

@@ -3,8 +3,8 @@
 Exact measures return Fractions; spectral measures (eigenvector, Katz,
 PageRank) return floats and are tagged approximate.  The random-walk
 vectors come from integer adjugates of reduced Laplacians.  Closeness,
-decay, harmonic and eccentricity are read off one bitmask BFS distance
-histogram per vertex; these and betweenness and game-theoretic centrality
+decay, harmonic and eccentricity are read off the bitmask BFS distance
+histogram of one vertex; these and betweenness and game-theoretic centrality
 sum integer numerators over one denominator and build a single Fraction per
 value, shared through bounded memos.  Each spectral vector is one dense
 numpy call: an ``eigh`` projection for eigenvector centrality, a linear
@@ -12,7 +12,10 @@ solve for Katz and PageRank.  The independent oracles these kernels are
 checked against live with the tests.
 
 ``KINDS`` maps every measure kind to its kernel and to every fact about the
-kind that other modules need; no other module keeps a list of kinds.
+kind that other modules need; no other module keeps a list of kinds.  The
+local kinds (degree, linear, closeness, eccentricity, decay, harmonic and
+game-theoretic) compute one vertex's value from the adjacency rows, so the
+flip engine evaluates an endpoint without building a whole vector.
 
 Conventions for degenerate inputs, applied consistently throughout:
 
@@ -29,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,8 +64,9 @@ class Measure:
             if not (0 < self.alpha < 1):
                 raise ParameterError("katz alpha must satisfy 0 < alpha < 1")
         if self.kind == "pagerank":
-            d = 0.85 if self.damping is None else self.damping
-            if not (0 < d < 1):
+            if self.damping is None:
+                object.__setattr__(self, "damping", 0.85)
+            if not (0 < self.damping < 1):
                 raise ParameterError("pagerank damping must be in (0, 1)")
         if self.kind == "linear":
             w = self.weights
@@ -83,6 +87,17 @@ class Measure:
     @property
     def is_exact(self) -> bool:
         return KINDS[self.kind].exact
+
+    @property
+    def is_increasing(self) -> bool:
+        """Every vertex strictly gains from each edge it adds, on every graph
+        of every size: truncation analysis needs it.  Katz with a fixed alpha
+        counts walks, and the new edge is a new walk for both endpoints; the
+        automatic alpha halves when the largest degree grows, and PageRank
+        loses at n = 6 (the K_2 endpoint of K_4 + K_2 joining the K_4)."""
+        if self.kind == "katz":
+            return self.alpha is not None
+        return self.kind in ("degree", "linear", "decay", "harmonic")
 
 
 def degree() -> Measure:
@@ -151,22 +166,23 @@ def _next_level(adj: tuple[int, ...], frontier: int, seen: int) -> int:
     return nxt & ~seen
 
 
-def _distance_histograms(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Per source s, (c_1, ..., c_D): c_d vertices lie at distance d from s
-    and D is the largest finite distance.  Unreachable vertices are not
-    counted, so an isolated vertex has the empty histogram."""
-    out = []
-    for s in range(len(adj)):
-        seen = frontier = 1 << s
-        hist = []
-        while True:
-            frontier = _next_level(adj, frontier, seen)
-            if not frontier:
-                break
-            hist.append(frontier.bit_count())
-            seen |= frontier
-        out.append(tuple(hist))
-    return out
+def _distance_histogram(adj, s: int) -> tuple[int, ...]:
+    """(c_1, ..., c_D): c_d vertices lie at distance d from s and D is the
+    largest finite distance.  Unreachable vertices are not counted, so an
+    isolated vertex has the empty histogram."""
+    seen = frontier = 1 << s
+    hist = []
+    while True:
+        nxt = 0  # _next_level, inlined: this loop is the flip engine's hot path
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            return tuple(hist)
+        hist.append(frontier.bit_count())
+        seen |= frontier
 
 
 def _shortest_paths(adj: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
@@ -226,18 +242,17 @@ def _fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _degree_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
-    return tuple(_fraction(a.bit_count(), 1) for a in g.adjacency())
+def _degree_at(adj, v: int, m: Measure) -> Fraction:
+    return _fraction(adj[v].bit_count(), 1)
 
 
-def _linear_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
+def _linear_at(adj, v: int, m: Measure) -> Fraction:
     weights = m.weights
-    if len(weights) != g.n:
-        raise ParameterError(f"weight table is {len(weights)}x{len(weights)}, graph has n={g.n}")
-    adj = g.adjacency()
-    return tuple(
-        Fraction(sum(weights[i][j] for j in bits(adj[i]))) for i in range(g.n)
-    )
+    if len(weights) != len(adj):
+        raise ParameterError(
+            f"weight table is {len(weights)}x{len(weights)}, graph has n={len(adj)}"
+        )
+    return Fraction(sum(weights[v][j] for j in bits(adj[v])))
 
 
 @functools.cache
@@ -271,25 +286,23 @@ def _decay_value(p: int, q: int, hist: tuple[int, ...]) -> Fraction:
     return Fraction(num, q ** len(hist))
 
 
-def _closeness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
-    return tuple(map(_closeness_value, _distance_histograms(g.adjacency())))
+def _closeness_at(adj, v: int, m: Measure) -> Fraction:
+    return _closeness_value(_distance_histogram(adj, v))
 
 
-def _harmonic_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
-    return tuple(map(_harmonic_value, _distance_histograms(g.adjacency())))
+def _harmonic_at(adj, v: int, m: Measure) -> Fraction:
+    return _harmonic_value(_distance_histogram(adj, v))
 
 
-def _decay_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
-    p, q = m.beta.numerator, m.beta.denominator
-    return tuple(_decay_value(p, q, hist) for hist in _distance_histograms(g.adjacency()))
+def _decay_at(adj, v: int, m: Measure) -> Fraction:
+    beta = m.beta
+    return _decay_value(beta.numerator, beta.denominator, _distance_histogram(adj, v))
 
 
-def _eccentricity_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
+def _eccentricity_at(adj, v: int, m: Measure) -> Fraction:
     # (n-1) / max distance within the own component; 0 for isolated vertices.
-    return tuple(
-        _fraction(g.n - 1, len(hist)) if hist else _ZERO
-        for hist in _distance_histograms(g.adjacency())
-    )
+    hist = _distance_histogram(adj, v)
+    return _fraction(len(adj) - 1, len(hist)) if hist else _ZERO
 
 
 def _betweenness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
@@ -325,21 +338,17 @@ def _betweenness_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) if x else _ZERO for x in num)
 
 
-def _gametheoretic_vector(g: Graph, m: Measure) -> tuple[Fraction, ...]:
+def _gametheoretic_at(adj, v: int, m: Measure) -> Fraction:
     """Sum over the closed neighbourhood of 1 / (degree + 1), as integers
     lcm(1..n) / (degree + 1) over lcm(1..n)."""
-    adj = g.adjacency()
-    den = _LCM[g.n]
-    share = [den // (a.bit_count() + 1) for a in adj]
-    out = []
-    for i, a in enumerate(adj):
-        num = share[i]
-        while a:
-            low = a & -a
-            num += share[low.bit_length() - 1]
-            a ^= low
-        out.append(_fraction(num, den))
-    return tuple(out)
+    den = _LCM[len(adj)]
+    a = adj[v]
+    num = den // (a.bit_count() + 1)
+    while a:
+        low = a & -a
+        num += den // (adj[low.bit_length() - 1].bit_count() + 1)
+        a ^= low
+    return _fraction(num, den)
 
 
 def _reduced_laplacian_adjugates(g: Graph):
@@ -451,7 +460,7 @@ def _pagerank_vector(g: Graph, m: Measure) -> tuple[float, ...]:
     """The solution of (I - d P) x = (1 - d) / n 1, where P is the
     column-stochastic walk matrix and a dangling (isolated) vertex's column
     is uniform 1 / n."""
-    d = 0.85 if m.damping is None else m.damping
+    d = m.damping
     n = g.n
     a = _adjacency_matrix(g)
     deg = a.sum(axis=0)
@@ -467,30 +476,43 @@ def _pagerank_vector(g: Graph, m: Measure) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class Kind:
     """A measure kind's kernel ``vector(g, m)`` (most kernels read only g)
-    and the facts other modules ask about it."""
+    and the facts other modules ask about it.
+
+    A local kind's value at v comes from the adjacency rows alone: its one
+    kernel is ``at(adj, v, m)``, and its ``vector`` is that kernel at every
+    vertex.  A global kind has ``at = None``."""
 
     vector: Callable[[Graph, Measure], tuple]
+    at: Callable[[Sequence[int], int, Measure], Fraction] | None = None
     exact: bool = True  # Fractions, not tagged floats
     solve: bool = False  # a linear solve or eigendecomposition per graph: census cap
-    increasing: bool = False  # strictly gains from every incident addition: truncation
     undefined_on_isolated: bool = False  # empty sum at an isolated vertex: axiom checks skip it
     labeled: bool = False  # reads vertex labels: a census colours every vertex apart
 
 
+def _vector_at(at, g: Graph, m: Measure) -> tuple:
+    adj = g.adjacency()
+    return tuple([at(adj, v, m) for v in range(g.n)])
+
+
+def _local(at, **facts) -> Kind:
+    return Kind(functools.partial(_vector_at, at), at, **facts)
+
+
 KINDS: dict[str, Kind] = {
-    "degree": Kind(_degree_vector, increasing=True),
-    "linear": Kind(_linear_vector, increasing=True, labeled=True),
-    "closeness": Kind(_closeness_vector, undefined_on_isolated=True),
-    "eccentricity": Kind(_eccentricity_vector, undefined_on_isolated=True),
+    "degree": _local(_degree_at),
+    "linear": _local(_linear_at, labeled=True),
+    "closeness": _local(_closeness_at, undefined_on_isolated=True),
+    "eccentricity": _local(_eccentricity_at, undefined_on_isolated=True),
     "rwcloseness": Kind(_rwcloseness_vector, solve=True, undefined_on_isolated=True),
-    "decay": Kind(_decay_vector, increasing=True),
-    "harmonic": Kind(_harmonic_vector, increasing=True),
+    "decay": _local(_decay_at),
+    "harmonic": _local(_harmonic_at),
     "betweenness": Kind(_betweenness_vector),
     "rwbetweenness": Kind(_rwbetweenness_vector, solve=True),
-    "gametheoretic": Kind(_gametheoretic_vector),
+    "gametheoretic": _local(_gametheoretic_at),
     "eigenvector": Kind(_eigenvector_vector, exact=False, solve=True),
-    "katz": Kind(_katz_vector, exact=False, solve=True, increasing=True),
-    "pagerank": Kind(_pagerank_vector, exact=False, solve=True, increasing=True),
+    "katz": Kind(_katz_vector, exact=False, solve=True),
+    "pagerank": Kind(_pagerank_vector, exact=False, solve=True),
 }
 
 

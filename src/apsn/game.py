@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .centrality import Measure, centrality_vector
+from .centrality import KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
 from .graphs import Graph, bits, component_masks, pair_list
 from .values import (
@@ -163,9 +163,9 @@ def uniform_game(n: int, agent: Agent, policy: Policy = ExactPolicy()) -> GameSp
 # evaluation cache
 
 
-#: default bound of each EvalCache memo: about 10 MB of n = 7 closeness
-#: vectors (161 B each with their keys), and more than the 32,768 graphs of
-#: a census at n = 6
+#: default bound of each EvalCache memo, more than the 32,768 graphs of a
+#: census at n = 6; full of n = 7 betweenness vectors it holds about 27 MB
+#: (420 B a vector with its key)
 DEFAULT_MAX_VECTORS = 1 << 16
 
 
@@ -198,10 +198,14 @@ class EvalCache:
     """Memo for per-graph centrality vectors and structural facts.
 
     Exhaustive scans revisit the same adjacency masks through edge flips, so
-    one shared cache turns a census into one vector computation per graph.
-    ``max_vectors`` bounds each memo with oldest-first eviction, so memory
-    stays bounded over spaces too large to hold (two million graphs at
-    n = 7) and over long dynamics runs that share a cache.
+    one shared cache turns a census of a global kind (betweenness, the
+    random-walk and spectral kinds) into one vector computation per graph.
+    The flip engine evaluates local kinds at the two endpoints instead and
+    stores none of their vectors; truncation and structure analyses still
+    read any kind's vector here.  ``max_vectors`` bounds each memo with
+    oldest-first eviction, so memory stays bounded over spaces too large to
+    hold (two million graphs at n = 7) and over long dynamics runs that
+    share a cache.
 
     A vector's key is one int packing (slot, n, mask), where the slot numbers
     the distinct measures this cache has seen.  Hashing the frozen
@@ -294,6 +298,32 @@ def _rule_willing(agent: Agent, k: int, i: int, j: int, facts) -> bool:
     return degrees[other] <= agent.f(degrees[k])
 
 
+class _Before:
+    """What the flips of one scan of g share: g's adjacency, built once, and
+    per measure (by id) its kernel ``at`` with its values on g, either a
+    list that a local kind fills vertex by vertex or, for a global kind
+    (``at`` None), its cached vector."""
+
+    __slots__ = ("g", "adj", "found")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.adj = None
+        self.found: dict = {}
+
+    def entry(self, m: Measure, cache: EvalCache) -> tuple:
+        """(at, values on g) of measure m, made on first use."""
+        at = KINDS[m.kind].at
+        if at is None:
+            out = (None, cache.vector(m, self.g))
+        else:
+            if self.adj is None:
+                self.adj = self.g.adjacency()
+            out = (at, [None] * self.g.n)
+        self.found[id(m)] = out
+        return out
+
+
 def _eval_flip(
     spec: GameSpec,
     g: Graph,
@@ -302,7 +332,7 @@ def _eval_flip(
     j: int,
     adding: bool,
     cache: EvalCache,
-    before: dict,
+    before: _Before,
 ) -> tuple[bool, bool, bool, list]:
     """(blocking, ambiguous, fragile, values) of flipping pair ij, which
     turns g into h.
@@ -314,8 +344,10 @@ def _eval_flip(
     ``ambiguous`` means the verdict relies on a near-band float delta, and
     ``fragile`` that a float delta sits on an edge of the band
     (``on_band_edge``), so another labeling of g could read the flip
-    differently.  ``before`` maps id(measure) to its vector on g, shared by
-    the flips of one scan.
+    differently.  ``before`` holds the values on g that the flips of one
+    scan share.  An endpoint of a local kind reads its value on g from
+    there and its value on h from g's adjacency with ij toggled; a global
+    kind reads both from cached vectors.
     """
     agents = spec.agents
     willing = []
@@ -323,18 +355,27 @@ def _eval_flip(
     fragile = False
     values = []
     after = {}
+    adj_h = None
     facts = None
     for k in (i, j):
         agent = agents[k]
         if isinstance(agent, NumericAgent):
             m = agent.measure
-            vg = before.get(id(m))
-            if vg is None:
-                vg = before[id(m)] = cache.vector(m, g)
-            vh = after.get(id(m))
-            if vh is None:
-                vh = after[id(m)] = cache.vector(m, h)
-            b, a = vg[k], vh[k]
+            at, on_g = before.found.get(id(m)) or before.entry(m, cache)
+            if at is None:
+                vh = after.get(id(m))
+                if vh is None:
+                    vh = after[id(m)] = cache.vector(m, h)
+                b, a = on_g[k], vh[k]
+            else:
+                b = on_g[k]
+                if b is None:
+                    b = on_g[k] = at(before.adj, k, m)
+                if adj_h is None:
+                    adj_h = list(before.adj)
+                    adj_h[i] ^= 1 << j
+                    adj_h[j] ^= 1 << i
+                a = at(adj_h, k, m)
             if agent.threshold is not None:
                 b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
             values.append((b, a))
@@ -370,12 +411,21 @@ def _flipped(spec: GameSpec, g: Graph, i: int, j: int, adding: bool) -> Graph:
 
 
 def _flip_deltas(
-    spec: GameSpec, g: Graph, i: int, j: int, adding: bool, cache: EvalCache | None
+    spec: GameSpec,
+    g: Graph,
+    i: int,
+    j: int,
+    adding: bool,
+    cache: EvalCache | None,
+    before: _Before | None = None,
 ) -> tuple[Value, Value]:
+    """Both endpoints' deltas; a scan of g's flips passes one ``before``."""
     h = _flipped(spec, g, i, j, adding)
     if not all(isinstance(spec.agents[k], NumericAgent) for k in (i, j)):
         raise ContractError("centrality deltas are defined for numeric agents only")
-    (bi, ai), (bj, aj) = _eval_flip(spec, g, h, i, j, adding, cache or EvalCache(), {})[3]
+    (bi, ai), (bj, aj) = _eval_flip(
+        spec, g, h, i, j, adding, cache or EvalCache(), before or _Before(g)
+    )[3]
     return _delta_value(spec, bi, ai, i), _delta_value(spec, bj, aj, j)
 
 
@@ -396,14 +446,14 @@ def improving_add(
     spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
 ) -> bool:
     h = _flipped(spec, g, i, j, True)
-    return _eval_flip(spec, g, h, i, j, True, cache or EvalCache(), {})[0]
+    return _eval_flip(spec, g, h, i, j, True, cache or EvalCache(), _Before(g))[0]
 
 
 def improving_remove(
     spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
 ) -> bool:
     h = _flipped(spec, g, i, j, False)
-    return _eval_flip(spec, g, h, i, j, False, cache or EvalCache(), {})[0]
+    return _eval_flip(spec, g, h, i, j, False, cache or EvalCache(), _Before(g))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +541,7 @@ def is_apsn(
     cache = cache or EvalCache()
     report = StabilityReport(stable=True)
     row = 2 * g.n - 1  # pair (i, j) is bit i * (row - i) // 2 + j - i - 1
-    before: dict = {}
+    before = _Before(g)
     for kind, i, j in candidate_flips(g):
         h = g.toggled(i * (row - i) // 2 + j - i - 1)
         blocking, ambiguous, fragile, values = _eval_flip(
@@ -539,8 +589,9 @@ def finite_cost_check(
     if cost <= 0:
         raise ParameterError("edge cost must be positive")
     cache = cache or EvalCache()
+    before = _Before(g)
     for kind, i, j in candidate_flips(g):
-        di, dj = _flip_deltas(spec, g, i, j, kind == "add", cache)
+        di, dj = _flip_deltas(spec, g, i, j, kind == "add", cache, before)
         if kind == "add":
             ui, uj = di.value - cost, dj.value - cost
             if ui >= 0 and uj >= 0 and (ui > 0 or uj > 0):
@@ -556,9 +607,10 @@ def epsilon_witness(spec: GameSpec, g: Graph, cache: EvalCache | None = None) ->
     spec.bind(g)
     _numeric_exact_only(spec)
     cache = cache or EvalCache()
+    before = _Before(g)
     best: Fraction | None = None
     for kind, i, j in candidate_flips(g):
-        for d in _flip_deltas(spec, g, i, j, kind == "add", cache):
+        for d in _flip_deltas(spec, g, i, j, kind == "add", cache, before):
             mag = abs(d.value)
             if mag > 0 and (best is None or mag < best):
                 best = mag

@@ -69,7 +69,7 @@ def measure_grammar(m: Measure) -> str:
     if m.kind == "katz":
         return "katz" if m.alpha is None else f"katz:{m.alpha}"
     if m.kind == "pagerank":
-        return f"pagerank:{0.85 if m.damping is None else m.damping}"
+        return f"pagerank:{m.damping}"
     if m.kind == "linear":
         return "linear:<inline>"
     return m.kind

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .centrality import KINDS, Measure
+from .centrality import Measure
 from .errors import (
     ContractError,
     MalformedLineError,
@@ -30,9 +30,10 @@ Threshold = Optional[Fraction]
 
 def _check_increasing(measures: Sequence[Measure]) -> None:
     for m in measures:
-        if not KINDS[m.kind].increasing:
+        if not m.is_increasing:
+            what = "katz with the automatic alpha" if m.kind == "katz" else m.kind
             raise ParameterError(
-                f"{m.kind} is not an increasing measure; truncation analysis "
+                f"{what} is not an increasing measure; truncation analysis "
                 "requires one"
             )
 

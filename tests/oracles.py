@@ -17,11 +17,14 @@
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
   removals separately, the flip evaluation that ``game._eval_flip``'s one
   rule replaced.
+
+``seeded_weights`` gives the linear kernel tests a reproducible weight table.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -336,6 +339,17 @@ def brute_betweenness(g: Graph, i: int) -> Fraction:
 
 
 # -- census ------------------------------------------------------------------------
+
+
+def seeded_weights(n: int) -> list[list[int]]:
+    """A symmetric weight table for linear centrality on n vertices, with
+    entries 0..2 drawn from a generator seeded by n."""
+    rnd = random.Random(n)
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = rnd.randrange(3)
+    return w
 
 
 def labeled_census(spec: GameSpec, n: int) -> dict:

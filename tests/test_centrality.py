@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from apsn.centrality import (
+    KINDS,
     Measure,
     betweenness,
     centrality,
@@ -48,6 +49,7 @@ from oracles import (
     oracle_rwbetweenness,
     oracle_rwcloseness,
     pagerank_by_iteration,
+    seeded_weights,
 )
 
 ALL_EXACT = [
@@ -367,6 +369,57 @@ def test_distance_kernels_match_oracles_on_the_156_classes_n6():
 def test_distance_kernels_match_oracles_random_n7():
     for g in random_graphs_n7(2006):
         assert_kernels_match(DISTANCE_ORACLES, g)
+
+
+# -- per-vertex kernels of the local kinds -----------------------------------------
+
+LOCAL_KINDS = {"degree", "linear", "closeness", "eccentricity", "decay", "harmonic", "gametheoretic"}
+
+
+def test_local_kinds_are_the_kinds_with_a_per_vertex_kernel():
+    assert {name for name, kind in KINDS.items() if kind.at is not None} == LOCAL_KINDS
+    assert all(KINDS[name].exact for name in LOCAL_KINDS)
+
+
+def local_measures(n: int) -> list:
+    """(measure, oracle) for every local kind, decay at two betas, and a
+    seeded weight table for linear on n vertices."""
+    w = seeded_weights(n)
+    return [
+        (degree(), lambda g: tuple(Fraction(d) for d in g.degrees())),
+        (linear(w), lambda g: tuple(Fraction(sum(w[i][j] for j in g.neighbors(i))) for i in range(n))),
+        *((m, oracle) for m, oracle in DISTANCE_ORACLES if m.kind in LOCAL_KINDS),
+    ]
+
+
+def assert_local_kernels_match(g: Graph):
+    """Each local kernel at each vertex, on the adjacency tuple and on a
+    list copy (the flip engine's toggled rows), is the vector's entry and
+    the oracle's, and a Fraction."""
+    adj = g.adjacency()
+    for m, oracle in local_measures(g.n):
+        at = KINDS[m.kind].at
+        vector, expected = centrality_vector(m, g), oracle(g)
+        for v in range(g.n):
+            for rows in (adj, list(adj)):
+                value = at(rows, v, m)
+                assert value == vector[v] == expected[v], (m, g.mask, v)
+                assert type(value) is type(vector[v]) is Fraction, (m, g.mask, v)
+
+
+def test_local_kernels_match_vectors_and_oracles_exhaustive_n5():
+    for g in graphs_up_to_n5():
+        assert_local_kernels_match(g)
+
+
+def test_local_kernels_match_vectors_and_oracles_on_the_156_classes_n6():
+    for g in atlas_classes_n6():
+        assert_local_kernels_match(g)
+
+
+def test_local_kernels_match_vectors_and_oracles_random_n7():
+    for g in random_graphs_n7(2007):
+        assert_local_kernels_match(g)
 
 
 # -- spectral measures -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -10,10 +12,13 @@ from apsn.centrality import (
     closeness,
     decay,
     degree,
+    eccentricity,
     eigenvector,
     game_theoretic,
     harmonic,
+    linear,
     pagerank,
+    rw_closeness,
 )
 from apsn.errors import ContractError, ParameterError, SpecValidationError
 from apsn.game import (
@@ -39,7 +44,12 @@ from apsn.game import (
 )
 from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
 from apsn.values import Exact, sign_with_band
-from oracles import eigenvector_by_iteration, pagerank_by_iteration, two_way_eval_flip
+from oracles import (
+    eigenvector_by_iteration,
+    pagerank_by_iteration,
+    seeded_weights,
+    two_way_eval_flip,
+)
 
 
 def numeric_game(n, measure, threshold=None):
@@ -267,6 +277,28 @@ def test_dynamics_seed_determinism():
     assert a.final == b.final
 
 
+def test_linear_weight_table_of_another_size_is_refused():
+    for size in (2, 4):
+        spec = numeric_game(3, linear([[0] * size for _ in range(size)]))
+        for g in (Graph.empty(3), Graph.complete(3)):
+            with pytest.raises(ParameterError, match="weight table is"):
+                is_apsn(spec, g)
+
+
+def test_closeness_trajectories_n7_are_pinned():
+    # sha256 of the JSON of 50 seeded n = 7 closeness runs on one shared
+    # cache, recorded before endpoints of local kinds left the cached vectors
+    spec = numeric_game(7, closeness())
+    cache = EvalCache()
+    runs = []
+    for seed in range(50):
+        g0 = Graph(7, random.Random(seed).getrandbits(21))
+        runs.append(best_response_dynamics(spec, g0, 200, seed=seed, cache=cache).to_json())
+    assert sum(len(r["steps"]) for r in runs) == 458 and all(r["converged"] for r in runs)
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == "62f8c72a3ee50c2e40c4b55f957d542705764a55468448077a8a6753d39498b2"
+
+
 def test_candidate_flip_order_additions_then_removals():
     for n in range(1, 5):
         for g in enumerate_labeled_graphs(n):
@@ -403,6 +435,15 @@ ONE_RULE_GAMES = {
         HomophilicAgent(),
         NumericAgent(degree(), Fraction(2)),
         MonotoneAgent("2p"),
+    ]),
+    **{f"local-{m.kind}": partial(numeric_game, measure=m)
+       for m in (degree(), closeness(), eccentricity(), decay(Fraction(1, 2)), harmonic(), game_theoretic())},
+    "local-linear": lambda n: numeric_game(n, linear(seeded_weights(n))),
+    "local-global-mixed": partial(cycled, agents=[
+        NumericAgent(closeness()),
+        NumericAgent(betweenness()),
+        NumericAgent(decay(Fraction(1, 2))),
+        NumericAgent(rw_closeness()),
     ]),
     **{f"{name}-{tol:g}": partial(tolerant_game, measure=m, tol=tol)
        for name, m in (("eigenvector", eigenvector()), ("pagerank", pagerank()))

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from apsn.census import colouring, game_fingerprint
+from apsn.centrality import Measure, pagerank
 from apsn.errors import MeasureGrammarError, ProfileError
 from apsn.game import (
     ExactPolicy,
+    GameSpec,
     HomophilicAgent,
     MonotoneAgent,
     NumericAgent,
     TolerantPolicy,
+    uniform_game,
 )
 from apsn.profiles import load_profile, measure_grammar, parse_measure
 
@@ -50,8 +54,24 @@ def test_linear_measure_reads_weight_file(tmp_path):
 def test_grammar_round_trip(one_measure_per_kind):
     for text in ("degree", "decay:1/2", "katz:0.25", "pagerank:0.9", "gametheoretic"):
         assert measure_grammar(parse_measure(text)) == text
-    for m in one_measure_per_kind:
+    for m in one_measure_per_kind + [Measure("pagerank")]:
         assert parse_measure(measure_grammar(m)) == m
+
+
+def test_pagerank_default_damping_is_normalised():
+    # one measure, one colour, one fingerprint, however it is written
+    assert Measure("pagerank") == pagerank() == pagerank(0.85)
+    assert hash(Measure("pagerank")) == hash(pagerank())
+    spec = GameSpec(
+        (NumericAgent(Measure("pagerank")), NumericAgent(pagerank()), NumericAgent(pagerank())),
+        TolerantPolicy(),
+    )
+    assert colouring(spec) == (0, 0, 0)
+    uniform = uniform_game(3, NumericAgent(pagerank()), TolerantPolicy())
+    assert game_fingerprint(spec) == game_fingerprint(uniform)
+    assert repr(pagerank()) == (
+        "Measure(kind='pagerank', beta=None, alpha=None, damping=0.85, weights=None)"
+    )
 
 
 def test_unknown_measure_rejected(one_measure_per_kind):

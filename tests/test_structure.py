@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 
 from apsn.centrality import (
-    KINDS,
     betweenness,
+    centrality_vector,
     closeness,
     decay,
     degree,
     eccentricity,
     game_theoretic,
     harmonic,
+    katz,
+    pagerank,
 )
 from apsn.errors import ContractError, ParameterError, SizeGuardError
 from apsn.game import (
@@ -24,7 +26,7 @@ from apsn.game import (
     NumericAgent,
     uniform_game,
 )
-from apsn.graphs import Graph, canonical_form, enumerate_labeled_graphs, read_edge_list
+from apsn.graphs import Graph, canonical_form, enumerate_labeled_graphs, from_graph6, read_edge_list
 from apsn.game import is_apsn
 from apsn.profiles import load_profile_file
 from apsn.structure import (
@@ -434,14 +436,34 @@ def test_falsifier_rejects_unknown_axiom():
 
 
 def test_increasing_axiom_family_n5(shared_cache, one_measure_per_kind):
-    # a kind is marked increasing exactly when the falsifier finds no
-    # violation up to n = 5; exact members are checked exactly, spectral
-    # members report only confident violations and log near-band events
+    # a measure is increasing exactly when the falsifier finds no violation
+    # up to n = 5, except PageRank, whose first violation is at n = 6 (next
+    # test); exact members are checked exactly, spectral members report only
+    # confident violations and log near-band events
     for m in one_measure_per_kind:
         result = falsify_axiom(m, "1", 5, cache=shared_cache)
-        assert (result.counterexample is None) == KINDS[m.kind].increasing, m.kind
-        if m.is_exact and KINDS[m.kind].increasing:
+        if m.kind == "pagerank":
+            assert result.counterexample is None and not m.is_increasing
+            continue
+        assert (result.counterexample is None) == m.is_increasing, m.kind
+        if m.is_exact and m.is_increasing:
             assert not result.near_band
+
+
+def test_pagerank_and_auto_katz_lose_from_an_own_edge():
+    # E`r? is K4 minus 45 on {0, 1, 4, 5} plus the edge 23; adding 02 lowers
+    # vertex 2's PageRank by exactly 77231/15140694 at d = 17/20
+    g = from_graph6("E`r?")
+    before = centrality_vector(pagerank(), g)[2]
+    after = centrality_vector(pagerank(), g.add_edge(0, 2))[2]
+    assert after - before == pytest.approx(-77231 / 15140694, rel=1e-9)
+    # on the path Bo, centred at 0, dropping 02 doubles the automatic alpha
+    path = from_graph6("Bo")
+    before = centrality_vector(katz(), path)[0]
+    after = centrality_vector(katz(), path.remove_edge(0, 2))[0]
+    assert after - before == pytest.approx(2 / 7, rel=1e-9)
+    assert not pagerank().is_increasing and not katz().is_increasing
+    assert katz(0.1).is_increasing
 
 
 def test_falsifier_reads_a_float_zero_as_undecided():

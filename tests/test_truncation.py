@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsn.centrality import closeness, decay, degree, harmonic, linear
+from apsn.centrality import closeness, decay, degree, harmonic, katz, linear, pagerank
 from apsn.errors import MalformedLineError, ParameterError
 from apsn.game import EvalCache, is_apsn
 from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
@@ -55,6 +55,14 @@ def test_universality_random_harmonic_n7(rng):
 def test_universality_rejects_non_increasing_measures():
     with pytest.raises(ParameterError):
         universality_thresholds(Graph.path(3), [closeness()] * 3)
+    # increasing only on some graphs: PageRank from n = 6, Katz whose alpha
+    # follows the largest degree
+    for m in (pagerank(), katz()):
+        with pytest.raises(ParameterError, match="not an increasing measure"):
+            universality_thresholds(Graph.path(3), [m] * 3)
+        with pytest.raises(ParameterError, match="not an increasing measure"):
+            pareto_check(Graph.path(3), [m] * 3, [None] * 3)
+    assert universality_thresholds(Graph.path(3), [katz(0.1)] * 3)
 
 
 # -- pareto check ---------------------------------------------------------------
