@@ -14,9 +14,12 @@ and T = BENCHMARK.json's run_seconds, and alternates which side runs first.
 The JSON file at this repository's root holds every run's end-to-end metrics
 and, per workload and metric, each side's median and quartiles and the
 number of pairs this checkout won, and whether each traced run was correct.
-A run that exits non-zero stops the comparison: its workload, seed, side,
-whether it was traced and the tail of its stderr go to stderr and the
-script exits non-zero.
+
+A traced run that exits non-zero is recorded with its exit code and the tail
+of its stderr, and the comparison goes on; the script still writes the JSON
+file and then exits non-zero.  An untraced run that exits non-zero stops the
+comparison: its workload, seed, side and the tail of its stderr go to stderr
+and the script exits non-zero.
 """
 from __future__ import annotations
 
@@ -40,6 +43,9 @@ STDERR_TAIL = 20
 def run_once(
     checkout: Path, workload: str, seed: int, seconds: float, side: str, trace: int = 0
 ) -> dict:
+    """One run's correctness and end-to-end metrics.  A failed run exits
+    this script unless it was traced; a failed traced run is returned as
+    ``{"exit": code, "stderr_tail": text}``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -47,12 +53,17 @@ def run_once(
     out = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if out.returncode:
         tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
-        sys.exit(
+        message = (
             f"{workload} seed {seed}{' traced' if trace else ''} on {side} ({checkout}) "
             f"exited {out.returncode}; stderr ends:\n{tail}"
         )
+        if not trace:
+            sys.exit(message)
+        print(message, file=sys.stderr)
+        return {"exit": out.returncode, "stderr_tail": tail}
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {
+        "exit": 0,
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -104,9 +115,8 @@ def main(argv=None) -> int:
         for seed in TRACED_SEEDS:
             for side, checkout in (("base", args.base), ("head", HEAD)):
                 run = run_once(checkout, workload, seed, seconds, side, trace=1)
-                traced[workload].append(
-                    {"seed": seed, "side": side, "correct": run["correct"], "failed": run["failed"]}
-                )
+                run.pop("metrics", None)
+                traced[workload].append({"seed": seed, "side": side, **run})
     for workload in names:
         runs = []
         for seed in range(1, PAIRS + 1):
@@ -127,6 +137,15 @@ def main(argv=None) -> int:
     out = HEAD / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
+    failed = [
+        f"{workload} seed {t['seed']} on {t['side']} exited {t['exit']}"
+        for workload, runs in traced.items()
+        for t in runs
+        if t["exit"]
+    ]
+    if failed:
+        print("failed traced runs: " + "; ".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 

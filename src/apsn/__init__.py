@@ -24,8 +24,6 @@ from .game import (  # noqa: F401
     best_response_dynamics,
     epsilon_witness,
     finite_cost_check,
-    improving_add,
-    improving_remove,
     is_apsn,
     uniform_game,
 )

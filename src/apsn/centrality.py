@@ -94,10 +94,14 @@ class Measure:
         of every size: truncation analysis needs it.  Katz with a fixed alpha
         counts walks, and the new edge is a new walk for both endpoints; the
         automatic alpha halves when the largest degree grows, and PageRank
-        loses at n = 6 (the K_2 endpoint of K_4 + K_2 joining the K_4)."""
+        loses at n = 6 (the K_2 endpoint of K_4 + K_2 joining the K_4).  A
+        linear centrality gains nothing from a pair of weight 0."""
         if self.kind == "katz":
             return self.alpha is not None
-        return self.kind in ("degree", "linear", "decay", "harmonic")
+        if self.kind == "linear":
+            w = self.weights
+            return all(w[i][j] for i in range(len(w)) for j in range(len(w)) if i != j)
+        return self.kind in ("degree", "decay", "harmonic")
 
 
 def degree() -> Measure:
@@ -480,7 +484,16 @@ class Kind:
 
     A local kind's value at v comes from the adjacency rows alone: its one
     kernel is ``at(adj, v, m)``, and its ``vector`` is that kernel at every
-    vertex.  A global kind has ``at = None``."""
+    vertex.  A global kind has ``at = None``.
+
+    ``gains_in_component`` says that a vertex strictly gains from every edge
+    it adds inside its own component, on every graph.  It holds for degree,
+    and for closeness, decay and harmonic, because such an edge lengthens no
+    distance and shortens the one to the partner from at least 2 to 1.  It
+    fails for linear (a weight may be 0), eccentricity (the largest distance
+    may stay), game-theoretic (the partner's degree rises too) and every
+    global kind.  The flip engine decides a flip between two untruncated
+    agents of such kinds from it, without evaluating the flip."""
 
     vector: Callable[[Graph, Measure], tuple]
     at: Callable[[Sequence[int], int, Measure], Fraction] | None = None
@@ -488,6 +501,7 @@ class Kind:
     solve: bool = False  # a linear solve or eigendecomposition per graph: census cap
     undefined_on_isolated: bool = False  # empty sum at an isolated vertex: axiom checks skip it
     labeled: bool = False  # reads vertex labels: a census colours every vertex apart
+    gains_in_component: bool = False  # strict gain from each edge added in the own component
 
 
 def _vector_at(at, g: Graph, m: Measure) -> tuple:
@@ -500,13 +514,13 @@ def _local(at, **facts) -> Kind:
 
 
 KINDS: dict[str, Kind] = {
-    "degree": _local(_degree_at),
+    "degree": _local(_degree_at, gains_in_component=True),
     "linear": _local(_linear_at, labeled=True),
-    "closeness": _local(_closeness_at, undefined_on_isolated=True),
+    "closeness": _local(_closeness_at, undefined_on_isolated=True, gains_in_component=True),
     "eccentricity": _local(_eccentricity_at, undefined_on_isolated=True),
     "rwcloseness": Kind(_rwcloseness_vector, solve=True, undefined_on_isolated=True),
-    "decay": _local(_decay_at),
-    "harmonic": _local(_harmonic_at),
+    "decay": _local(_decay_at, gains_in_component=True),
+    "harmonic": _local(_harmonic_at, gains_in_component=True),
     "betweenness": Kind(_betweenness_vector),
     "rwbetweenness": Kind(_rwbetweenness_vector, solve=True),
     "gametheoretic": _local(_gametheoretic_at),

@@ -14,9 +14,22 @@ when ``sign_with_band`` reads the rise as positive).
 Rule-based agents answer the same question structurally, from lo alone:
 monotone types from whether i and j share a component of lo, degree-homophilic
 agents from their threshold function on lo's degrees.
+
+Some flips are settled without evaluating either endpoint.  When both
+endpoints are untruncated numeric agents whose kind gains from every edge
+added inside its own component (``Kind.gains_in_component``: degree,
+closeness, decay, harmonic):
+
+* an addition of ij when i and j share a component of g blocks;
+* a removal of ij when i and j share a neighbour in g never blocks (in g - ij
+  they are still at distance 2).
+
+A stability report still lists every blocking flip with both endpoints'
+deltas; best-response dynamics computes deltas only for the flip it takes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -25,7 +38,7 @@ from typing import Iterator, Optional, Union
 
 from .centrality import KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
-from .graphs import Graph, bits, component_masks, pair_list
+from .graphs import Graph, bits, component_masks, pair_list, reachable_from
 from .values import (
     DEFAULT_TOLERANCE,
     Approx,
@@ -139,6 +152,18 @@ class GameSpec:
     @property
     def n(self) -> int:
         return len(self.agents)
+
+    @functools.cached_property
+    def settles(self) -> int:
+        """Bitmask of the agents whose flips a kind fact can settle: the
+        untruncated numeric agents of a kind with ``gains_in_component``."""
+        return sum(
+            1 << k
+            for k, agent in enumerate(self.agents)
+            if isinstance(agent, NumericAgent)
+            and agent.threshold is None
+            and KINDS[agent.measure.kind].gains_in_component
+        )
 
     def bind(self, g: Graph) -> None:
         if g.n != self.n:
@@ -429,38 +454,11 @@ def _flip_deltas(
     return _delta_value(spec, bi, ai, i), _delta_value(spec, bj, aj, j)
 
 
-def delta_add(
-    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
-) -> tuple[Value, Value]:
-    """Truncated-centrality changes at both endpoints when edge ij is added."""
-    return _flip_deltas(spec, g, i, j, True, cache)
-
-
-def delta_remove(
-    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
-) -> tuple[Value, Value]:
-    return _flip_deltas(spec, g, i, j, False, cache)
-
-
-def improving_add(
-    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
-) -> bool:
-    h = _flipped(spec, g, i, j, True)
-    return _eval_flip(spec, g, h, i, j, True, cache or EvalCache(), _Before(g))[0]
-
-
-def improving_remove(
-    spec: GameSpec, g: Graph, i: int, j: int, cache: EvalCache | None = None
-) -> bool:
-    h = _flipped(spec, g, i, j, False)
-    return _eval_flip(spec, g, h, i, j, False, cache or EvalCache(), _Before(g))[0]
-
-
 # ---------------------------------------------------------------------------
 # stability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flip:
     i: int
     j: int
@@ -526,6 +524,61 @@ def candidate_flips(g: Graph) -> Iterator[tuple[str, int, int]]:
         mask ^= low
 
 
+def _scan(
+    spec: GameSpec, g: Graph, cache: EvalCache, before: _Before, settle_additions: bool
+) -> Iterator[tuple]:
+    """The flips of g, in ``candidate_flips`` order, that block, are
+    ambiguous or are fragile, as (kind, i, j, blocking, ambiguous, fragile,
+    values).
+
+    A flip between two agents in ``spec.settles`` is settled when a kind
+    fact decides it: a removal between two vertices with a common neighbour
+    never blocks and is skipped, and with ``settle_additions`` an addition
+    inside a component blocks and comes with ``values`` None.  Every other
+    flip is evaluated.  A caller that needs every blocking flip's values
+    evaluates additions: settling one would only add its component search.
+    """
+    settle = spec.settles
+    if settle and before.adj is None:
+        before.adj = g.adjacency()
+    adj = before.adj
+    reached = 0  # the component last searched, of an addition's i
+    row = 2 * g.n - 1  # pair (i, j) is bit i * (row - i) // 2 + j - i - 1
+    for kind, i, j in candidate_flips(g):
+        adding = kind == "add"
+        if settle and settle >> i & settle >> j & 1:
+            if not adding:
+                if adj[i] & adj[j]:
+                    continue
+            elif settle_additions:
+                if not reached >> i & 1:
+                    reached = reachable_from(adj, 1 << i)
+                if reached >> j & 1:
+                    yield kind, i, j, True, False, False, None
+                    continue
+        h = g.toggled(i * (row - i) // 2 + j - i - 1)
+        blocking, ambiguous, fragile, values = _eval_flip(
+            spec, g, h, i, j, adding, cache, before
+        )
+        if blocking or ambiguous or fragile:
+            yield kind, i, j, blocking, ambiguous, fragile, values
+
+
+def _with_deltas(
+    spec: GameSpec, g: Graph, kind: str, i: int, j: int, values, cache: EvalCache, before: _Before
+) -> Flip:
+    """The ``Flip`` of pair ij of g with both endpoints' deltas, from the
+    ``values`` of its ``_scan`` entry; a settled flip is evaluated here."""
+    if values is None:
+        h = g.toggled(i * (2 * g.n - 1 - i) // 2 + j - i - 1)
+        values = _eval_flip(spec, g, h, i, j, kind == "add", cache, before)[3]
+    deltas = [
+        None if v is None else _delta_value(spec, v[0], v[1], k)
+        for k, v in zip((i, j), values)
+    ]
+    return Flip(i, j, kind, deltas[0], deltas[1])
+
+
 def is_apsn(
     spec: GameSpec,
     g: Graph,
@@ -540,22 +593,13 @@ def is_apsn(
     spec.bind(g)
     cache = cache or EvalCache()
     report = StabilityReport(stable=True)
-    row = 2 * g.n - 1  # pair (i, j) is bit i * (row - i) // 2 + j - i - 1
     before = _Before(g)
-    for kind, i, j in candidate_flips(g):
-        h = g.toggled(i * (row - i) // 2 + j - i - 1)
-        blocking, ambiguous, fragile, values = _eval_flip(
-            spec, g, h, i, j, kind == "add", cache, before
-        )
+    for kind, i, j, blocking, ambiguous, fragile, values in _scan(spec, g, cache, before, False):
         if fragile:
             report.fragile = True
         if not (blocking or ambiguous):
             continue
-        deltas = [
-            None if v is None else _delta_value(spec, v[0], v[1], k)
-            for k, v in zip((i, j), values)
-        ]
-        flip = Flip(i, j, kind, deltas[0], deltas[1])
+        flip = _with_deltas(spec, g, kind, i, j, values, cache, before)
         if ambiguous:
             report.ambiguous_flips.append(flip)
         if blocking:
@@ -649,7 +693,8 @@ def best_response_dynamics(
 
     ``rule='first'`` always takes the first blocking flip in the fixed scan
     order; ``rule='random'`` draws uniformly among all blocking flips with a
-    deterministic seeded generator.
+    deterministic seeded generator.  Each step runs the scan of ``is_apsn``
+    and computes deltas only for the flip it takes.
     """
     if rule not in ("random", "first"):
         raise ParameterError("dynamics rule must be 'random' or 'first'")
@@ -659,15 +704,17 @@ def best_response_dynamics(
     g = g0
     steps: list[Flip] = []
     for _ in range(max_steps):
-        report = is_apsn(spec, g, cache, early_exit=(rule == "first"))
-        if report.stable:
+        before = _Before(g)
+        blocking = (flip for flip in _scan(spec, g, cache, before, True) if flip[3])
+        if rule == "first":
+            flip = next(blocking, None)
+        else:
+            found = list(blocking)
+            flip = rng.choice(found) if found else None
+        if flip is None:
             return Trajectory(steps, g, True)
-        flip = (
-            report.blocking_flips[0]
-            if rule == "first"
-            else rng.choice(report.blocking_flips)
-        )
-        steps.append(flip)
-        g = g.add_edge(flip.i, flip.j) if flip.kind == "add" else g.remove_edge(flip.i, flip.j)
-    final_report = is_apsn(spec, g, cache, early_exit=True)
-    return Trajectory(steps, g, final_report.stable)
+        kind, i, j, *_, values = flip
+        steps.append(_with_deltas(spec, g, kind, i, j, values, cache, before))
+        g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
+    stable = not any(flip[3] for flip in _scan(spec, g, cache, _Before(g), True))
+    return Trajectory(steps, g, stable)

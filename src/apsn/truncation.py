@@ -31,7 +31,10 @@ Threshold = Optional[Fraction]
 def _check_increasing(measures: Sequence[Measure]) -> None:
     for m in measures:
         if not m.is_increasing:
-            what = "katz with the automatic alpha" if m.kind == "katz" else m.kind
+            what = {
+                "katz": "katz with the automatic alpha",
+                "linear": "linear with a pair of weight 0",
+            }.get(m.kind, m.kind)
             raise ParameterError(
                 f"{what} is not an increasing measure; truncation analysis "
                 "requires one"
@@ -101,7 +104,9 @@ def greedy_linear_apsn(
     weights: tuple[tuple[int, ...], ...], thetas: Sequence[Threshold]
 ) -> Graph:
     """Scan pairs by decreasing weight (ties: lexicographic) and keep an edge
-    whenever both endpoints are still strictly below their thresholds."""
+    whenever both endpoints are still strictly below their thresholds.  A
+    pair of weight 0 is never kept: its edge raises no value, so dropping it
+    saves its cost."""
     n = len(weights)
     measure = Measure("linear", weights=tuple(tuple(row) for row in weights))
     if len(thetas) != n:
@@ -110,6 +115,8 @@ def greedy_linear_apsn(
     g = Graph.empty(n)
     values = [Fraction(0)] * n
     for a, b in order:
+        if not weights[a][b]:
+            break  # the rest weigh 0 too
         if _below(values[a], thetas[a]) and _below(values[b], thetas[b]):
             g = g.add_edge(a, b)
             values[a] += weights[a][b]
@@ -224,16 +231,6 @@ def maximal_member(
 
 # ---------------------------------------------------------------------------
 # weight-table file format
-
-
-def write_weight_table(weights: tuple[tuple[int, ...], ...]) -> str:
-    n = len(weights)
-    lines = [str(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if weights[i][j]:
-                lines.append(f"{i} {j} {weights[i][j]}")
-    return "\n".join(lines) + "\n"
 
 
 def read_weight_table(text: str) -> tuple[tuple[int, ...], ...]:

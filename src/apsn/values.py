@@ -18,7 +18,7 @@ DEFAULT_TOLERANCE = 1e-9
 AMBIGUITY_BAND = 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exact:
     value: Fraction
 
@@ -27,7 +27,7 @@ class Exact:
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Approx:
     value: float
     tol: float = DEFAULT_TOLERANCE

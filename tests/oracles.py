@@ -16,9 +16,13 @@
   relabelings;
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
   removals separately, the flip evaluation that ``game._eval_flip``'s one
-  rule replaced.
+  rule replaced;
+* ``delta_add``, ``delta_remove``, ``improving_add`` and ``improving_remove``
+  evaluate one flip through ``game._eval_flip``, never through the kind
+  facts that let ``is_apsn`` settle a flip unevaluated.
 
-``seeded_weights`` gives the linear kernel tests a reproducible weight table.
+``seeded_weights`` gives the linear kernel tests a reproducible weight table
+and ``write_weight_table`` is the inverse of ``truncation.read_weight_table``.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ import numpy as np
 
 from apsn.census import game_fingerprint
 from apsn.errors import SizeGuardError
+from apsn import game
 from apsn.game import EvalCache, GameSpec, MonotoneAgent, NumericAgent, is_apsn
 from apsn.graphs import (
     Graph,
@@ -434,3 +439,35 @@ def two_way_eval_flip(spec, g, h, i, j, adding, cache, before):
         blocking = willing[0] or willing[1]
         settled = (willing[0] and not bands[0]) or (willing[1] and not bands[1])
     return blocking, not settled and (bands[0] or bands[1]), fragile, values
+
+
+def delta_add(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None):
+    """Truncated-centrality changes at both endpoints when edge ij is added."""
+    return game._flip_deltas(spec, g, i, j, True, cache)
+
+
+def delta_remove(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None):
+    return game._flip_deltas(spec, g, i, j, False, cache)
+
+
+def improving_add(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None) -> bool:
+    h = game._flipped(spec, g, i, j, True)
+    return game._eval_flip(spec, g, h, i, j, True, cache or EvalCache(), game._Before(g))[0]
+
+
+def improving_remove(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None) -> bool:
+    h = game._flipped(spec, g, i, j, False)
+    return game._eval_flip(spec, g, h, i, j, False, cache or EvalCache(), game._Before(g))[0]
+
+
+# -- weight-table file format --------------------------------------------------------
+
+
+def write_weight_table(weights: tuple[tuple[int, ...], ...]) -> str:
+    n = len(weights)
+    lines = [str(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if weights[i][j]:
+                lines.append(f"{i} {j} {weights[i][j]}")
+    return "\n".join(lines) + "\n"

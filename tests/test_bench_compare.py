@@ -48,20 +48,30 @@ def fake_checkout(root, fail_traced):
     return root / "perfbench" / "run.py.log"
 
 
-def test_traced_runs_come_first_and_a_failed_one_stops_the_comparison(tmp_path, monkeypatch):
+def test_traced_runs_come_first_and_a_failed_one_is_recorded(tmp_path, monkeypatch, capsys):
     script = load_script()
     base_log = fake_checkout(tmp_path / "base", fail_traced=False)
     head_log = fake_checkout(tmp_path / "head", fail_traced=True)
     monkeypatch.setattr(script, "HEAD", tmp_path / "head")
-    with pytest.raises(SystemExit) as failure:
-        script.main(["--base", str(tmp_path / "base"), "--label", "x"])
-    message = str(failure.value.code)
-    assert "census-walk seed 1 traced on head" in message and "exited 1" in message
-    assert message.endswith("StatisticsError: mean requires at least one data point")
-    # the base side ran its traced run; no untraced pair ran on either side
-    assert base_log.read_text().split("\n")[0].endswith("--trace 1")
-    assert "--trace 0" not in base_log.read_text() + head_log.read_text()
-    assert not (tmp_path / "head" / "BENCH_x.json").exists()
+    monkeypatch.setattr(script, "PAIRS", 2)
+    assert script.main(["--base", str(tmp_path / "base"), "--label", "x"]) == 1
+    err = capsys.readouterr().err
+    assert "census-walk seed 1 traced on head" in err and "exited 1" in err
+    assert "failed traced runs: census-walk seed 1 on head exited 1" in err
+    # every traced run came first, then the untraced pairs ran on both sides
+    for log in (base_log, head_log):
+        calls = log.read_text().splitlines()
+        assert [c.endswith("--trace 1") for c in calls] == [True] * 6 + [False] * 4
+    report = json.loads((tmp_path / "head" / "BENCH_x.json").read_text())
+    for workload in ("census-walk", "dynamics-canon"):
+        traced = report["workloads"][workload]["traced"]
+        for t in traced:
+            if t["side"] == "head":
+                assert t["exit"] == 1 and "correct" not in t
+                assert t["stderr_tail"] == "StatisticsError: mean requires at least one data point"
+            else:
+                assert t["exit"] == 0 and t["correct"] and t["failed"] == 0
+        assert report["workloads"][workload]["metrics"]["work_per_s"]["head_wins"] == 0
 
 
 def test_traced_runs_are_recorded(tmp_path, monkeypatch):

@@ -31,12 +31,11 @@ from apsn.game import (
     MonotoneAgent,
     NumericAgent,
     TolerantPolicy,
-    delta_remove,
     is_apsn,
     uniform_game,
 )
 from apsn.graphs import Graph, canonical_form, graph_count
-from oracles import labeled_census
+from oracles import delta_remove, labeled_census
 
 
 def decay_game(n):

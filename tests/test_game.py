@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -8,6 +9,7 @@ import pytest
 
 from apsn import game
 from apsn.centrality import (
+    KINDS,
     betweenness,
     closeness,
     decay,
@@ -33,19 +35,19 @@ from apsn.game import (
     best_response_dynamics,
     candidate_flips,
     default_policy,
-    delta_add,
-    delta_remove,
     epsilon_witness,
     finite_cost_check,
-    improving_add,
-    improving_remove,
     is_apsn,
     uniform_game,
 )
 from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
 from apsn.values import Exact, sign_with_band
 from oracles import (
+    delta_add,
+    delta_remove,
     eigenvector_by_iteration,
+    improving_add,
+    improving_remove,
     pagerank_by_iteration,
     seeded_weights,
     two_way_eval_flip,
@@ -428,7 +430,13 @@ ONE_RULE_GAMES = {
     "homophilic-table": partial(
         uniform_game, agent=HomophilicAgent(HomophilyFunction(table=(0, 1, 2, 4, 8)))
     ),
+    # plateau thresholds: values the agents reach, so a flip can end on them
     "truncated-closeness": partial(numeric_game, measure=closeness(), threshold=Fraction(1, 5)),
+    "truncated-closeness-1/4": partial(numeric_game, measure=closeness(), threshold=Fraction(1, 4)),
+    "truncated-degree": partial(numeric_game, measure=degree(), threshold=Fraction(2)),
+    "closeness-rule-mixed": partial(cycled, agents=[
+        NumericAgent(closeness()), MonotoneAgent("2"), HomophilicAgent()
+    ]),
     "numeric-rule-mixed": partial(cycled, agents=[
         NumericAgent(decay(Fraction(1, 2))),
         MonotoneAgent("2"),
@@ -454,17 +462,23 @@ ONE_RULE_GAMES = {
 @pytest.mark.parametrize("name", list(ONE_RULE_GAMES))
 def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, shared_cache):
     """Every report, with and without early exit, equals the one built by the
-    flip evaluation that spells out additions and removals separately."""
+    flip evaluation that spells out additions and removals separately, with
+    no flip settled by a kind fact."""
+    specs = {n: ONE_RULE_GAMES[name](n) for n in range(1, 6)}
     cases = [
-        (ONE_RULE_GAMES[name](n), g, early)
+        (n, g, early)
         for n in range(1, 6)
         for g in enumerate_labeled_graphs(n)
         for early in (False, True)
     ]
-    reports = [is_apsn(spec, g, shared_cache, early_exit=early) for spec, g, early in cases]
+    reports = [is_apsn(specs[n], g, shared_cache, early_exit=early) for n, g, early in cases]
     monkeypatch.setattr(game, "_eval_flip", two_way_eval_flip)
-    for (spec, g, early), report in zip(cases, reports):
-        expected = is_apsn(spec, g, shared_cache, early_exit=early)
+    for kind in KINDS:
+        monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], gains_in_component=False))
+    unsettled = {n: ONE_RULE_GAMES[name](n) for n in range(1, 6)}
+    assert not any(spec.settles for spec in unsettled.values())
+    for (n, g, early), report in zip(cases, reports):
+        expected = is_apsn(unsettled[n], g, shared_cache, early_exit=early)
         assert report.to_json() == expected.to_json(), (g, early)
         assert report.verdict == expected.verdict, (g, early)
         assert report.fragile == expected.fragile, (g, early)
@@ -477,6 +491,80 @@ def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, s
             if f.kind == "remove"
         ]
         assert True in removals and False in removals
+
+
+# -- pinned dynamics ------------------------------------------------------------------
+
+
+#: games whose seeded trajectories are pinned
+DYNAMICS_PIN_GAMES = {
+    name: ONE_RULE_GAMES[name]
+    for name in (
+        "local-closeness", "local-decay", "local-harmonic", "truncated-degree",
+        "closeness-rule-mixed",
+    )
+}
+
+#: sha256 of the JSON of pinned_runs(game, rule), recorded before flips were
+#: settled by kind facts
+DYNAMICS_PINS = {
+    ("local-closeness", "first"):
+        "b44aa9df58005bde1d4a930d9f5c57a0e45cbc1c43ece3736a140d5f5c6ece55",
+    ("local-closeness", "random"):
+        "362e88fa883a14445367f3243db46ad7dccaabdbe87d9a22631fd748b6880279",
+    ("local-decay", "first"):
+        "603c30cf9bc87b96e93089ff5038f164f292ecb1e6f3004938ab8e6e1a8072ef",
+    ("local-decay", "random"):
+        "2aab302bd4faa48318b0d916486282d1eff9a8516c52a0e8f0e04367b591d8c9",
+    ("local-harmonic", "first"):
+        "37f6a43d5abbdbc5b7b306973bb1bcf33a94c350b66e483858b4fe1a4021059b",
+    ("local-harmonic", "random"):
+        "087dc8746729fbe83c27623993413c534063636bcbe205c381068507fc4674cb",
+    ("truncated-degree", "first"):
+        "6c63b234e8f5f54aac86c8c7f612f0e9998e506aed7078445f1807f77d7acd4e",
+    ("truncated-degree", "random"):
+        "0b227d9b02c35152485edfcfb0fb10643951bc3440a41089dfbd1d3c69edc6d7",
+    ("closeness-rule-mixed", "first"):
+        "1f23ffc4dd999614201c62b2ad1c3da5056bc30b2a35b498ad8b643d1c1c80cd",
+    ("closeness-rule-mixed", "random"):
+        "12350b25be043879e4c0d88b7db031322026dd6758e53fccf841d380a904ffbf",
+}
+
+
+def pinned_runs(make, rule):
+    """Eight seeded starts at n = 6 and at n = 7 on one shared cache, and per
+    n one run whose budget of two steps ends it unconverged."""
+    runs = []
+    cache = EvalCache()
+    for n in (6, 7):
+        spec = make(n)
+        pairs = n * (n - 1) // 2
+        for seed in range(8):
+            g0 = Graph(n, random.Random(f"{n}-{seed}").getrandbits(pairs))
+            run = best_response_dynamics(spec, g0, 100, seed=seed, rule=rule, cache=cache)
+            runs.append(run.to_json())
+        runs.append(best_response_dynamics(spec, g0, 2, seed=0, rule=rule, cache=cache).to_json())
+    return runs
+
+
+@pytest.mark.parametrize("rule", ["first", "random"])
+@pytest.mark.parametrize("name", list(DYNAMICS_PIN_GAMES))
+def test_dynamics_trajectories_are_pinned(name, rule):
+    runs = pinned_runs(DYNAMICS_PIN_GAMES[name], rule)
+    # only the two-step runs stop short
+    assert [r["converged"] for r in runs] == ([True] * 8 + [False]) * 2
+    assert [len(r["steps"]) for r in runs[8::9]] == [2, 2]
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == DYNAMICS_PINS[name, rule]
+
+
+def test_settle_mask_marks_untruncated_agents_of_kinds_with_the_fact():
+    for m in (degree(), closeness(), decay(Fraction(1, 2)), harmonic()):
+        assert numeric_game(5, m).settles == 0b11111
+        assert numeric_game(5, m, Fraction(1)).settles == 0
+    for m in (eccentricity(), game_theoretic(), linear(seeded_weights(5)), betweenness()):
+        assert numeric_game(5, m).settles == 0
+    assert ONE_RULE_GAMES["closeness-rule-mixed"](5).settles == 0b01001
 
 
 # -- homophilic rule agents -----------------------------------------------------------

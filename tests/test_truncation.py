@@ -16,8 +16,8 @@ from apsn.truncation import (
     read_weight_table,
     truncated_game,
     universality_thresholds,
-    write_weight_table,
 )
+from oracles import write_weight_table
 
 
 def unit_weights(n):
@@ -63,6 +63,32 @@ def test_universality_rejects_non_increasing_measures():
         with pytest.raises(ParameterError, match="not an increasing measure"):
             pareto_check(Graph.path(3), [m] * 3, [None] * 3)
     assert universality_thresholds(Graph.path(3), [katz(0.1)] * 3)
+
+
+def test_linear_with_a_weight_0_pair_is_not_increasing():
+    # vertex 2 gains nothing from either of its edges in the triangle, so the
+    # thresholds (1, 1, 0) would not freeze it: the engine finds both of its
+    # edges blocking
+    m = linear(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    triangle = Graph.complete(3)
+    assert not m.is_increasing
+    assert not is_apsn(truncated_game([m] * 3, [Fraction(1), Fraction(1), Fraction(0)]), triangle).stable
+    with pytest.raises(ParameterError, match="linear with a pair of weight 0"):
+        universality_thresholds(triangle, [m] * 3)
+    with pytest.raises(ParameterError, match="linear with a pair of weight 0"):
+        pareto_check(triangle, [m] * 3, [None] * 3)
+    positive = linear(((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    assert positive.is_increasing
+    thetas = universality_thresholds(triangle, [positive] * 3)
+    assert is_apsn(truncated_game([positive] * 3, thetas), triangle).stable
+    assert pareto_check(triangle, [positive] * 3, thetas)
+
+
+def test_greedy_never_keeps_a_pair_of_weight_0():
+    w = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    g = greedy_linear_apsn(w, [Fraction(5)] * 3)
+    assert g == Graph.from_edges(3, [(0, 1)])
+    assert is_apsn(truncated_game([linear(w)] * 3, [Fraction(5)] * 3), g).stable
 
 
 # -- pareto check ---------------------------------------------------------------
@@ -137,7 +163,11 @@ def test_greedy_random_instances_pass_pareto(rng):
         w = tuple(tuple(row) for row in w)
         thetas = [Fraction(rng.randrange(0, 15)) for _ in range(n)]
         g = greedy_linear_apsn(w, thetas)
-        assert pareto_check(g, [linear(w)] * n, thetas)
+        measures = [linear(w)] * n
+        assert is_apsn(truncated_game(measures, thetas), g).stable
+        # the Pareto test holds for increasing measures: no pair of weight 0
+        if linear(w).is_increasing:
+            assert pareto_check(g, measures, thetas)
 
 
 # -- capped growth ------------------------------------------------------------------
