@@ -486,14 +486,16 @@ class Kind:
     kernel is ``at(adj, v, m)``, and its ``vector`` is that kernel at every
     vertex.  A global kind has ``at = None``.
 
-    ``gains_in_component`` says that a vertex strictly gains from every edge
-    it adds inside its own component, on every graph.  It holds for degree,
-    and for closeness, decay and harmonic, because such an edge lengthens no
-    distance and shortens the one to the partner from at least 2 to 1.  It
-    fails for linear (a weight may be 0), eccentricity (the largest distance
-    may stay), game-theoretic (the partner's degree rises too) and every
-    global kind.  The flip engine decides a flip between two untruncated
-    agents of such kinds from it, without evaluating the flip."""
+    ``rule`` says when an untruncated agent gains from an edge ko added to
+    lo, the graph without it, on every graph (``game.rule_willing``).  "1",
+    always: degree, decay and harmonic, since ko adds a neighbour and
+    lengthens no distance.  "2 or isolated", when o is in k's component of lo
+    or k is isolated there: closeness, since d(k, o) falls to 1 inside and
+    the distance sum grows by o's component across.  Random-walk closeness
+    obeys "2 or isolated" too (checked on every class to n = 7), but waits
+    for ``perfbench``'s ``RefClock`` to probe at a phase's start: a
+    census-walk pass decided from components ends before its first probe.
+    Only local kinds have a rule, since decided flips' deltas come from ``at``."""
 
     vector: Callable[[Graph, Measure], tuple]
     at: Callable[[Sequence[int], int, Measure], Fraction] | None = None
@@ -501,7 +503,7 @@ class Kind:
     solve: bool = False  # a linear solve or eigendecomposition per graph: census cap
     undefined_on_isolated: bool = False  # empty sum at an isolated vertex: axiom checks skip it
     labeled: bool = False  # reads vertex labels: a census colours every vertex apart
-    gains_in_component: bool = False  # strict gain from each edge added in the own component
+    rule: str | None = None  # when a vertex gains from an added edge, from components
 
 
 def _vector_at(at, g: Graph, m: Measure) -> tuple:
@@ -514,13 +516,13 @@ def _local(at, **facts) -> Kind:
 
 
 KINDS: dict[str, Kind] = {
-    "degree": _local(_degree_at, gains_in_component=True),
+    "degree": _local(_degree_at, rule="1"),
     "linear": _local(_linear_at, labeled=True),
-    "closeness": _local(_closeness_at, undefined_on_isolated=True, gains_in_component=True),
+    "closeness": _local(_closeness_at, undefined_on_isolated=True, rule="2 or isolated"),
     "eccentricity": _local(_eccentricity_at, undefined_on_isolated=True),
     "rwcloseness": Kind(_rwcloseness_vector, solve=True, undefined_on_isolated=True),
-    "decay": _local(_decay_at, gains_in_component=True),
-    "harmonic": _local(_harmonic_at, gains_in_component=True),
+    "decay": _local(_decay_at, rule="1"),
+    "harmonic": _local(_harmonic_at, rule="1"),
     "betweenness": Kind(_betweenness_vector),
     "rwbetweenness": Kind(_rwbetweenness_vector, solve=True),
     "gametheoretic": _local(_gametheoretic_at),

@@ -215,7 +215,7 @@ def cmd_truncated(args) -> int:
         payload = {
             "op": "universality",
             "graph6": to_graph6(g),
-            "thresholds": [format_rational(t) for t in thetas],
+            "thresholds": [t if isinstance(t, float) else format_rational(t) for t in thetas],
             "stable": is_apsn(truncated_game(measures, thetas), g, cache).stable,
         }
     elif args.op == "pareto":

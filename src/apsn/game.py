@@ -11,21 +11,18 @@ when ``sign_with_band`` reads the rise as positive).
 * a removal blocks stability iff at least one endpoint is not willing (the
   saved cost then strictly improves its utility).
 
-Rule-based agents answer the same question structurally, from lo alone:
-monotone types from whether i and j share a component of lo, degree-homophilic
-agents from their threshold function on lo's degrees.
+Degree-homophilic agents answer it from their threshold function on lo's
+degrees.  Rule-typed agents answer it from a rule and two facts of lo: whether
+i and j share a component, and whether the endpoint is isolated
+(``rule_willing``).  A monotone agent's rule is its type; an untruncated
+numeric agent's is its kind's ``Kind.rule``, which holds on every graph ("1"
+for degree, decay and harmonic, "2 or isolated" for closeness).
 
-Some flips are settled without evaluating either endpoint.  When both
-endpoints are untruncated numeric agents whose kind gains from every edge
-added inside its own component (``Kind.gains_in_component``: degree,
-closeness, decay, harmonic):
-
-* an addition of ij when i and j share a component of g blocks;
-* a removal of ij when i and j share a neighbour in g never blocks (in g - ij
-  they are still at distance 2).
-
-A stability report still lists every blocking flip with both endpoints'
-deltas; best-response dynamics computes deltas only for the flip it takes.
+A pair of two rule-typed agents is never evaluated.  Its addition (lo = g)
+is decided from g's components and its removal (lo = g - ij) from g's
+bridges, both found once per scan as pair masks.  A stability report still
+lists every blocking flip with both endpoints' deltas; best-response dynamics
+computes deltas only for the flip it takes.
 """
 from __future__ import annotations
 
@@ -38,7 +35,7 @@ from typing import Iterator, Optional, Union
 
 from .centrality import KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
-from .graphs import Graph, bits, component_masks, pair_list, reachable_from
+from .graphs import Graph, bridge_mask, pair_list, pairs_within, reachable_from
 from .values import (
     DEFAULT_TOLERANCE,
     Approx,
@@ -154,15 +151,14 @@ class GameSpec:
         return len(self.agents)
 
     @functools.cached_property
-    def settles(self) -> int:
-        """Bitmask of the agents whose flips a kind fact can settle: the
-        untruncated numeric agents of a kind with ``gains_in_component``."""
-        return sum(
-            1 << k
-            for k, agent in enumerate(self.agents)
-            if isinstance(agent, NumericAgent)
-            and agent.threshold is None
-            and KINDS[agent.measure.kind].gains_in_component
+    def rules(self) -> tuple[int, tuple[int, ...]]:
+        """(typed, refuse): bitmasks of the rule-typed agents and, per case
+        2 * same + isolated of ``rule_willing``, of those that refuse."""
+        rules = [rule_of(agent) for agent in self.agents]
+        return sum(1 << k for k, r in enumerate(rules) if r), tuple(
+            sum(1 << k for k, r in enumerate(rules) if r and not rule_willing(r, same, iso))
+            for same in (False, True)
+            for iso in (False, True)
         )
 
     def bind(self, g: Graph) -> None:
@@ -220,14 +216,14 @@ class _FifoMemo(dict):
 
 
 class EvalCache:
-    """Memo for per-graph centrality vectors and structural facts.
+    """Memo for per-graph centrality vectors.
 
     Exhaustive scans revisit the same adjacency masks through edge flips, so
     one shared cache turns a census of a global kind (betweenness, the
     random-walk and spectral kinds) into one vector computation per graph.
     The flip engine evaluates local kinds at the two endpoints instead and
     stores none of their vectors; truncation and structure analyses still
-    read any kind's vector here.  ``max_vectors`` bounds each memo with
+    read any kind's vector here.  ``max_vectors`` bounds the memo with
     oldest-first eviction, so memory stays bounded over spaces too large to
     hold (two million graphs at n = 7) and over long dynamics runs that
     share a cache.
@@ -241,7 +237,6 @@ class EvalCache:
         if max_vectors is None or max_vectors < 1:
             raise ParameterError("max_vectors must be at least 1")
         self.vectors = _FifoMemo(max_vectors)
-        self.facts = _FifoMemo(max_vectors)
         self._slots: dict[Measure, int] = {}
         # id(m) -> (slot, m); holding m keeps its id from being reused
         self._by_id: dict[int, tuple[int, Measure]] = {}
@@ -262,19 +257,6 @@ class EvalCache:
         if out is None:
             out = centrality_vector(m, g)
             self.vectors.put(key, out)
-        return out
-
-    def graph_facts(self, g: Graph) -> tuple[list[int], list[int]]:
-        """(component bitmask per vertex, degrees)."""
-        key = g.mask << 4 | g.n - 1
-        out = self.facts.get(key)
-        if out is None:
-            comp_of = [0] * g.n
-            for comp in component_masks(g):
-                for v in bits(comp):
-                    comp_of[v] = comp
-            out = (comp_of, [a.bit_count() for a in g.adjacency()])
-            self.facts.put(key, out)
         return out
 
 
@@ -303,50 +285,79 @@ def _delta_value(spec: GameSpec, before, after, k: int) -> Value:
 # willingness per agent kind
 
 
-def _monotone_willing_add(kind: str, same_comp: bool) -> bool:
-    if kind == "1":
-        return True
-    if kind == "1p":
-        return False
-    if kind == "2":
-        return same_comp
-    return not same_comp  # '2p'
+def rule_willing(rule: str, same: bool, isolated: bool) -> bool:
+    """Whether endpoint k of rule ``rule`` gains from adding ko to lo, the graph
+    without it: ``same`` if o is in k's component of lo, ``isolated`` if k is."""
+    if rule == "2 or isolated":
+        return same or isolated
+    return {"1": True, "1p": False, "2": same, "2p": not same}[rule]
 
 
-def _rule_willing(agent: Agent, k: int, i: int, j: int, facts) -> bool:
-    """Whether rule agent k, an endpoint of pair ij, gains from adding ij to
-    the graph without it, whose ``graph_facts`` are ``facts``."""
-    comp_of, degrees = facts
+def rule_of(agent: Agent) -> str | None:
+    """A monotone agent's type, or an untruncated numeric agent's
+    ``Kind.rule``: the rule of a rule-typed agent, None for any other."""
     if isinstance(agent, MonotoneAgent):
-        return _monotone_willing_add(agent.kind, bool(comp_of[i] >> j & 1))
-    other = j if k == i else i
-    return degrees[other] <= agent.f(degrees[k])
+        return agent.kind
+    if isinstance(agent, NumericAgent) and agent.threshold is None:
+        return KINDS[agent.measure.kind].rule
+    return None
 
 
 class _Before:
-    """What the flips of one scan of g share: g's adjacency, built once, and
-    per measure (by id) its kernel ``at`` with its values on g, either a
-    list that a local kind fills vertex by vertex or, for a global kind
-    (``at`` None), its cached vector."""
+    """What the flips of one scan of g share, each made on first use: g's
+    adjacency (or a caller's), its pairs inside a component, and per measure
+    (by id) its kernel ``at`` with its values on g, a list that a local kind
+    fills vertex by vertex or, for a global kind (``at`` None), its vector."""
 
-    __slots__ = ("g", "adj", "found")
-
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, adj=None):
         self.g = g
-        self.adj = None
         self.found: dict = {}
+        if adj is not None:
+            self.adj = adj
+
+    @functools.cached_property
+    def adj(self) -> tuple[int, ...]:
+        return self.g.adjacency()
+
+    def toggled(self, i: int, j: int) -> list[int]:
+        """g's adjacency with pair ij flipped."""
+        adj = list(self.adj)
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+        return adj
 
     def entry(self, m: Measure, cache: EvalCache) -> tuple:
         """(at, values on g) of measure m, made on first use."""
         at = KINDS[m.kind].at
-        if at is None:
-            out = (None, cache.vector(m, self.g))
-        else:
-            if self.adj is None:
-                self.adj = self.g.adjacency()
-            out = (at, [None] * self.g.n)
+        out = (None, cache.vector(m, self.g)) if at is None else (at, [None] * self.g.n)
         self.found[id(m)] = out
         return out
+
+    @functools.cached_property
+    def same(self) -> int:
+        """Pair mask of the pairs whose ends share a component of g."""
+        rest, out = (1 << self.g.n) - 1, 0
+        while rest:
+            comp = reachable_from(self.adj, rest & -rest)
+            out |= pairs_within(self.g.n, comp)
+            rest ^= comp
+        return out
+
+    def refused(self, refuse: tuple, among: int, adding: bool) -> int:
+        """The pairs of pair mask ``among``, all absent from g (``adding``) or
+        all present, at which a rule-typed endpoint refuses the addition to
+        lo, by the ``GameSpec.rules`` masks ``refuse``."""
+        n, everyone = self.g.n, (1 << self.g.n) - 1
+        # isolated in lo: no neighbour in g, or for a removal only the partner
+        iso = sum(1 << v for v, a in enumerate(self.adj) if not (a if adding else a & a - 1))
+        inside, across = (
+            among & ~pairs_within(n, everyone ^ (refuse[s] & ~iso | refuse[s + 1] & iso))
+            for s in (2, 0)
+        )
+        if inside == across:
+            return inside
+        same = self.same if adding else ~bridge_mask(self.adj, inside ^ across)
+        return inside & same | across & ~same
 
 
 def _eval_flip(
@@ -381,7 +392,6 @@ def _eval_flip(
     values = []
     after = {}
     adj_h = None
-    facts = None
     for k in (i, j):
         agent = agents[k]
         if isinstance(agent, NumericAgent):
@@ -397,9 +407,7 @@ def _eval_flip(
                 if b is None:
                     b = on_g[k] = at(before.adj, k, m)
                 if adj_h is None:
-                    adj_h = list(before.adj)
-                    adj_h[i] ^= 1 << j
-                    adj_h[j] ^= 1 << i
+                    adj_h = before.toggled(i, j)
                 a = at(adj_h, k, m)
             if agent.threshold is not None:
                 b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
@@ -415,9 +423,15 @@ def _eval_flip(
                 bands.append(near)
                 fragile = fragile or on_band_edge(x, spec.policy.tol, b, a)
         else:
-            if facts is None:
-                facts = cache.graph_facts(g if adding else h)
-            willing.append(_rule_willing(agent, k, i, j, facts))
+            # k's and the partner's rows in lo, the graph without ij
+            o = j if k == i else i
+            row, other = before.adj[k] & ~(1 << o), before.adj[o] & ~(1 << k)
+            if isinstance(agent, MonotoneAgent):
+                low = g.mask ^ h.mask
+                same = before.same & low if adding else not bridge_mask(before.adj, low)
+                willing.append(rule_willing(agent.kind, bool(same), not row))
+            else:
+                willing.append(other.bit_count() <= agent.f(row.bit_count()))
             bands.append(False)
             values.append(None)
     blocking = (willing[0] and willing[1]) == adding
@@ -524,54 +538,51 @@ def candidate_flips(g: Graph) -> Iterator[tuple[str, int, int]]:
         mask ^= low
 
 
-def _scan(
-    spec: GameSpec, g: Graph, cache: EvalCache, before: _Before, settle_additions: bool
-) -> Iterator[tuple]:
+def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterator[tuple]:
     """The flips of g, in ``candidate_flips`` order, that block, are
     ambiguous or are fragile, as (kind, i, j, blocking, ambiguous, fragile,
     values).
 
-    A flip between two agents in ``spec.settles`` is settled when a kind
-    fact decides it: a removal between two vertices with a common neighbour
-    never blocks and is skipped, and with ``settle_additions`` an addition
-    inside a component blocks and comes with ``values`` None.  Every other
-    flip is evaluated.  A caller that needs every blocking flip's values
-    evaluates additions: settling one would only add its component search.
+    The pairs of two rule-typed agents are decided from g's components and,
+    once the scan reaches the removals, its bridges: a blocking one comes
+    with ``values`` None, any other is skipped.  Every other flip is
+    evaluated.
     """
-    settle = spec.settles
-    if settle and before.adj is None:
-        before.adj = g.adjacency()
-    adj = before.adj
-    reached = 0  # the component last searched, of an addition's i
-    row = 2 * g.n - 1  # pair (i, j) is bit i * (row - i) // 2 + j - i - 1
-    for kind, i, j in candidate_flips(g):
+    pairs = pair_list(g.n)
+    typed, refuse = spec.rules
+    decided = pairs_within(g.n, typed)
+    for kind in ("add", "remove"):
         adding = kind == "add"
-        if settle and settle >> i & settle >> j & 1:
-            if not adding:
-                if adj[i] & adj[j]:
-                    continue
-            elif settle_additions:
-                if not reached >> i & 1:
-                    reached = reachable_from(adj, 1 << i)
-                if reached >> j & 1:
-                    yield kind, i, j, True, False, False, None
-                    continue
-        h = g.toggled(i * (row - i) // 2 + j - i - 1)
-        blocking, ambiguous, fragile, values = _eval_flip(
-            spec, g, h, i, j, adding, cache, before
-        )
-        if blocking or ambiguous or fragile:
-            yield kind, i, j, blocking, ambiguous, fragile, values
+        visit = g.mask ^ (1 << len(pairs)) - 1 if adding else g.mask
+        if decided:
+            ours = visit & decided
+            refused = before.refused(refuse, ours, adding)
+            visit ^= refused if adding else ours ^ refused
+        while visit:
+            low = visit & -visit
+            visit ^= low
+            p = low.bit_length() - 1
+            i, j = pairs[p]
+            if low & decided:
+                yield kind, i, j, True, False, False, None
+                continue
+            blocking, ambiguous, fragile, values = _eval_flip(
+                spec, g, g.toggled(p), i, j, adding, cache, before
+            )
+            if blocking or ambiguous or fragile:
+                yield kind, i, j, blocking, ambiguous, fragile, values
 
 
-def _with_deltas(
-    spec: GameSpec, g: Graph, kind: str, i: int, j: int, values, cache: EvalCache, before: _Before
-) -> Flip:
+def _with_deltas(spec: GameSpec, kind: str, i: int, j: int, values, before: _Before) -> Flip:
     """The ``Flip`` of pair ij of g with both endpoints' deltas, from the
-    ``values`` of its ``_scan`` entry; a settled flip is evaluated here."""
+    ``values`` of its ``_scan`` entry; a decided flip's numeric endpoints
+    (untruncated, of local kinds) are evaluated here with ``at``."""
     if values is None:
-        h = g.toggled(i * (2 * g.n - 1 - i) // 2 + j - i - 1)
-        values = _eval_flip(spec, g, h, i, j, kind == "add", cache, before)[3]
+        adj_h, values = before.toggled(i, j), []
+        for k in (i, j):
+            m = getattr(spec.agents[k], "measure", None)  # None: a monotone agent
+            at = m and KINDS[m.kind].at
+            values.append(at and (at(before.adj, k, m), at(adj_h, k, m)))
     deltas = [
         None if v is None else _delta_value(spec, v[0], v[1], k)
         for k, v in zip((i, j), values)
@@ -594,12 +605,12 @@ def is_apsn(
     cache = cache or EvalCache()
     report = StabilityReport(stable=True)
     before = _Before(g)
-    for kind, i, j, blocking, ambiguous, fragile, values in _scan(spec, g, cache, before, False):
+    for kind, i, j, blocking, ambiguous, fragile, values in _scan(spec, g, cache, before):
         if fragile:
             report.fragile = True
         if not (blocking or ambiguous):
             continue
-        flip = _with_deltas(spec, g, kind, i, j, values, cache, before)
+        flip = _with_deltas(spec, kind, i, j, values, before)
         if ambiguous:
             report.ambiguous_flips.append(flip)
         if blocking:
@@ -702,10 +713,11 @@ def best_response_dynamics(
     cache = cache or EvalCache()
     rng = random.Random(seed)
     g = g0
+    adj = None  # g's adjacency, carried from the step before
     steps: list[Flip] = []
     for _ in range(max_steps):
-        before = _Before(g)
-        blocking = (flip for flip in _scan(spec, g, cache, before, True) if flip[3])
+        before = _Before(g, adj)
+        blocking = (flip for flip in _scan(spec, g, cache, before) if flip[3])
         if rule == "first":
             flip = next(blocking, None)
         else:
@@ -714,7 +726,8 @@ def best_response_dynamics(
         if flip is None:
             return Trajectory(steps, g, True)
         kind, i, j, *_, values = flip
-        steps.append(_with_deltas(spec, g, kind, i, j, values, cache, before))
+        steps.append(_with_deltas(spec, kind, i, j, values, before))
         g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
-    stable = not any(flip[3] for flip in _scan(spec, g, cache, _Before(g), True))
+        adj = before.toggled(i, j)
+    stable = not any(flip[3] for flip in _scan(spec, g, cache, _Before(g, adj)))
     return Trajectory(steps, g, stable)

@@ -57,6 +57,12 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return _pair_table(n)[1]
 
 
+@functools.cache
+def pairs_within(n: int, vertices: int) -> int:
+    """Mask of the pairs inside vertex mask ``vertices`` (2^n keys per n)."""
+    return sum(1 << p for p, (i, j) in enumerate(pair_list(n)) if vertices >> i & vertices >> j & 1)
+
+
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -204,12 +210,13 @@ class Graph:
 
 
 def reachable_from(adj: tuple[int, ...], start_mask: int) -> int:
-    seen = start_mask
-    frontier = start_mask
+    seen = frontier = start_mask
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
     return seen
@@ -239,18 +246,27 @@ def is_connected(g: Graph) -> bool:
     return component_of(g, 0) == (1 << g.n) - 1
 
 
+def bridge_mask(adj: Sequence[int], edges: int) -> int:
+    """The bridges among the edges of pair mask ``edges``.  An edge whose ends
+    share a neighbour lies on a triangle; any other is searched around."""
+    pairs, out = pair_list(len(adj)), 0
+    while edges:
+        low = edges & -edges
+        edges ^= low
+        i, j = pairs[low.bit_length() - 1]
+        if not adj[i] & adj[j]:
+            cut = list(adj)
+            cut[i] ^= 1 << j
+            cut[j] ^= 1 << i
+            if not reachable_from(cut, 1 << i) >> j & 1:
+                out |= low
+    return out
+
+
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
     """Edges (i, j), i < j, whose removal separates i from j."""
-    adj = list(g.adjacency())
-    out = set()
-    for i, j in g.edges():
-        adj[i] ^= 1 << j
-        adj[j] ^= 1 << i
-        if not reachable_from(adj, 1 << i) >> j & 1:
-            out.add((i, j))
-        adj[i] ^= 1 << j
-        adj[j] ^= 1 << i
-    return frozenset(out)
+    pairs = pair_list(g.n)
+    return frozenset(pairs[p] for p in bits(bridge_mask(g.adjacency(), g.mask)))
 
 
 def bfs_distances(adj: tuple[int, ...], src: int) -> list[int]:

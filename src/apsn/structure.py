@@ -446,7 +446,7 @@ def falsify_axiom(
     for n in range(1, n_max + 1):
         for g in enumerate_labeled_graphs(n):
             base = cache.vector(measure, g)
-            comp_of, degrees = cache.graph_facts(g)
+            comp_of = {v: c for c in component_masks(g) for v in bits(c)}
             for i, j in g.non_edges():
                 h = g.add_edge(i, j)
                 hvec = cache.vector(measure, h)
@@ -465,7 +465,7 @@ def falsify_axiom(
                     continue
                 same = bool(comp_of[i] >> j & 1)
                 for k in (i, j):
-                    if guard_isolated and degrees[k] == 0:
+                    if guard_isolated and comp_of[k] == 1 << k:
                         continue
                     sign, band = _delta_class(base[k], hvec[k], exact, tol)
                     bad, detail = _axiom_violation(axiom, same, sign)
@@ -477,7 +477,7 @@ def falsify_axiom(
                         return FalsifierResult(inst, near)
             if axiom == "4":
                 for k in range(n):
-                    if degrees[k] == 0 and base[k] != 0:
+                    if comp_of[k] == 1 << k and base[k] != 0:
                         return FalsifierResult(
                             AxiomInstance(g, k, k, k, "isolated vertex value nonzero"),
                             near,

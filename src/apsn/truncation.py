@@ -20,7 +20,7 @@ from .errors import (
     SizeGuardError,
     VertexRangeError,
 )
-from .game import EvalCache, GameSpec, NumericAgent
+from .game import EvalCache, GameSpec, NumericAgent, default_policy
 from .graphs import Graph, pair_list, to_graph6
 
 MAXIMAL_MEMBER_CAP = 6
@@ -46,9 +46,8 @@ def _below(value, theta: Threshold) -> bool:
 
 
 def truncated_game(measures: Sequence[Measure], thetas: Sequence[Threshold]) -> GameSpec:
-    return GameSpec(
-        tuple(NumericAgent(m, t) for m, t in zip(measures, thetas))
-    )
+    agents = tuple(NumericAgent(m, t) for m, t in zip(measures, thetas))
+    return GameSpec(agents, default_policy(agents))
 
 
 def universality_thresholds(

@@ -18,8 +18,8 @@
   removals separately, the flip evaluation that ``game._eval_flip``'s one
   rule replaced;
 * ``delta_add``, ``delta_remove``, ``improving_add`` and ``improving_remove``
-  evaluate one flip through ``game._eval_flip``, never through the kind
-  facts that let ``is_apsn`` settle a flip unevaluated.
+  evaluate one flip through ``game._eval_flip``, never through the rules
+  by which ``is_apsn`` decides a flip unevaluated.
 
 ``seeded_weights`` gives the linear kernel tests a reproducible weight table
 and ``write_weight_table`` is the inverse of ``truncation.read_weight_table``.

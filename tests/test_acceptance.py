@@ -34,8 +34,10 @@ from apsn.game import (
 )
 from apsn.graphs import (
     Graph,
+    bits,
     bridges,
     canonical_form,
+    component_masks,
     enumerate_labeled_graphs,
     graph_count,
     read_edge_list,
@@ -249,7 +251,7 @@ def test_criterion_08_flip_monotonicity_laws():
             evec = CACHE.vector(ecc, g)
             adj = g.adjacency()
             degs = [a.bit_count() for a in adj]
-            comp_of, _ = CACHE.graph_facts(g)
+            comp_of = {v: comp for comp in component_masks(g) for v in bits(comp)}
             for i, j in g.non_edges():
                 h = g.add_edge(i, j)
                 bh = CACHE.vector(bet, h)

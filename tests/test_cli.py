@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from apsn.cli import main, make_parser
-from apsn.graphs import Graph, from_graph6, write_edge_list
+from apsn.graphs import Graph, from_graph6, to_graph6, write_edge_list
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "docs" / "schemas"
@@ -148,6 +148,19 @@ def test_truncated_universality(capsys, tmp_path):
     payload = json.loads(out)
     validate("truncated", payload)
     assert payload["thresholds"] == ["1", "2", "2", "1"]
+    assert payload["stable"] is True
+
+
+def test_truncated_universality_prints_float_thresholds_as_numbers(capsys, tmp_path):
+    k3 = tmp_path / "k3.g6"
+    k3.write_text(to_graph6(Graph.complete(3)) + "\n")
+    code, out, _ = run_cli(
+        capsys, "truncated", "--op", "universality", "--measure", "katz:0.1", "--graph", str(k3)
+    )
+    assert code == 0
+    payload = json.loads(out)
+    validate("truncated", payload)
+    assert [round(t, 12) for t in payload["thresholds"]] == [0.25] * 3
     assert payload["stable"] is True
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -38,9 +37,17 @@ from apsn.game import (
     epsilon_witness,
     finite_cost_check,
     is_apsn,
+    rule_willing,
     uniform_game,
 )
-from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
+from apsn.graphs import (
+    Graph,
+    enumerate_labeled_graphs,
+    graph_classes,
+    graph_count,
+    pair_list,
+    reachable_from,
+)
 from apsn.values import Exact, sign_with_band
 from oracles import (
     delta_add,
@@ -463,7 +470,7 @@ ONE_RULE_GAMES = {
 def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, shared_cache):
     """Every report, with and without early exit, equals the one built by the
     flip evaluation that spells out additions and removals separately, with
-    no flip settled by a kind fact."""
+    no agent rule-typed, so no flip is decided from components or bridges."""
     specs = {n: ONE_RULE_GAMES[name](n) for n in range(1, 6)}
     cases = [
         (n, g, early)
@@ -473,12 +480,11 @@ def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, s
     ]
     reports = [is_apsn(specs[n], g, shared_cache, early_exit=early) for n, g, early in cases]
     monkeypatch.setattr(game, "_eval_flip", two_way_eval_flip)
-    for kind in KINDS:
-        monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], gains_in_component=False))
-    unsettled = {n: ONE_RULE_GAMES[name](n) for n in range(1, 6)}
-    assert not any(spec.settles for spec in unsettled.values())
+    monkeypatch.setattr(game, "rule_of", lambda agent: None)
+    untyped = {n: ONE_RULE_GAMES[name](n) for n in range(1, 6)}
+    assert not any(spec.rules[0] for spec in untyped.values())
     for (n, g, early), report in zip(cases, reports):
-        expected = is_apsn(unsettled[n], g, shared_cache, early_exit=early)
+        expected = is_apsn(untyped[n], g, shared_cache, early_exit=early)
         assert report.to_json() == expected.to_json(), (g, early)
         assert report.verdict == expected.verdict, (g, early)
         assert report.fragile == expected.fragile, (g, early)
@@ -559,12 +565,62 @@ def test_dynamics_trajectories_are_pinned(name, rule):
 
 
 def test_settle_mask_marks_untruncated_agents_of_kinds_with_the_fact():
-    for m in (degree(), closeness(), decay(Fraction(1, 2)), harmonic()):
-        assert numeric_game(5, m).settles == 0b11111
-        assert numeric_game(5, m, Fraction(1)).settles == 0
+    """The rule table: untruncated agents of degree, decay, harmonic (rule
+    "1") and closeness ("2 or isolated") and monotone agents (their type) are
+    rule-typed, and ``GameSpec.rules`` marks who refuses in each case."""
+    assert {kind: KINDS[kind].rule for kind in KINDS if KINDS[kind].rule} == {
+        "degree": "1", "closeness": "2 or isolated", "decay": "1", "harmonic": "1",
+    }
+    # a decided flip's deltas come from the kind's endpoint kernel
+    assert all(KINDS[kind].at for kind in KINDS if KINDS[kind].rule)
+    none, every = (0, 0, 0, 0), (0b11111,) * 4
+    for m in (degree(), decay(Fraction(1, 2)), harmonic()):
+        assert numeric_game(5, m).rules == (0b11111, none)
+        assert numeric_game(5, m, Fraction(1)).rules == (0, none)
+    # (across, across and isolated, inside, inside and isolated)
+    assert numeric_game(5, closeness()).rules == (0b11111, (0b11111, 0, 0, 0))
     for m in (eccentricity(), game_theoretic(), linear(seeded_weights(5)), betweenness()):
-        assert numeric_game(5, m).settles == 0
-    assert ONE_RULE_GAMES["closeness-rule-mixed"](5).settles == 0b01001
+        assert numeric_game(5, m).rules == (0, none)
+    for kind, refuse in (("1", none), ("1p", every), ("2", (0b11111,) * 2 + (0, 0)),
+                         ("2p", (0, 0) + (0b11111,) * 2)):
+        assert rule_game(5, kind).rules == (0b11111, refuse)
+    # closeness, M2, homophilic, closeness, M2
+    assert ONE_RULE_GAMES["closeness-rule-mixed"](5).rules == (0b11011, (0b11011, 0b10010, 0, 0))
+
+
+def rule_cases():
+    """(n, adjacency) of every labeled graph with n <= 5 and of every class
+    representative at n = 6 and 7."""
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            yield n, g.adjacency()
+    for n in (6, 7):
+        for mask in graph_classes(n):
+            yield n, Graph(n, mask).adjacency()
+
+
+@pytest.mark.parametrize("measure", [degree(), closeness(), decay(Fraction(1, 2)), harmonic()],
+                         ids=["degree", "closeness", "decay", "harmonic"])
+def test_kind_rule_equals_the_evaluated_strict_gain(measure):
+    """For every pair ij of every case and each endpoint k, the kind's rule
+    on lo (the graph without ij) answers whether k's value strictly rises
+    from lo to hi (the graph with it)."""
+    kind = KINDS[measure.kind]
+    seen = set()
+    for n, adj in rule_cases():
+        for i, j in pair_list(n):
+            lo, hi = list(adj), list(adj)
+            lo[i] &= ~(1 << j)
+            lo[j] &= ~(1 << i)
+            hi[i] |= 1 << j
+            hi[j] |= 1 << i
+            same = bool(reachable_from(lo, 1 << i) >> j & 1)
+            for k in (i, j):
+                gains = kind.at(hi, k, measure) > kind.at(lo, k, measure)
+                assert rule_willing(kind.rule, same, not lo[k]) == gains, (adj, i, j, k)
+                seen.add((same, not lo[k]))
+    # every possible case was met: an isolated k has no partner in its component
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 # -- homophilic rule agents -----------------------------------------------------------

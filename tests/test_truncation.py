@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from apsn.centrality import closeness, decay, degree, harmonic, katz, linear, pagerank
 from apsn.errors import MalformedLineError, ParameterError
-from apsn.game import EvalCache, is_apsn
-from apsn.graphs import Graph, enumerate_labeled_graphs, graph_count
+from apsn.game import EvalCache, TolerantPolicy, default_policy, is_apsn
+from apsn.graphs import Graph, enumerate_labeled_graphs, graph_classes, graph_count
 from apsn.truncation import (
     compute_caps,
     greedy_linear_apsn,
@@ -63,6 +63,29 @@ def test_universality_rejects_non_increasing_measures():
         with pytest.raises(ParameterError, match="not an increasing measure"):
             pareto_check(Graph.path(3), [m] * 3, [None] * 3)
     assert universality_thresholds(Graph.path(3), [katz(0.1)] * 3)
+
+
+def test_katz_with_a_fixed_alpha_gets_a_tolerant_truncated_game():
+    """Katz with a fixed alpha is increasing but approximate: its truncated
+    game takes the default policy, tolerant, instead of refusing the spec."""
+    measures = [katz(0.1)] * 3
+    thetas = universality_thresholds(Graph.complete(3), measures)
+    spec = truncated_game(measures, thetas)
+    assert spec.policy == default_policy(spec.agents) == TolerantPolicy()
+    assert is_apsn(spec, Graph.complete(3)).stable
+
+
+@pytest.mark.parametrize("measure", [degree(), decay(Fraction(1, 2)), harmonic()],
+                         ids=["degree", "decay", "harmonic"])
+def test_every_class_is_stable_under_its_universality_thresholds_n6_n7(measure):
+    """The truncated agents are evaluated, never decided by a rule."""
+    cache = EvalCache()
+    for n, classes in ((6, 156), (7, 1044)):
+        assert len(graph_classes(n)) == classes
+        for mask in graph_classes(n):
+            g = Graph(n, mask)
+            thetas = universality_thresholds(g, [measure] * n, cache)
+            assert is_apsn(truncated_game([measure] * n, thetas), g, cache).stable, g
 
 
 def test_linear_with_a_weight_0_pair_is_not_increasing():
