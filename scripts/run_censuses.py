@@ -8,7 +8,8 @@ betweenness agents (the domination criterion) and eccentricity agents
 (necessary/sufficient structural tests), each cross-checked against its
 predicate while running.  The predicates do not depend on vertex labels,
 so each is evaluated once per isomorphism class and the classes that pass
-are expanded to their labeled orbits: the labeled sets compared stay exact.
+are expanded to their labeled orbits (``passing_masks``): the labeled sets
+compared stay exact.
 """
 import argparse
 import json
@@ -20,7 +21,7 @@ from fractions import Fraction
 from apsn.census import run_census
 from apsn.centrality import betweenness, decay, eccentricity, game_theoretic
 from apsn.game import GT_HOMOPHILY, NumericAgent, uniform_game
-from apsn.graphs import Graph, graph_classes, orbit_masks
+from apsn.graphs import Graph, passing_masks
 from apsn.structure import (
     betweenness_condition,
     ecc_necessary,
@@ -37,14 +38,6 @@ FAMILIES = {
     "betweenness": (lambda: NumericAgent(betweenness()), betweenness_condition),
     "eccentricity": (lambda: NumericAgent(eccentricity()), None),
 }
-
-
-def labeled_set(n: int, predicate) -> set[int]:
-    """Masks of the labeled graphs on n vertices that satisfy a predicate
-    invariant under relabeling."""
-    return {
-        m for c in graph_classes(n) if predicate(Graph(n, c)) for m in orbit_masks(n, c)
-    }
 
 
 def main() -> int:
@@ -66,12 +59,13 @@ def main() -> int:
             payload["family"] = name
             stable = set(result.stable_masks)
             if predicate is not None:
-                payload["predicate_matches_census"] = labeled_set(n, predicate) == stable
+                payload["predicate_matches_census"] = set(passing_masks(n, predicate)) == stable
             if name == "eccentricity":
                 payload["necessary_test_holds"] = all(
                     ecc_necessary(Graph(n, m)) for m in result.stable_masks
                 )
-                payload["sufficient_family_stable"] = labeled_set(n, ecc_sufficient) <= stable
+                sufficient = set(passing_masks(n, ecc_sufficient))
+                payload["sufficient_family_stable"] = sufficient <= stable
             stem = outdir / f"census_{name}_n{n}"
             stem.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
             stem.with_suffix(".g6").write_text(

@@ -26,7 +26,7 @@ from .game import (
     is_apsn,
     uniform_game,
 )
-from .graphs import Graph, from_graph6, read_edge_list, to_graph6
+from .graphs import Graph, from_graph6, passing_masks, read_edge_list, to_graph6
 from .learning import ApsnOracle, learn_threshold
 from .profiles import (
     load_profile_file,
@@ -155,22 +155,18 @@ def cmd_axiom(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .graphs import enumerate_labeled_graphs
-
     payload: dict = {"family": args.family}
     if args.family == "monotone":
         if not args.types:
             raise ParameterError("monotone predictions need --types")
         types = tuple(t.strip() for t in args.types.split(","))
         n = len(types)
+        colours = census_mod.colouring(GameSpec(tuple(MonotoneAgent(t) for t in types)))
+        masks = passing_masks(n, lambda g: structure.check_monotone_structure(g, types), colours)
         payload.update(
             n=n,
             types=list(types),
-            graphs=[
-                to_graph6(g)
-                for g in enumerate_labeled_graphs(n)
-                if structure.check_monotone_structure(g, types)
-            ],
+            graphs=[to_graph6(Graph(n, m)) for m in masks],
             explanation="graphs whose shape matches a stable monotone mixture",
         )
     elif args.family == "stratified":
@@ -195,9 +191,7 @@ def cmd_predict(args) -> int:
         }[args.family]
         payload.update(
             n=args.n,
-            graphs=[
-                to_graph6(g) for g in enumerate_labeled_graphs(args.n) if predicate(g)
-            ],
+            graphs=[to_graph6(Graph(args.n, m)) for m in passing_masks(args.n, predicate)],
             explanation=f"graphs passing the {args.family} structural test",
         )
     emit(args, payload)

@@ -3,9 +3,9 @@
 A graph is (n, mask) where bit k of ``mask`` is the k-th unordered pair in
 row-major order: (0,1), (0,2), ..., (0,n-1), (1,2), ...  Graphs are frozen
 and safe to share across parallel workers; every operation returns a new
-value.  Vertex count is capped at 16; full enumeration and orbits at 8;
-canonical forms at 10; isomorphism class lists at 7.  The caps raise
-:class:`SizeGuardError` rather than crawling.
+value.  Vertex count is capped at 16; orbits at 8; canonical forms at 10;
+class lists, and so every exhaustive walk over the graphs on n vertices,
+at 7.  The caps raise :class:`SizeGuardError` rather than crawling.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import (
 )
 
 MAX_VERTICES = 16
-MAX_ENUMERATION = 8
+MAX_ORBITS = 8
 MAX_CANONICAL = 10
 MAX_CLASSES = 7
 
@@ -238,10 +238,6 @@ def component_of(g: Graph, i: int) -> int:
     return reachable_from(g.adjacency(), 1 << i)
 
 
-def same_component(g: Graph, i: int, j: int) -> bool:
-    return bool(component_of(g, i) >> j & 1)
-
-
 def is_connected(g: Graph) -> bool:
     return component_of(g, 0) == (1 << g.n) - 1
 
@@ -308,16 +304,6 @@ def dominates(g: Graph, y: int, x: int) -> bool:
 
 def graph_count(n: int) -> int:
     return 1 << pair_count(n)
-
-
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in increasing mask order."""
-    if n > MAX_ENUMERATION:
-        raise SizeGuardError(
-            f"full enumeration capped at n={MAX_ENUMERATION} (got {n})"
-        )
-    for mask in range(graph_count(n)):
-        yield Graph(n, mask)
 
 
 def shard_bounds(total_graphs: int, k: int, total: int) -> tuple[int, int]:
@@ -446,8 +432,8 @@ def orbit_masks(n: int, mask: int, colours: Sequence[int] | None = None) -> set[
     int64 for the C(n, 2) <= 28 pairs below the cap.  Capped at n = 8, whose
     table holds 40,320 x 28 integers (9 MB), built on first use.
     """
-    if n > MAX_ENUMERATION:
-        raise SizeGuardError(f"orbits capped at n={MAX_ENUMERATION} (got {n})")
+    if n > MAX_ORBITS:
+        raise SizeGuardError(f"orbits capped at n={MAX_ORBITS} (got {n})")
     table = _relabeling_table(n, _colour_key(colours))
     return set(table[:, list(bits(mask))].sum(axis=1).tolist())
 
@@ -498,6 +484,15 @@ def graph_classes(n: int, colours: Sequence[int] | None = None) -> Sequence[int]
                     found.add(canonical_form(Graph(n, base | b), key))
         classes = _CLASSES[(n, key)] = tuple(sorted(found))
     return classes
+
+
+def passing_masks(n: int, keep, colours: Sequence[int] | None = None) -> list[int]:
+    """Ascending masks of the graphs on n vertices that pass ``keep``, a
+    predicate that no colour-preserving relabeling changes, tested per class."""
+    return sorted(
+        m for c in graph_classes(n, colours) if keep(Graph(n, c))
+        for m in orbit_masks(n, c, colours)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,14 @@ from .graphs import (
     bridges,
     component_masks,
     dominates,
-    enumerate_labeled_graphs,
+    graph_classes,
+    graph_count,
+    orbit_masks,
     to_graph6,
 )
-from .values import sign_with_band
+from .values import FRAGILE_MARGIN, on_band_edge, sign_with_band
 
-FALSIFIER_CAP = 6
+FALSIFIER_CAP = 7
 INFER_CAP = 15
 
 
@@ -340,27 +342,6 @@ def ecc_strict_condition_distance(g: Graph, i: int, j: int) -> bool:
     return all(dj[k] <= di[k] - 2 for k in range(g.n) if di[k] == far)
 
 
-def ecc_strict_condition_paths(g: Graph, i: int, j: int) -> bool:
-    """The 'j lies on all shortest paths to all farthest vertices' reading.
-
-    Kept for comparison: it implies a strict increase but does not capture
-    all of them (see the exactness tests for a five-vertex witness)."""
-    adj = g.adjacency()
-    di = bfs_distances(adj, i)
-    far = max((d for d in di if d > 0), default=0)
-    if far == 0:
-        return False
-    # every shortest i-k path passes through j iff deleting j lengthens
-    # (or severs) the i-k connection
-    cut = tuple(a & ~(1 << j) if v != j else 0 for v, a in enumerate(adj))
-    d_cut = bfs_distances(cut, i)
-    for k in range(g.n):
-        if di[k] == far and k != j:
-            if 0 <= d_cut[k] == di[k]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # axiom falsifier
 
@@ -396,14 +377,16 @@ class FalsifierResult:
         }
 
 
-def _delta_class(before, after, exact: bool, tol: float) -> tuple[int, bool]:
-    """(-1|0|+1, undecided-band) for the raw difference after - before; an
-    approximate zero is undecided too (see ``values.sign_with_band``)."""
+def _delta_class(before, after, exact: bool, tol: float) -> tuple[int, bool, bool]:
+    """(-1|0|+1, undecided-band, fragile) for the raw difference after -
+    before; an approximate zero is undecided too (``values.sign_with_band``),
+    and ``values.on_band_edge`` tells whether another labeling could differ."""
     if exact:
         d = after - before
-        return ((d > 0) - (d < 0), False)
-    sign, near = sign_with_band(float(after) - float(before), tol)
-    return (sign, near or sign == 0)
+        return ((d > 0) - (d < 0), False, False)
+    x = float(after) - float(before)
+    sign, near = sign_with_band(x, tol)
+    return (sign, near or sign == 0, on_band_edge(x, tol, before, after))
 
 
 def falsify_axiom(
@@ -424,7 +407,9 @@ def falsify_axiom(
     is outside the formula's domain, so instances whose subject vertex is
     isolated are skipped for the monotonicity axioms.  Approximate measures
     report violations only beyond the ambiguity band; closer calls are
-    returned in ``near_band``.
+    returned in ``near_band``.  The result is that of a scan of every
+    labeled graph with 1..n_max <= 7 vertices in mask order, stopped at the
+    first violation; ``_hunt`` gets it from one graph per class.
     """
     if axiom not in ("1", "1p", "2", "2p", "3", "4"):
         raise ParameterError(f"unknown axiom {axiom!r}")
@@ -435,54 +420,84 @@ def falsify_axiom(
             "axiom checks need a fixed katz alpha; the automatic one varies "
             "with the graph and makes before/after values incomparable"
         )
-    cache = cache or EvalCache()
-    exact = measure.is_exact
-    guard_isolated = KINDS[measure.kind].undefined_on_isolated
-    near: list[AxiomInstance] = []
-
+    events = _hunt(measure, axiom, n_max, tol, cache or EvalCache())
     if axiom == "3":
-        return _falsify_homophily(measure, n_max, tol, cache, exact, near)
-
-    for n in range(1, n_max + 1):
-        for g in enumerate_labeled_graphs(n):
-            base = cache.vector(measure, g)
-            comp_of = {v: c for c in component_masks(g) for v in bits(c)}
-            for i, j in g.non_edges():
-                h = g.add_edge(i, j)
-                hvec = cache.vector(measure, h)
-                if axiom == "4":
-                    # clause: an edge elsewhere cannot raise an unrelated value
-                    for k in range(n):
-                        if k in (i, j):
-                            continue
-                        sign, band = _delta_class(base[k], hvec[k], exact, tol)
-                        inst = AxiomInstance(g, i, j, k, "unrelated value increased")
-                        if band:
-                            if sign > 0:
-                                near.append(inst)
-                        elif sign > 0:
-                            return FalsifierResult(inst, near)
-                    continue
-                same = bool(comp_of[i] >> j & 1)
-                for k in (i, j):
-                    if guard_isolated and comp_of[k] == 1 << k:
-                        continue
-                    sign, band = _delta_class(base[k], hvec[k], exact, tol)
-                    bad, detail = _axiom_violation(axiom, same, sign)
-                    inst = AxiomInstance(g, i, j, k, detail)
-                    if band:
-                        if bad or sign == 0:
-                            near.append(inst)
-                    elif bad:
-                        return FalsifierResult(inst, near)
-            if axiom == "4":
-                for k in range(n):
-                    if comp_of[k] == 1 << k and base[k] != 0:
-                        return FalsifierResult(
-                            AxiomInstance(g, k, k, k, "isolated vertex value nonzero"),
-                            near,
-                        )
+        return _fit_homophily(events)
+    near: list[AxiomInstance] = []
+    for tag, inst, _ in events:
+        if tag == "bad":
+            return FalsifierResult(inst, near)
+        near.append(inst)
     return FalsifierResult(None, near)
+
+
+def _hunt(measure: Measure, axiom: str, n_max: int, tol: float, cache: EvalCache):
+    """``_scan_graph``'s events on every labeled graph with 1..n_max
+    vertices, in mask order, as far as the first violation.  The first graph
+    with a property that relabeling keeps is a class's canonical mask, the
+    smallest of its orbit.  A float may read otherwise in another labeling at
+    an edge of the band, and a near-band entry names its own labeled graph,
+    so a class whose representative reads either has every member scanned.
+    A linear measure's weight table fixes n; its kernel refuses any other."""
+    for n in range(1, n_max + 1):
+        scanned, first_bad = {}, graph_count(n)
+        for rep in graph_classes(n):
+            if rep > first_bad:  # no member of this class or a later one comes first
+                break
+            events, fragile = _scan_graph(measure, axiom, Graph(n, rep), cache, tol)
+            members = {rep: events}
+            if fragile or any(tag == "near" for tag, _, _ in events):
+                for m in orbit_masks(n, rep) - {rep}:
+                    members[m] = _scan_graph(measure, axiom, Graph(n, m), cache, tol)[0]
+            bad = [m for m, found in members.items() if found and found[-1][0] == "bad"]
+            first_bad = min([first_bad, *bad])
+            scanned.update(members)
+        for m in sorted(scanned):
+            yield from scanned[m]
+
+
+def _scan_graph(measure: Measure, axiom: str, g: Graph, cache: EvalCache, tol: float):
+    """(events, fragile) of one graph, in pair order up to its first
+    violation.  An event is (tag, instance, key): "near" or "bad", or for
+    axiom 3 "gain" or "stop" keyed by the subject's and partner's degrees.
+    Axiom 4 compares an isolated vertex's float with 0, so near 0 is fragile."""
+    exact = measure.is_exact
+    base = cache.vector(measure, g)
+    comp_of = {v: c for c in component_masks(g) for v in bits(c)}
+    guard = axiom not in ("3", "4") and KINDS[measure.kind].undefined_on_isolated
+    degrees = g.degrees()
+    events, fragile = [], False
+    for i, j in g.non_edges():
+        hvec = cache.vector(measure, g.add_edge(i, j))
+        # axiom 4's clause: an edge elsewhere cannot raise an unrelated value
+        for k in [k for k in range(g.n) if k not in (i, j)] if axiom == "4" else (i, j):
+            if guard and comp_of[k] == 1 << k:
+                continue
+            sign, band, edge = _delta_class(base[k], hvec[k], exact, tol)
+            fragile |= edge
+            if axiom == "3":
+                tag = "near" if band else "gain" if sign > 0 else "stop"
+                inst = AxiomInstance(g, i, j, k, "band: excluded from fit" if band else "")
+                events.append((tag, inst, (degrees[k], degrees[i + j - k])))
+                continue
+            if axiom == "4":
+                bad, detail = sign > 0, "unrelated value increased"
+            else:
+                bad, detail = _axiom_violation(axiom, bool(comp_of[i] >> j & 1), sign)
+            if band:
+                if bad or sign == 0 and axiom != "4":
+                    events.append(("near", AxiomInstance(g, i, j, k, detail), None))
+            elif bad:
+                events.append(("bad", AxiomInstance(g, i, j, k, detail), None))
+                return events, fragile
+    if axiom == "4":
+        for k in range(g.n):
+            if comp_of[k] == 1 << k:
+                fragile |= not exact and abs(base[k]) <= FRAGILE_MARGIN
+                if base[k] != 0:
+                    inst = AxiomInstance(g, k, k, k, "isolated vertex value nonzero")
+                    return events + [("bad", inst, None)], fragile
+    return events, fragile
 
 
 def _axiom_violation(axiom: str, same_component: bool, sign: int) -> tuple[bool, str]:
@@ -500,25 +515,15 @@ def _axiom_violation(axiom: str, same_component: bool, sign: int) -> tuple[bool,
     return sign <= 0, "cross-component addition failed to strictly increase"
 
 
-def _falsify_homophily(measure, n_max, tol, cache, exact, near) -> FalsifierResult:
+def _fit_homophily(events) -> FalsifierResult:
+    near: list[AxiomInstance] = []
     improving: dict[int, dict[int, AxiomInstance]] = {}
     refusing: dict[int, dict[int, AxiomInstance]] = {}
-    for n in range(1, n_max + 1):
-        for g in enumerate_labeled_graphs(n):
-            base = cache.vector(measure, g)
-            degrees = g.degrees()
-            for i, j in g.non_edges():
-                h = g.add_edge(i, j)
-                hvec = cache.vector(measure, h)
-                for k, other in ((i, j), (j, i)):
-                    sign, band = _delta_class(base[k], hvec[k], exact, tol)
-                    if band:
-                        near.append(AxiomInstance(g, i, j, k, "band: excluded from fit"))
-                        continue
-                    bucket = improving if sign > 0 else refusing
-                    bucket.setdefault(degrees[k], {}).setdefault(
-                        degrees[other], AxiomInstance(g, i, j, k)
-                    )
+    for tag, inst, (d, other) in events:
+        if tag == "near":
+            near.append(inst)
+        else:
+            (improving if tag == "gain" else refusing).setdefault(d, {}).setdefault(other, inst)
     degrees_seen = sorted(set(improving) | set(refusing))
     los: dict[int, int | None] = {}
     his: dict[int, int | None] = {}

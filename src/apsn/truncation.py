@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .census import colouring
 from .centrality import Measure
 from .errors import (
     ContractError,
@@ -21,7 +22,8 @@ from .errors import (
     VertexRangeError,
 )
 from .game import EvalCache, GameSpec, NumericAgent, default_policy
-from .graphs import Graph, pair_list, to_graph6
+from .graphs import Graph, graph_classes, pair_list, to_graph6
+from .values import format_rational
 
 MAXIMAL_MEMBER_CAP = 6
 
@@ -133,8 +135,6 @@ class MaximalMemberResult:
     caps: tuple[Fraction, ...]
 
     def to_json(self) -> dict:
-        from .values import format_rational
-
         return {
             "graph6": to_graph6(self.graph),
             "caps": [format_rational(c) for c in self.caps],
@@ -152,39 +152,45 @@ def compute_caps(
     vertices.  The separation property behind the capped growth (value after
     an addition is within the cap iff the value before it was below the
     threshold) is then checked exhaustively, and a violation is reported
-    with a witness."""
-    from .graphs import enumerate_labeled_graphs
-
+    with the first witness in mask and pair order.  A relabeling that keeps
+    ``census.colouring`` of the truncated game maps a vertex to one of its
+    colour, so both passes walk one graph per class and keep a cap per
+    colour.  Exact measures only: a float maximum depends on the labeling."""
     if n > MAXIMAL_MEMBER_CAP:
         raise SizeGuardError(
             f"exhaustive cap computation is limited to n={MAXIMAL_MEMBER_CAP}; "
             "supply caps explicitly beyond that"
         )
+    if not all(m.is_exact for m in measures):
+        raise ParameterError("exhaustive caps need exact measures; supply caps explicitly")
     cache = cache or EvalCache()
-    caps: list[Fraction | None] = [None] * n
-    for g in enumerate_labeled_graphs(n):
-        values = [cache.vector(m, g)[i] for i, m in enumerate(measures)]
-        for i, j in g.non_edges():
-            h = g.add_edge(i, j)
-            for k in (i, j):
-                if _below(values[k], thetas[k]):
-                    after = cache.vector(measures[k], h)[k]
-                    if caps[k] is None or after > caps[k]:
-                        caps[k] = after
-    filled = tuple(Fraction(0) if c is None else c for c in caps)
-    for g in enumerate_labeled_graphs(n):
-        values = [cache.vector(m, g)[i] for i, m in enumerate(measures)]
-        for i, j in g.non_edges():
-            h = g.add_edge(i, j)
-            for k in (i, j):
-                after = cache.vector(measures[k], h)[k]
-                if after <= filled[k] and not _below(values[k], thetas[k]):
-                    raise ContractError(
-                        "capped-growth precondition failed: on "
-                        f"{to_graph6(g)} adding ({i},{j}) keeps vertex {k} "
-                        "within its cap although it already met its threshold"
-                    )
+    colours = colouring(truncated_game(measures, thetas))
+    caps: dict[int, Fraction] = {}
+    for _, _, _, k, before, after in _additions(n, measures, colours, cache):
+        c = colours[k]
+        if _below(before, thetas[k]) and (c not in caps or after > caps[c]):
+            caps[c] = after
+    filled = tuple(caps.get(c, Fraction(0)) for c in colours)
+    for g, i, j, k, before, after in _additions(n, measures, colours, cache):
+        if after <= filled[k] and not _below(before, thetas[k]):
+            raise ContractError(
+                "capped-growth precondition failed: on "
+                f"{to_graph6(g)} adding ({i},{j}) keeps vertex {k} "
+                "within its cap although it already met its threshold"
+            )
     return filled
+
+
+def _additions(n: int, measures: Sequence[Measure], colours, cache: EvalCache):
+    """(g, i, j, k, k's values before and after) per endpoint k of each
+    addition ij to one graph per class, in mask and pair order."""
+    for mask in graph_classes(n, colours):
+        g = Graph(n, mask)
+        values = [cache.vector(m, g)[k] for k, m in enumerate(measures)]
+        for i, j in g.non_edges():
+            h = g.add_edge(i, j)
+            for k in (i, j):
+                yield g, i, j, k, values[k], cache.vector(measures[k], h)[k]
 
 
 def maximal_member(

@@ -11,9 +11,12 @@
   vectors from those rational solves, and ``oracle_closeness``,
   ``oracle_betweenness`` and the other distance oracles are the
   ``Fraction`` loops that the integer BFS kernels replaced;
-* ``labeled_census`` decides every labeled graph, the census that
-  ``apsn.census`` replaces with one decision per class of colour-preserving
-  relabelings;
+* ``enumerate_labeled_graphs`` walks every labeled graph in mask order,
+  the walk that ``graphs.graph_classes`` replaces with one graph per class
+  of colour-preserving relabelings; ``labeled_census``,
+  ``labeled_falsify_axiom``, ``labeled_compute_caps`` and
+  ``labeled_passing_masks`` are the census, the axiom hunt, the cap
+  computation and the predicate filter on that walk;
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
   removals separately, the flip evaluation that ``game._eval_flip``'s one
   rule replaced;
@@ -21,6 +24,9 @@
   evaluate one flip through ``game._eval_flip``, never through the rules
   by which ``is_apsn`` decides a flip unevaluated.
 
+``ecc_strict_condition_paths`` is the shortest-path reading of a strict
+eccentricity increase that ``structure.ecc_strict_condition_distance``
+corrects.  ``same_component`` reads whether two vertices are connected.
 ``seeded_weights`` gives the linear kernel tests a reproducible weight table
 and ``write_weight_table`` is the inverse of ``truncation.read_weight_table``.
 """
@@ -34,8 +40,9 @@ from fractions import Fraction
 import numpy as np
 
 from apsn.census import game_fingerprint
-from apsn.errors import SizeGuardError
-from apsn import game
+from apsn.centrality import KINDS
+from apsn.errors import ContractError, SizeGuardError
+from apsn import game, structure
 from apsn.game import EvalCache, GameSpec, MonotoneAgent, NumericAgent, is_apsn
 from apsn.graphs import (
     Graph,
@@ -43,10 +50,10 @@ from apsn.graphs import (
     bits,
     bridges,
     canonical_form,
+    component_masks,
     component_of,
     graph_count,
     reachable_from,
-    same_component,
     to_graph6,
 )
 from apsn.values import on_band_edge, sign_with_band
@@ -57,6 +64,7 @@ EIG_MAX_ITER = 10**6
 PAGERANK_TOLERANCE = 1e-12
 PAGERANK_MAX_ITER = 10**6
 BRUTE_CAP = 7
+LABELED_CAP = 8
 
 
 # -- power iterations ------------------------------------------------------------
@@ -343,6 +351,35 @@ def brute_betweenness(g: Graph, i: int) -> Fraction:
     return total
 
 
+# -- components and eccentricity ---------------------------------------------------
+
+
+def same_component(g: Graph, i: int, j: int) -> bool:
+    return bool(component_of(g, i) >> j & 1)
+
+
+def ecc_strict_condition_paths(g: Graph, i: int, j: int) -> bool:
+    """The 'j lies on all shortest paths to all farthest vertices' reading of
+    when an addition ij strictly raises i's eccentricity centrality.  It
+    implies a strict increase but misses some, which the exact
+    ``structure.ecc_strict_condition_distance`` catches (the tests hold a
+    witness)."""
+    adj = g.adjacency()
+    di = bfs_distances(adj, i)
+    far = max((d for d in di if d > 0), default=0)
+    if far == 0:
+        return False
+    # every shortest i-k path passes through j iff deleting j lengthens
+    # (or severs) the i-k connection
+    cut = tuple(a & ~(1 << j) if v != j else 0 for v, a in enumerate(adj))
+    d_cut = bfs_distances(cut, i)
+    for k in range(g.n):
+        if di[k] == far and k != j:
+            if 0 <= d_cut[k] == di[k]:
+                return False
+    return True
+
+
 # -- census ------------------------------------------------------------------------
 
 
@@ -355,6 +392,19 @@ def seeded_weights(n: int) -> list[list[int]]:
         for j in range(i + 1, n):
             w[i][j] = w[j][i] = rnd.randrange(3)
     return w
+
+
+def enumerate_labeled_graphs(n: int):
+    """All labeled graphs on n vertices in increasing mask order."""
+    if n > LABELED_CAP:
+        raise SizeGuardError(f"full enumeration capped at n={LABELED_CAP} (got {n})")
+    for mask in range(graph_count(n)):
+        yield Graph(n, mask)
+
+
+def labeled_passing_masks(n: int, keep) -> list[int]:
+    """Masks of the labeled graphs on n vertices that pass ``keep``."""
+    return [g.mask for g in enumerate_labeled_graphs(n) if keep(g)]
 
 
 def labeled_census(spec: GameSpec, n: int) -> dict:
@@ -381,6 +431,112 @@ def labeled_census(spec: GameSpec, n: int) -> dict:
         "ambiguous_graph6": [to_graph6(Graph(n, m)) for m in ambiguous],
         "shards": 1,
     }
+
+
+# -- axiom hunts and caps ----------------------------------------------------------
+
+
+def labeled_falsify_axiom(measure, axiom: str, n_max: int, tol: float = 1e-9, cache=None):
+    """``structure.falsify_axiom`` by a scan of every labeled graph, each
+    instance read from its own labeling; the homophily fit (axiom 3) is
+    ``structure._fit_homophily`` on the instances in scan order."""
+    cache = cache or EvalCache()
+    exact = measure.is_exact
+    guard_isolated = KINDS[measure.kind].undefined_on_isolated
+    near: list = []
+    fit: list = []
+
+    def delta_class(before, after):
+        if exact:
+            d = after - before
+            return (d > 0) - (d < 0), False
+        sign, band = sign_with_band(float(after) - float(before), tol)
+        return sign, band or sign == 0
+
+    for n in range(1, n_max + 1):
+        for g in enumerate_labeled_graphs(n):
+            base = cache.vector(measure, g)
+            comp_of = {v: c for c in component_masks(g) for v in bits(c)}
+            degrees = g.degrees()
+            for i, j in g.non_edges():
+                hvec = cache.vector(measure, g.add_edge(i, j))
+                if axiom == "3":
+                    for k, other in ((i, j), (j, i)):
+                        sign, band = delta_class(base[k], hvec[k])
+                        key = (degrees[k], degrees[other])
+                        if band:
+                            inst = structure.AxiomInstance(g, i, j, k, "band: excluded from fit")
+                            fit.append(("near", inst, key))
+                        else:
+                            tag = "gain" if sign > 0 else "stop"
+                            fit.append((tag, structure.AxiomInstance(g, i, j, k), key))
+                    continue
+                if axiom == "4":
+                    for k in range(n):
+                        if k in (i, j):
+                            continue
+                        sign, band = delta_class(base[k], hvec[k])
+                        inst = structure.AxiomInstance(g, i, j, k, "unrelated value increased")
+                        if band:
+                            if sign > 0:
+                                near.append(inst)
+                        elif sign > 0:
+                            return structure.FalsifierResult(inst, near)
+                    continue
+                same = bool(comp_of[i] >> j & 1)
+                for k in (i, j):
+                    if guard_isolated and comp_of[k] == 1 << k:
+                        continue
+                    sign, band = delta_class(base[k], hvec[k])
+                    bad, detail = structure._axiom_violation(axiom, same, sign)
+                    inst = structure.AxiomInstance(g, i, j, k, detail)
+                    if band:
+                        if bad or sign == 0:
+                            near.append(inst)
+                    elif bad:
+                        return structure.FalsifierResult(inst, near)
+            if axiom == "4":
+                for k in range(n):
+                    if comp_of[k] == 1 << k and base[k] != 0:
+                        inst = structure.AxiomInstance(g, k, k, k, "isolated vertex value nonzero")
+                        return structure.FalsifierResult(inst, near)
+    if axiom == "3":
+        return structure._fit_homophily(fit)
+    return structure.FalsifierResult(None, near)
+
+
+def labeled_compute_caps(n: int, measures, thetas, cache=None) -> tuple[Fraction, ...]:
+    """``truncation.compute_caps`` by two scans of every labeled graph, one
+    cap per vertex."""
+    cache = cache or EvalCache()
+
+    def below(value, theta):
+        return theta is None or value < theta
+
+    caps: list = [None] * n
+    for g in enumerate_labeled_graphs(n):
+        values = [cache.vector(m, g)[i] for i, m in enumerate(measures)]
+        for i, j in g.non_edges():
+            h = g.add_edge(i, j)
+            for k in (i, j):
+                if below(values[k], thetas[k]):
+                    after = cache.vector(measures[k], h)[k]
+                    if caps[k] is None or after > caps[k]:
+                        caps[k] = after
+    filled = tuple(Fraction(0) if c is None else c for c in caps)
+    for g in enumerate_labeled_graphs(n):
+        values = [cache.vector(m, g)[i] for i, m in enumerate(measures)]
+        for i, j in g.non_edges():
+            h = g.add_edge(i, j)
+            for k in (i, j):
+                after = cache.vector(measures[k], h)[k]
+                if after <= filled[k] and not below(values[k], thetas[k]):
+                    raise ContractError(
+                        "capped-growth precondition failed: on "
+                        f"{to_graph6(g)} adding ({i},{j}) keeps vertex {k} "
+                        "within its cap although it already met its threshold"
+                    )
+    return filled
 
 
 # -- flip evaluation -------------------------------------------------------------

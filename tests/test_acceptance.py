@@ -38,7 +38,6 @@ from apsn.graphs import (
     bridges,
     canonical_form,
     component_masks,
-    enumerate_labeled_graphs,
     graph_count,
     read_edge_list,
 )
@@ -48,7 +47,6 @@ from apsn.structure import (
     check_monotone_structure,
     ecc_necessary,
     ecc_strict_condition_distance,
-    ecc_strict_condition_paths,
     ecc_sufficient,
     falsify_axiom,
     infer_types,
@@ -64,7 +62,7 @@ from apsn.truncation import (
     truncated_game,
     universality_thresholds,
 )
-from oracles import brute_shapley
+from oracles import brute_shapley, ecc_strict_condition_paths, enumerate_labeled_graphs
 
 CACHE = EvalCache()
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"

@@ -29,7 +29,6 @@ from apsn.centrality import (
 from apsn.errors import ParameterError, SizeGuardError
 from apsn.graphs import (
     Graph,
-    enumerate_labeled_graphs,
     graph_count,
     is_connected,
 )
@@ -39,6 +38,7 @@ from oracles import (
     brute_betweenness,
     brute_shapley,
     eigenvector_by_iteration,
+    enumerate_labeled_graphs,
     hitting_times,
     oracle_betweenness,
     oracle_closeness,
@@ -232,7 +232,7 @@ def test_hitting_times_match_monte_carlo():
 def test_intra_component_edge_at_target_never_increases_hitting_times():
     # Monotonicity holds for additions incident to the target vertex (the
     # improving-move situation); edges elsewhere can lengthen walks.
-    from apsn.graphs import same_component
+    from oracles import same_component
 
     for g in enumerate_labeled_graphs(4):
         for i, j in g.non_edges():

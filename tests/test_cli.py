@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import pathlib
 
@@ -5,7 +7,15 @@ import jsonschema
 import pytest
 
 from apsn.cli import main, make_parser
+from apsn.game import MONOTONE_KINDS
 from apsn.graphs import Graph, from_graph6, to_graph6, write_edge_list
+from apsn.structure import (
+    betweenness_condition,
+    check_monotone_structure,
+    ecc_necessary,
+    ecc_sufficient,
+)
+from oracles import labeled_passing_masks
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "docs" / "schemas"
@@ -129,6 +139,39 @@ def test_predict_monotone_types(capsys):
     payload = json.loads(out)
     validate("predict", payload)
     assert payload["graphs"]
+
+
+def test_predict_equals_labeled_filter_n5(capsys):
+    # each monotone multiset's list and each structural family's list is the
+    # labeled scan's, in mask order
+    runs = [
+        (["--family", "monotone", "--types", ",".join(types)],
+         functools.partial(check_monotone_structure, types=types), n)
+        for n in range(1, 6)
+        for types in itertools.combinations_with_replacement(MONOTONE_KINDS, n)
+    ]
+    runs += [
+        (["--family", family, "--n", str(n)], predicate, n)
+        for family, predicate in (
+            ("betweenness", betweenness_condition),
+            ("ecc-necessary", ecc_necessary),
+            ("ecc-sufficient", ecc_sufficient),
+        )
+        for n in range(1, 6)
+    ]
+    for argv, keep, n in runs:
+        code, out, _ = run_cli(capsys, "predict", *argv)
+        assert code == 0
+        expected = [to_graph6(Graph(n, m)) for m in labeled_passing_masks(n, keep)]
+        assert json.loads(out)["graphs"] == expected, argv
+
+
+def test_predict_beyond_the_class_lists_is_a_size_guard_error(capsys):
+    for argv in (["--n", "8", "--family", "betweenness"],
+                 ["--family", "monotone", "--types", "1,1,1,1,2,2,2,2"]):
+        code, out, err = run_cli(capsys, "predict", *argv)
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "size_guard"
 
 
 def test_truncated_universality(capsys, tmp_path):
@@ -408,6 +451,19 @@ def test_truncated_pareto_and_maximal(capsys, tmp_path):
     payload = json.loads(out)
     validate("truncated", payload)
     assert payload["caps"] == ["2", "2", "2", "2"]
+
+
+def test_truncated_maximal_needs_explicit_caps_for_an_approximate_measure(capsys):
+    argv = ["truncated", "--op", "maximal", "--n", "3", "--measure", "katz:0.1",
+            "--thresholds", "1/2,1/2,1/2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "parameter"
+    code, out, _ = run_cli(capsys, *argv, "--caps", "1/2,1/2,1/2")
+    assert code == 0
+    payload = json.loads(out)
+    validate("truncated", payload)
+    assert payload["caps"] == ["1/2", "1/2", "1/2"]
 
 
 def test_dynamics_first_order(capsys, k4_file):

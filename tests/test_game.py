@@ -42,7 +42,6 @@ from apsn.game import (
 )
 from apsn.graphs import (
     Graph,
-    enumerate_labeled_graphs,
     graph_classes,
     graph_count,
     pair_list,
@@ -53,6 +52,7 @@ from oracles import (
     delta_add,
     delta_remove,
     eigenvector_by_iteration,
+    enumerate_labeled_graphs,
     improving_add,
     improving_remove,
     pagerank_by_iteration,

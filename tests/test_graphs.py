@@ -21,7 +21,6 @@ from apsn.graphs import (
     bridges,
     canonical_form,
     dominates,
-    enumerate_labeled_graphs,
     from_graph6,
     graph_classes,
     graph_count,
@@ -29,11 +28,11 @@ from apsn.graphs import (
     orbit_masks,
     pair_count,
     read_edge_list,
-    same_component,
     shard_bounds,
     to_graph6,
     write_edge_list,
 )
+from oracles import enumerate_labeled_graphs, same_component
 
 
 def graphs_strategy(max_n=6):

@@ -11,6 +11,7 @@ from apsn.centrality import (
     decay,
     degree,
     eccentricity,
+    eigenvector,
     game_theoretic,
     harmonic,
     katz,
@@ -26,14 +27,14 @@ from apsn.game import (
     NumericAgent,
     uniform_game,
 )
-from apsn.graphs import Graph, canonical_form, enumerate_labeled_graphs, from_graph6, read_edge_list
+from apsn.graphs import Graph, canonical_form, from_graph6, read_edge_list
+from apsn.values import AMBIGUITY_BAND
 from apsn.game import is_apsn
 from apsn.profiles import load_profile_file
 from apsn.structure import (
     check_monotone_structure,
     ecc_necessary,
     ecc_strict_condition_distance,
-    ecc_strict_condition_paths,
     ecc_sufficient,
     falsify_axiom,
     infer_types,
@@ -42,6 +43,7 @@ from apsn.structure import (
     stratified_sequences,
     betweenness_condition,
 )
+from oracles import ecc_strict_condition_paths, enumerate_labeled_graphs, labeled_falsify_axiom
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 CORE_PERIPHERY_TYPES = tuple(
@@ -355,7 +357,7 @@ def ecc_vec(g):
 
 
 def test_ecc_strict_distance_condition_is_exact_n4():
-    from apsn.graphs import same_component
+    from oracles import same_component
 
     for g in enumerate_labeled_graphs(4):
         base = ecc_vec(g)
@@ -379,7 +381,7 @@ def test_ecc_paths_reading_misses_strict_increases():
 
 
 def test_ecc_paths_reading_still_implies_strictness_n4():
-    from apsn.graphs import same_component
+    from oracles import same_component
 
     for g in enumerate_labeled_graphs(4):
         base = ecc_vec(g)
@@ -427,7 +429,7 @@ def test_gametheoretic_homophily_fit(shared_cache):
 
 def test_falsifier_guard():
     with pytest.raises(SizeGuardError):
-        falsify_axiom(degree(), "1", 7)
+        falsify_axiom(degree(), "1", 8)
 
 
 def test_falsifier_rejects_unknown_axiom():
@@ -435,16 +437,13 @@ def test_falsifier_rejects_unknown_axiom():
         falsify_axiom(degree(), "5", 4)
 
 
-def test_increasing_axiom_family_n5(shared_cache, one_measure_per_kind):
+def test_increasing_axiom_family_n7(shared_cache, one_measure_per_kind):
     # a measure is increasing exactly when the falsifier finds no violation
-    # up to n = 5, except PageRank, whose first violation is at n = 6 (next
-    # test); exact members are checked exactly, spectral members report only
-    # confident violations and log near-band events
+    # up to n = 7 (PageRank's first one is at n = 6, next test); exact
+    # members are checked exactly, spectral members report only confident
+    # violations and log near-band events
     for m in one_measure_per_kind:
-        result = falsify_axiom(m, "1", 5, cache=shared_cache)
-        if m.kind == "pagerank":
-            assert result.counterexample is None and not m.is_increasing
-            continue
+        result = falsify_axiom(m, "1", 7, cache=shared_cache)
         assert (result.counterexample is None) == m.is_increasing, m.kind
         if m.is_exact and m.is_increasing:
             assert not result.near_band
@@ -477,6 +476,49 @@ def test_falsifier_reads_a_float_zero_as_undecided():
         (Graph.empty(2), 0, 1, 0),
         (Graph.empty(2), 0, 1, 1),
     ]
+
+
+AXIOMS = ("1", "1p", "2", "2p", "3", "4")
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_falsifier_equals_labeled_scan_n4(shared_cache, one_measure_per_kind, axiom):
+    # the class walk reports what a scan of every labeled graph reports
+    for m in one_measure_per_kind:
+        expected = labeled_falsify_axiom(m, axiom, 4, cache=shared_cache).to_json()
+        assert falsify_axiom(m, axiom, 4, cache=shared_cache).to_json() == expected, m.kind
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_falsifier_equals_labeled_scan_spectral_n5(shared_cache, axiom):
+    # float deltas: every near-band instance is listed under its own
+    # labeling, which takes the fragile fallback
+    for m in (eigenvector(), katz(0.1), pagerank()):
+        expected = labeled_falsify_axiom(m, axiom, 5, cache=shared_cache).to_json()
+        assert falsify_axiom(m, axiom, 5, cache=shared_cache).to_json() == expected, m.kind
+
+
+def test_falsifier_scans_every_labeling_of_a_fragile_class(shared_cache):
+    # Bo (edges 01, 02) and Bg (edges 01, 12) label the path on three
+    # vertices.  Adding its missing pair raises each end's eigenvector value
+    # by the same amount in exact arithmetic, but the float readings differ
+    # in the last digits.  A tolerance that puts the band's outer edge
+    # between Bg's smaller reading and Bo's readings makes Bg alone list a
+    # near-band instance; Bo's reading is fragile, so the walk scans Bg too.
+    m = eigenvector()
+
+    def readings(g, i, j):
+        before, after = shared_cache.vector(m, g), shared_cache.vector(m, g.add_edge(i, j))
+        return [after[k] - before[k] for k in (i, j)]
+
+    low, high = readings(Graph(3, 5), 0, 2)[1], min(readings(Graph(3, 3), 1, 2))
+    assert low < high
+    tol = (low + high) / 2 / AMBIGUITY_BAND
+    result = falsify_axiom(m, "3", 3, tol, shared_cache)
+    expected = labeled_falsify_axiom(m, "3", 3, tol, shared_cache)
+    assert result.to_json() == expected.to_json()
+    near = [(e.graph.mask, e.i, e.j, e.vertex) for e in result.near_band]
+    assert (5, 0, 2, 2) in near and all(mask != 3 for mask, *_ in near)
 
 
 def test_falsifier_rejects_auto_katz():

@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsn.centrality import closeness, decay, degree, harmonic, katz, linear, pagerank
-from apsn.errors import MalformedLineError, ParameterError
+from apsn.centrality import (
+    closeness,
+    decay,
+    degree,
+    game_theoretic,
+    harmonic,
+    katz,
+    linear,
+    pagerank,
+)
+from apsn.errors import ContractError, MalformedLineError, ParameterError
 from apsn.game import EvalCache, TolerantPolicy, default_policy, is_apsn
-from apsn.graphs import Graph, enumerate_labeled_graphs, graph_classes, graph_count
+from apsn.graphs import Graph, graph_classes, graph_count
 from apsn.truncation import (
     compute_caps,
     greedy_linear_apsn,
@@ -17,7 +26,12 @@ from apsn.truncation import (
     truncated_game,
     universality_thresholds,
 )
-from oracles import write_weight_table
+from oracles import (
+    enumerate_labeled_graphs,
+    labeled_compute_caps,
+    seeded_weights,
+    write_weight_table,
+)
 
 
 def unit_weights(n):
@@ -239,6 +253,51 @@ def test_stable_graphs_are_edge_maximal_within_caps(shared_cache):
             assert any(
                 shared_cache.vector(measures[k], h)[k] > caps[k] for k in range(n)
             )
+
+
+def _caps_cases():
+    """(n, measures, thresholds): uniform, mixed and per-vertex thresholds,
+    a labeled measure, and games whose precondition fails (a witness)."""
+    half = Fraction(1, 2)
+    for n in (3, 4, 5):
+        yield n, [degree()] * n, [Fraction(2)] * n
+        yield n, [harmonic()] * n, [Fraction(3, 2)] * n
+        yield n, [decay(half)] * n, [Fraction(1)] * n
+        yield n, [degree()] * (n - 1) + [harmonic()], [Fraction(1)] * (n - 1) + [Fraction(2)]
+        yield n, [degree()] * n, [Fraction(1)] + [None] * (n - 1)
+        yield n, [linear(seeded_weights(n))] * n, [Fraction(2)] * n
+        yield n, [closeness()] * n, [half] * n
+    # thresholds that split the vertices of one measure into colours
+    yield 3, [harmonic()] * 3, [Fraction(1), None, Fraction(1)]
+    yield 4, [game_theoretic()] * 4, [None, Fraction(3, 2), None, Fraction(2)]
+    yield 4, [decay(half)] * 4, [None, half, half, half]
+    yield 6, [degree()] * 6, [Fraction(2)] * 6
+    yield 6, [harmonic()] * 6, [Fraction(5, 2)] * 6
+
+
+def _caps_or_witness(compute, n, measures, thetas, cache):
+    try:
+        return compute(n, measures, thetas, cache)
+    except ContractError as exc:
+        return str(exc)
+
+
+def test_compute_caps_equals_labeled_scan(shared_cache):
+    # one cap per colour over one graph per class gives every labeled cap
+    # and the labeled scan's first witness: 26 cases, 15 of them witnesses
+    witnesses = 0
+    for n, measures, thetas in _caps_cases():
+        expected = _caps_or_witness(labeled_compute_caps, n, measures, thetas, shared_cache)
+        found = _caps_or_witness(compute_caps, n, measures, thetas, shared_cache)
+        assert found == expected, (n, measures[-1].kind, thetas)
+        witnesses += isinstance(found, str)
+    assert witnesses == 15
+
+
+def test_compute_caps_refuses_approximate_measures():
+    # a float maximum depends on the labeling that attains it
+    with pytest.raises(ParameterError):
+        compute_caps(3, [katz(0.1)] * 3, [Fraction(1, 2)] * 3)
 
 
 # -- truncation semantics --------------------------------------------------------------
