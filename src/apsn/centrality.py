@@ -101,7 +101,7 @@ class Measure:
         if self.kind == "linear":
             w = self.weights
             return all(w[i][j] for i in range(len(w)) for j in range(len(w)) if i != j)
-        return self.kind in ("degree", "decay", "harmonic")
+        return KINDS[self.kind].rule == "1"
 
 
 def degree() -> Measure:
@@ -487,15 +487,19 @@ class Kind:
     vertex.  A global kind has ``at = None``.
 
     ``rule`` says when an untruncated agent gains from an edge ko added to
-    lo, the graph without it, on every graph (``game.rule_willing``).  "1",
+    lo, the graph without it, on every graph (``game.rule_of``).  "1",
     always: degree, decay and harmonic, since ko adds a neighbour and
     lengthens no distance.  "2 or isolated", when o is in k's component of lo
     or k is isolated there: closeness, since d(k, o) falls to 1 inside and
-    the distance sum grows by o's component across.  Random-walk closeness
-    obeys "2 or isolated" too (checked on every class to n = 7), but waits
-    for ``perfbench``'s ``RefClock`` to probe at a phase's start: a
-    census-walk pass decided from components ends before its first probe.
-    Only local kinds have a rule, since decided flips' deltas come from ``at``."""
+    the distance sum grows by o's component across.  "homophily", when
+    d_o <= (d_k + 1)(d_k + 2) - 3 in lo (``game.GT_HOMOPHILY``): game-theoretic
+    centrality, since ko turns k's term 1 / (d_k + 1) into 1 / (d_k + 2) and
+    adds o's 1 / (d_o + 2), a change of 1 / (d_o + 2) - 1 / ((d_k + 1)(d_k + 2))
+    (Michalak et al., JAIR 2013).
+    Random-walk closeness obeys "2 or isolated" too (checked on every class
+    to n = 7), but waits for ``perfbench``'s ``RefClock`` to probe at a
+    phase's start: a census-walk pass decided from components ends before its
+    first probe."""
 
     vector: Callable[[Graph, Measure], tuple]
     at: Callable[[Sequence[int], int, Measure], Fraction] | None = None
@@ -503,7 +507,7 @@ class Kind:
     solve: bool = False  # a linear solve or eigendecomposition per graph: census cap
     undefined_on_isolated: bool = False  # empty sum at an isolated vertex: axiom checks skip it
     labeled: bool = False  # reads vertex labels: a census colours every vertex apart
-    rule: str | None = None  # when a vertex gains from an added edge, from components
+    rule: str | None = None  # when a vertex gains from an added edge, from lo's facts
 
 
 def _vector_at(at, g: Graph, m: Measure) -> tuple:
@@ -525,7 +529,7 @@ KINDS: dict[str, Kind] = {
     "harmonic": _local(_harmonic_at, rule="1"),
     "betweenness": Kind(_betweenness_vector),
     "rwbetweenness": Kind(_rwbetweenness_vector, solve=True),
-    "gametheoretic": _local(_gametheoretic_at),
+    "gametheoretic": _local(_gametheoretic_at, rule="homophily"),
     "eigenvector": Kind(_eigenvector_vector, exact=False, solve=True),
     "katz": Kind(_katz_vector, exact=False, solve=True),
     "pagerank": Kind(_pagerank_vector, exact=False, solve=True),

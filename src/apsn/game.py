@@ -11,18 +11,18 @@ when ``sign_with_band`` reads the rise as positive).
 * a removal blocks stability iff at least one endpoint is not willing (the
   saved cost then strictly improves its utility).
 
-Degree-homophilic agents answer it from their threshold function on lo's
-degrees.  Rule-typed agents answer it from a rule and two facts of lo: whether
-i and j share a component, and whether the endpoint is isolated
-(``rule_willing``).  A monotone agent's rule is its type; an untruncated
-numeric agent's is its kind's ``Kind.rule``, which holds on every graph ("1"
-for degree, decay and harmonic, "2 or isolated" for closeness).
+An endpoint with a rule (``rule_of``) answers from it and facts of lo, never
+from a kernel.  A monotone agent's type and an untruncated numeric agent's
+``Kind.rule`` read whether i and j share a component and whether the
+endpoint is isolated (``rule_willing``); a homophilic agent's threshold, as
+game-theoretic centrality's ``GT_HOMOPHILY``, reads lo's degrees.  Only a
+numeric endpoint without a rule is evaluated.
 
-A pair of two rule-typed agents is never evaluated.  Its addition (lo = g)
-is decided from g's components and its removal (lo = g - ij) from g's
-bridges, both found once per scan as pair masks.  A stability report still
-lists every blocking flip with both endpoints' deltas; best-response dynamics
-computes deltas only for the flip it takes.
+A pair of two agents whose rules read components is never evaluated: its
+addition (lo = g) is decided from g's components and its removal
+(lo = g - ij) from g's bridges, found once per scan as pair masks.
+``_with_deltas`` builds every delta: of each flip a report lists, of the
+flip dynamics takes and of every flip the finite-cost bridge reads.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Union
 
 from .centrality import KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
-from .graphs import Graph, bridge_mask, pair_list, pairs_within, reachable_from
+from .graphs import Graph, bridge_mask, pair_index, pair_list, pairs_within, reachable_from
 from .values import (
     DEFAULT_TOLERANCE,
     Approx,
@@ -151,10 +151,16 @@ class GameSpec:
         return len(self.agents)
 
     @functools.cached_property
+    def agent_rules(self) -> tuple:
+        """``rule_of`` of each agent."""
+        return tuple(rule_of(agent) for agent in self.agents)
+
+    @functools.cached_property
     def rules(self) -> tuple[int, tuple[int, ...]]:
-        """(typed, refuse): bitmasks of the rule-typed agents and, per case
-        2 * same + isolated of ``rule_willing``, of those that refuse."""
-        rules = [rule_of(agent) for agent in self.agents]
+        """(typed, refuse): bitmasks of the agents whose rule reads only
+        (same, isolated) and, per case 2 * same + isolated of
+        ``rule_willing``, of those that refuse."""
+        rules = [r if isinstance(r, str) else None for r in self.agent_rules]
         return sum(1 << k for k, r in enumerate(rules) if r), tuple(
             sum(1 << k for k, r in enumerate(rules) if r and not rule_willing(r, same, iso))
             for same in (False, True)
@@ -274,13 +280,6 @@ def _truncate(raw, threshold: Fraction):
     return min(float(raw), float(threshold))
 
 
-def _delta_value(spec: GameSpec, before, after, k: int) -> Value:
-    if spec.agents[k].measure.is_exact:
-        return Exact(after - before)
-    # GameSpec gives approximate measures a tolerant policy
-    return Approx(float(after) - float(before), spec.policy.tol)
-
-
 # ---------------------------------------------------------------------------
 # willingness per agent kind
 
@@ -293,13 +292,18 @@ def rule_willing(rule: str, same: bool, isolated: bool) -> bool:
     return {"1": True, "1p": False, "2": same, "2p": not same}[rule]
 
 
-def rule_of(agent: Agent) -> str | None:
-    """A monotone agent's type, or an untruncated numeric agent's
-    ``Kind.rule``: the rule of a rule-typed agent, None for any other."""
+def rule_of(agent: Agent) -> str | HomophilyFunction | None:
+    """A monotone agent's type, a homophilic agent's threshold function, an
+    untruncated numeric agent's ``Kind.rule`` ("homophily" being
+    ``GT_HOMOPHILY``), or None: the rule that answers whether the agent
+    gains from an added edge."""
     if isinstance(agent, MonotoneAgent):
         return agent.kind
-    if isinstance(agent, NumericAgent) and agent.threshold is None:
-        return KINDS[agent.measure.kind].rule
+    if isinstance(agent, HomophilicAgent):
+        return agent.f
+    if agent.threshold is None:
+        rule = KINDS[agent.measure.kind].rule
+        return GT_HOMOPHILY if rule == "homophily" else rule
     return None
 
 
@@ -373,19 +377,19 @@ def _eval_flip(
     """(blocking, ambiguous, fragile, values) of flipping pair ij, which
     turns g into h.
 
-    ``values`` holds (before, after) truncated centralities per numeric
-    endpoint and None per rule endpoint.  Each endpoint is asked whether it
-    gains from adding ij to lo, the one of g and h without the edge; an
-    addition blocks when both do and a removal when either does not.
-    ``ambiguous`` means the verdict relies on a near-band float delta, and
-    ``fragile`` that a float delta sits on an edge of the band
-    (``on_band_edge``), so another labeling of g could read the flip
-    differently.  ``before`` holds the values on g that the flips of one
-    scan share.  An endpoint of a local kind reads its value on g from
-    there and its value on h from g's adjacency with ij toggled; a global
-    kind reads both from cached vectors.
+    Each endpoint is asked whether it gains from adding ij to lo, the one of
+    g and h without the edge; an addition blocks when both do and a removal
+    when either does not.  An endpoint with a rule answers from lo and gets
+    None in ``values``.  Any other reads a kernel, its value on g from
+    ``before`` (shared by the flips of one scan) and on h from g's adjacency
+    with ij toggled (a local kind) or a cached vector (a global kind), and
+    gets its truncated (before, after).  ``ambiguous`` means the verdict
+    relies on a near-band float delta, and ``fragile`` that a float delta
+    sits on an edge of the band (``on_band_edge``), so another labeling of g
+    could read the flip differently.
     """
     agents = spec.agents
+    rules = spec.agent_rules
     willing = []
     bands = []
     fragile = False
@@ -393,8 +397,9 @@ def _eval_flip(
     after = {}
     adj_h = None
     for k in (i, j):
-        agent = agents[k]
-        if isinstance(agent, NumericAgent):
+        rule = rules[k]
+        if rule is None:
+            agent = agents[k]
             m = agent.measure
             at, on_g = before.found.get(id(m)) or before.entry(m, cache)
             if at is None:
@@ -426,46 +431,18 @@ def _eval_flip(
             # k's and the partner's rows in lo, the graph without ij
             o = j if k == i else i
             row, other = before.adj[k] & ~(1 << o), before.adj[o] & ~(1 << k)
-            if isinstance(agent, MonotoneAgent):
+            if isinstance(rule, HomophilyFunction):
+                willing.append(other.bit_count() <= rule(row.bit_count()))
+            else:
                 low = g.mask ^ h.mask
                 same = before.same & low if adding else not bridge_mask(before.adj, low)
-                willing.append(rule_willing(agent.kind, bool(same), not row))
-            else:
-                willing.append(other.bit_count() <= agent.f(row.bit_count()))
+                willing.append(rule_willing(rule, bool(same), not row))
             bands.append(False)
             values.append(None)
     blocking = (willing[0] and willing[1]) == adding
     # a confident refusal by either endpoint settles the verdict
     settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
     return blocking, not settled and (bands[0] or bands[1]), fragile, values
-
-
-def _flipped(spec: GameSpec, g: Graph, i: int, j: int, adding: bool) -> Graph:
-    """g with pair ij added (removed), once it is checked to be absent
-    (present)."""
-    spec.bind(g)
-    if g.has_edge(i, j) == adding:
-        raise ContractError(f"edge ({i},{j}) {'already' if adding else 'not'} present")
-    return g.add_edge(i, j) if adding else g.remove_edge(i, j)
-
-
-def _flip_deltas(
-    spec: GameSpec,
-    g: Graph,
-    i: int,
-    j: int,
-    adding: bool,
-    cache: EvalCache | None,
-    before: _Before | None = None,
-) -> tuple[Value, Value]:
-    """Both endpoints' deltas; a scan of g's flips passes one ``before``."""
-    h = _flipped(spec, g, i, j, adding)
-    if not all(isinstance(spec.agents[k], NumericAgent) for k in (i, j)):
-        raise ContractError("centrality deltas are defined for numeric agents only")
-    (bi, ai), (bj, aj) = _eval_flip(
-        spec, g, h, i, j, adding, cache or EvalCache(), before or _Before(g)
-    )[3]
-    return _delta_value(spec, bi, ai, i), _delta_value(spec, bj, aj, j)
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +550,37 @@ def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterat
                 yield kind, i, j, blocking, ambiguous, fragile, values
 
 
-def _with_deltas(spec: GameSpec, kind: str, i: int, j: int, values, before: _Before) -> Flip:
+def _with_deltas(
+    spec: GameSpec, kind: str, i: int, j: int, values, before: _Before, cache: EvalCache
+) -> Flip:
     """The ``Flip`` of pair ij of g with both endpoints' deltas, from the
-    ``values`` of its ``_scan`` entry; a decided flip's numeric endpoints
-    (untruncated, of local kinds) are evaluated here with ``at``."""
-    if values is None:
-        adj_h, values = before.toggled(i, j), []
-        for k in (i, j):
-            m = getattr(spec.agents[k], "measure", None)  # None: a monotone agent
-            at = m and KINDS[m.kind].at
-            values.append(at and (at(before.adj, k, m), at(adj_h, k, m)))
-    deltas = [
-        None if v is None else _delta_value(spec, v[0], v[1], k)
-        for k, v in zip((i, j), values)
-    ]
+    ``values`` of its ``_scan`` entry (None for a flip decided or not
+    scanned).  A numeric endpoint without values is evaluated here, a local
+    kind with ``at``, a global kind from cached vectors, and then truncated;
+    an agent without a measure has no delta."""
+    deltas = []
+    adj_h = None
+    for k, v in zip((i, j), values or (None, None)):
+        agent = spec.agents[k]
+        m = getattr(agent, "measure", None)
+        if v is None and m is not None:
+            at = KINDS[m.kind].at
+            if at is None:
+                b = cache.vector(m, before.g)[k]
+                a = cache.vector(m, before.g.toggled(pair_index(before.g.n, i, j)))[k]
+            else:
+                if adj_h is None:
+                    adj_h = before.toggled(i, j)
+                b, a = at(before.adj, k, m), at(adj_h, k, m)
+            if agent.threshold is not None:
+                b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
+            v = (b, a)
+        if v is None:
+            deltas.append(None)
+        elif m.is_exact:
+            deltas.append(Exact(v[1] - v[0]))
+        else:  # GameSpec gives approximate measures a tolerant policy
+            deltas.append(Approx(float(v[1]) - float(v[0]), spec.policy.tol))
     return Flip(i, j, kind, deltas[0], deltas[1])
 
 
@@ -610,7 +604,7 @@ def is_apsn(
             report.fragile = True
         if not (blocking or ambiguous):
             continue
-        flip = _with_deltas(spec, kind, i, j, values, before)
+        flip = _with_deltas(spec, kind, i, j, values, before, cache)
         if ambiguous:
             report.ambiguous_flips.append(flip)
         if blocking:
@@ -627,31 +621,31 @@ def is_apsn(
 # finite-cost bridge
 
 
-def _numeric_exact_only(spec: GameSpec) -> None:
-    for agent in spec.agents:
-        if not isinstance(agent, NumericAgent) or not agent.measure.is_exact:
-            raise ContractError(
-                "finite-cost checks are defined for exact numeric agents only"
-            )
+def _exact_flips(spec: GameSpec, g: Graph, cache: EvalCache | None) -> Iterator[Flip]:
+    """Every flip of g with both deltas, in ``candidate_flips`` order."""
+    spec.bind(g)
+    if not all(isinstance(a, NumericAgent) and a.measure.is_exact for a in spec.agents):
+        raise ContractError("finite-cost checks are defined for exact numeric agents only")
+    before, cache = _Before(g), cache or EvalCache()
+    return (
+        _with_deltas(spec, kind, i, j, None, before, cache) for kind, i, j in candidate_flips(g)
+    )
 
 
 def finite_cost_check(
     spec: GameSpec, g: Graph, cost: Fraction, cache: EvalCache | None = None
 ) -> bool:
     """Pairwise stability at one explicit positive edge cost."""
-    spec.bind(g)
-    _numeric_exact_only(spec)
+    flips = _exact_flips(spec, g, cache)
     if cost <= 0:
         raise ParameterError("edge cost must be positive")
-    cache = cache or EvalCache()
-    before = _Before(g)
-    for kind, i, j in candidate_flips(g):
-        di, dj = _flip_deltas(spec, g, i, j, kind == "add", cache, before)
-        if kind == "add":
-            ui, uj = di.value - cost, dj.value - cost
+    for flip in flips:
+        di, dj = flip.delta_i.value, flip.delta_j.value
+        if flip.kind == "add":
+            ui, uj = di - cost, dj - cost
             if ui >= 0 and uj >= 0 and (ui > 0 or uj > 0):
                 return False
-        elif di.value + cost > 0 or dj.value + cost > 0:
+        elif di + cost > 0 or dj + cost > 0:
             return False
     return True
 
@@ -659,16 +653,8 @@ def finite_cost_check(
 def epsilon_witness(spec: GameSpec, g: Graph, cache: EvalCache | None = None) -> Fraction:
     """Half the minimum positive |delta| over all flips; 1 when all deltas
     vanish (any positive cost then behaves identically)."""
-    spec.bind(g)
-    _numeric_exact_only(spec)
-    cache = cache or EvalCache()
-    before = _Before(g)
-    best: Fraction | None = None
-    for kind, i, j in candidate_flips(g):
-        for d in _flip_deltas(spec, g, i, j, kind == "add", cache, before):
-            mag = abs(d.value)
-            if mag > 0 and (best is None or mag < best):
-                best = mag
+    deltas = (d.value for f in _exact_flips(spec, g, cache) for d in (f.delta_i, f.delta_j))
+    best = min((abs(x) for x in deltas if x), default=None)
     return Fraction(1) if best is None else best / 2
 
 
@@ -726,7 +712,7 @@ def best_response_dynamics(
         if flip is None:
             return Trajectory(steps, g, True)
         kind, i, j, *_, values = flip
-        steps.append(_with_deltas(spec, kind, i, j, values, before))
+        steps.append(_with_deltas(spec, kind, i, j, values, before, cache))
         g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
         adj = before.toggled(i, j)
     stable = not any(flip[3] for flip in _scan(spec, g, cache, _Before(g, adj)))

@@ -438,16 +438,21 @@ def _hunt(measure: Measure, axiom: str, n_max: int, tol: float, cache: EvalCache
     smallest of its orbit.  A float may read otherwise in another labeling at
     an edge of the band, and a near-band entry names its own labeled graph,
     so a class whose representative reads either has every member scanned.
-    A linear measure's weight table fixes n; its kernel refuses any other."""
-    for n in range(1, n_max + 1):
+    A linear measure's weight table fixes n, and its kernel reads labels: it
+    is hunted at that n alone, where every vertex has its own colour."""
+    labeled = KINDS[measure.kind].labeled
+    if labeled and len(measure.weights) > n_max:
+        raise ParameterError(f"weight table has n={len(measure.weights)}, above n_max={n_max}")
+    for n in [len(measure.weights)] if labeled else range(1, n_max + 1):
+        colours = range(n) if labeled else None
         scanned, first_bad = {}, graph_count(n)
-        for rep in graph_classes(n):
+        for rep in graph_classes(n, colours):
             if rep > first_bad:  # no member of this class or a later one comes first
                 break
             events, fragile = _scan_graph(measure, axiom, Graph(n, rep), cache, tol)
             members = {rep: events}
             if fragile or any(tag == "near" for tag, _, _ in events):
-                for m in orbit_masks(n, rep) - {rep}:
+                for m in orbit_masks(n, rep, colours) - {rep}:
                     members[m] = _scan_graph(measure, axiom, Graph(n, m), cache, tol)[0]
             bad = [m for m, found in members.items() if found and found[-1][0] == "bad"]
             first_bad = min([first_bad, *bad])

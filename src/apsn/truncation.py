@@ -156,6 +156,8 @@ def compute_caps(
     ``census.colouring`` of the truncated game maps a vertex to one of its
     colour, so both passes walk one graph per class and keep a cap per
     colour.  Exact measures only: a float maximum depends on the labeling."""
+    if not (len(measures) == len(thetas) == n):
+        raise ParameterError("measures and thresholds must match the vertex count")
     if n > MAXIMAL_MEMBER_CAP:
         raise SizeGuardError(
             f"exhaustive cap computation is limited to n={MAXIMAL_MEMBER_CAP}; "

@@ -20,9 +20,10 @@
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
   removals separately, the flip evaluation that ``game._eval_flip``'s one
   rule replaced;
-* ``delta_add``, ``delta_remove``, ``improving_add`` and ``improving_remove``
-  evaluate one flip through ``game._eval_flip``, never through the rules
-  by which ``is_apsn`` decides a flip unevaluated.
+* ``delta_add`` and ``delta_remove`` read one flip's deltas off whole
+  cached vectors, and ``improving_add`` and ``improving_remove`` decide it
+  through ``two_way_eval_flip``: none of them calls the flip engine, so
+  neither the kind rules nor the delta builder of ``is_apsn`` is used.
 
 ``ecc_strict_condition_paths`` is the shortest-path reading of a strict
 eccentricity increase that ``structure.ecc_strict_condition_distance``
@@ -42,7 +43,7 @@ import numpy as np
 from apsn.census import game_fingerprint
 from apsn.centrality import KINDS
 from apsn.errors import ContractError, SizeGuardError
-from apsn import game, structure
+from apsn import structure
 from apsn.game import EvalCache, GameSpec, MonotoneAgent, NumericAgent, is_apsn
 from apsn.graphs import (
     Graph,
@@ -56,7 +57,7 @@ from apsn.graphs import (
     reachable_from,
     to_graph6,
 )
-from apsn.values import on_band_edge, sign_with_band
+from apsn.values import Approx, Exact, on_band_edge, sign_with_band
 from apsn.linalg import solve_rational
 
 EIG_TOLERANCE = 1e-12
@@ -439,7 +440,8 @@ def labeled_census(spec: GameSpec, n: int) -> dict:
 def labeled_falsify_axiom(measure, axiom: str, n_max: int, tol: float = 1e-9, cache=None):
     """``structure.falsify_axiom`` by a scan of every labeled graph, each
     instance read from its own labeling; the homophily fit (axiom 3) is
-    ``structure._fit_homophily`` on the instances in scan order."""
+    ``structure._fit_homophily`` on the instances in scan order.  A linear
+    measure is scanned at its weight table's n alone."""
     cache = cache or EvalCache()
     exact = measure.is_exact
     guard_isolated = KINDS[measure.kind].undefined_on_isolated
@@ -453,7 +455,8 @@ def labeled_falsify_axiom(measure, axiom: str, n_max: int, tol: float = 1e-9, ca
         sign, band = sign_with_band(float(after) - float(before), tol)
         return sign, band or sign == 0
 
-    for n in range(1, n_max + 1):
+    sizes = [len(measure.weights)] if measure.kind == "linear" else range(1, n_max + 1)
+    for n in sizes:
         for g in enumerate_labeled_graphs(n):
             base = cache.vector(measure, g)
             comp_of = {v: c for c in component_masks(g) for v in bits(c)}
@@ -597,23 +600,51 @@ def two_way_eval_flip(spec, g, h, i, j, adding, cache, before):
     return blocking, not settled and (bands[0] or bands[1]), fragile, values
 
 
+def _checked_flip(spec, g: Graph, i: int, j: int, adding: bool) -> Graph:
+    """g with pair ij added (removed), once it is checked to be absent
+    (present)."""
+    spec.bind(g)
+    if g.has_edge(i, j) == adding:
+        raise ContractError(f"edge ({i},{j}) {'already' if adding else 'not'} present")
+    return g.add_edge(i, j) if adding else g.remove_edge(i, j)
+
+
+def _deltas(spec, g: Graph, i: int, j: int, adding: bool, cache: EvalCache | None):
+    """Both endpoints' truncated-centrality changes, read off whole vectors
+    of g and of g with ij flipped."""
+    h = _checked_flip(spec, g, i, j, adding)
+    cache = cache or EvalCache()
+    out = []
+    for k in (i, j):
+        agent = spec.agents[k]
+        if not isinstance(agent, NumericAgent):
+            raise ContractError("centrality deltas are defined for numeric agents only")
+        m = agent.measure
+        b, a = cache.vector(m, g)[k], cache.vector(m, h)[k]
+        if agent.threshold is not None:
+            cap = agent.threshold if m.is_exact else float(agent.threshold)
+            b, a = min(b, cap), min(a, cap)
+        out.append(Exact(a - b) if m.is_exact else Approx(float(a) - float(b), spec.policy.tol))
+    return tuple(out)
+
+
 def delta_add(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None):
     """Truncated-centrality changes at both endpoints when edge ij is added."""
-    return game._flip_deltas(spec, g, i, j, True, cache)
+    return _deltas(spec, g, i, j, True, cache)
 
 
 def delta_remove(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None):
-    return game._flip_deltas(spec, g, i, j, False, cache)
+    return _deltas(spec, g, i, j, False, cache)
 
 
 def improving_add(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None) -> bool:
-    h = game._flipped(spec, g, i, j, True)
-    return game._eval_flip(spec, g, h, i, j, True, cache or EvalCache(), game._Before(g))[0]
+    h = _checked_flip(spec, g, i, j, True)
+    return two_way_eval_flip(spec, g, h, i, j, True, cache or EvalCache(), None)[0]
 
 
 def improving_remove(spec, g: Graph, i: int, j: int, cache: EvalCache | None = None) -> bool:
-    h = game._flipped(spec, g, i, j, False)
-    return game._eval_flip(spec, g, h, i, j, False, cache or EvalCache(), game._Before(g))[0]
+    h = _checked_flip(spec, g, i, j, False)
+    return two_way_eval_flip(spec, g, h, i, j, False, cache or EvalCache(), None)[0]
 
 
 # -- weight-table file format --------------------------------------------------------

@@ -15,7 +15,7 @@ from apsn.structure import (
     ecc_necessary,
     ecc_sufficient,
 )
-from oracles import labeled_passing_masks
+from oracles import labeled_passing_masks, write_weight_table
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "docs" / "schemas"
@@ -82,6 +82,20 @@ def test_axiom_closeness_componentwise(capsys):
     payload = json.loads(out)
     validate("axiom", payload)
     assert payload["counterexample"] is None
+
+
+def test_axiom_linear_hunts_at_the_table_size(capsys, tmp_path):
+    table = tmp_path / "path.weights"
+    table.write_text(write_weight_table(((0, 1, 0), (1, 0, 2), (0, 2, 0))))
+    code, out, _ = run_cli(
+        capsys, "axiom", "--measure", f"linear:{table}", "--axiom", "1", "--max-n", "4"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    validate("axiom", payload)
+    # pair 02 has weight 0, so adding it to the empty graph gains nothing
+    assert payload["counterexample"]["graph6"] == "B?"
+    assert payload["counterexample"]["edge"] == [0, 2]
 
 
 def test_centrality_command(capsys, k4_file):

@@ -37,6 +37,7 @@ from apsn.game import (
     epsilon_witness,
     finite_cost_check,
     is_apsn,
+    rule_of,
     rule_willing,
     uniform_game,
 )
@@ -247,8 +248,14 @@ def test_k3_degree_costs():
 
 
 def test_witness_bridges_asymptotic_and_finite_exhaustive_n4():
-    for measure in (degree(), harmonic(), closeness(), game_theoretic()):
-        spec = numeric_game(4, measure)
+    """Local, global and truncated kinds alike: every delta the bridge reads
+    comes from the one delta builder."""
+    for measure, threshold in (
+        (degree(), None), (harmonic(), None), (closeness(), None), (game_theoretic(), None),
+        (betweenness(), None), (rw_closeness(), None), (eccentricity(), None),
+        (degree(), Fraction(2)), (closeness(), Fraction(1, 2)),
+    ):
+        spec = numeric_game(4, measure, threshold)
         cache = EvalCache()
         for g in enumerate_labeled_graphs(4):
             eps = epsilon_witness(spec, g, cache)
@@ -567,11 +574,13 @@ def test_dynamics_trajectories_are_pinned(name, rule):
 def test_settle_mask_marks_untruncated_agents_of_kinds_with_the_fact():
     """The rule table: untruncated agents of degree, decay, harmonic (rule
     "1") and closeness ("2 or isolated") and monotone agents (their type) are
-    rule-typed, and ``GameSpec.rules`` marks who refuses in each case."""
+    rule-typed, and ``GameSpec.rules`` marks who refuses in each case.
+    Game-theoretic agents ("homophily") read degrees, so no mask holds them."""
     assert {kind: KINDS[kind].rule for kind in KINDS if KINDS[kind].rule} == {
         "degree": "1", "closeness": "2 or isolated", "decay": "1", "harmonic": "1",
+        "gametheoretic": "homophily",
     }
-    # a decided flip's deltas come from the kind's endpoint kernel
+    # every kind with a rule is local so far
     assert all(KINDS[kind].at for kind in KINDS if KINDS[kind].rule)
     none, every = (0, 0, 0, 0), (0b11111,) * 4
     for m in (degree(), decay(Fraction(1, 2)), harmonic()):
@@ -599,13 +608,17 @@ def rule_cases():
             yield n, Graph(n, mask).adjacency()
 
 
-@pytest.mark.parametrize("measure", [degree(), closeness(), decay(Fraction(1, 2)), harmonic()],
-                         ids=["degree", "closeness", "decay", "harmonic"])
+@pytest.mark.parametrize(
+    "measure",
+    [degree(), closeness(), decay(Fraction(1, 2)), harmonic(), game_theoretic()],
+    ids=["degree", "closeness", "decay", "harmonic", "gametheoretic"],
+)
 def test_kind_rule_equals_the_evaluated_strict_gain(measure):
     """For every pair ij of every case and each endpoint k, the kind's rule
     on lo (the graph without ij) answers whether k's value strictly rises
     from lo to hi (the graph with it)."""
     kind = KINDS[measure.kind]
+    rule = rule_of(NumericAgent(measure))
     seen = set()
     for n, adj in rule_cases():
         for i, j in pair_list(n):
@@ -615,9 +628,13 @@ def test_kind_rule_equals_the_evaluated_strict_gain(measure):
             hi[i] |= 1 << j
             hi[j] |= 1 << i
             same = bool(reachable_from(lo, 1 << i) >> j & 1)
-            for k in (i, j):
+            for k, o in ((i, j), (j, i)):
                 gains = kind.at(hi, k, measure) > kind.at(lo, k, measure)
-                assert rule_willing(kind.rule, same, not lo[k]) == gains, (adj, i, j, k)
+                if isinstance(rule, HomophilyFunction):
+                    says = lo[o].bit_count() <= rule(lo[k].bit_count())
+                else:
+                    says = rule_willing(rule, same, not lo[k])
+                assert says == gains, (adj, i, j, k)
                 seen.add((same, not lo[k]))
     # every possible case was met: an isolated k has no partner in its component
     assert seen == {(True, False), (False, False), (False, True)}

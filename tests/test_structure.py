@@ -15,6 +15,7 @@ from apsn.centrality import (
     game_theoretic,
     harmonic,
     katz,
+    linear,
     pagerank,
 )
 from apsn.errors import ContractError, ParameterError, SizeGuardError
@@ -43,7 +44,12 @@ from apsn.structure import (
     stratified_sequences,
     betweenness_condition,
 )
-from oracles import ecc_strict_condition_paths, enumerate_labeled_graphs, labeled_falsify_axiom
+from oracles import (
+    ecc_strict_condition_paths,
+    enumerate_labeled_graphs,
+    labeled_falsify_axiom,
+    seeded_weights,
+)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 CORE_PERIPHERY_TYPES = tuple(
@@ -427,9 +433,25 @@ def test_gametheoretic_homophily_fit(shared_cache):
     assert result.fitted_f[1] == 3
 
 
+AXIOMS = ("1", "1p", "2", "2p", "3", "4")
+
+
 def test_falsifier_guard():
     with pytest.raises(SizeGuardError):
         falsify_axiom(degree(), "1", 8)
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_falsifier_hunts_a_linear_measure_at_its_table_size(shared_cache, axiom):
+    # the weight table fixes n and the kernel refuses every other n
+    for weights in (((0, 1), (1, 0)), seeded_weights(4)):
+        m = linear(weights)
+        expected = labeled_falsify_axiom(m, axiom, 4, cache=shared_cache).to_json()
+        assert falsify_axiom(m, axiom, 4, cache=shared_cache).to_json() == expected
+        if axiom == "1":
+            assert (expected["counterexample"] is None) == m.is_increasing
+    with pytest.raises(ParameterError):
+        falsify_axiom(linear(seeded_weights(4)), axiom, 3)
 
 
 def test_falsifier_rejects_unknown_axiom():
@@ -477,8 +499,6 @@ def test_falsifier_reads_a_float_zero_as_undecided():
         (Graph.empty(2), 0, 1, 1),
     ]
 
-
-AXIOMS = ("1", "1p", "2", "2p", "3", "4")
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)

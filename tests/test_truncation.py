@@ -294,6 +294,13 @@ def test_compute_caps_equals_labeled_scan(shared_cache):
     assert witnesses == 15
 
 
+def test_compute_caps_wants_one_measure_and_one_threshold_per_vertex():
+    with pytest.raises(ParameterError):
+        compute_caps(4, [degree()] * 3, [Fraction(1)] * 3)
+    with pytest.raises(ParameterError):
+        compute_caps(3, [degree()] * 3, [Fraction(1)] * 2)
+
+
 def test_compute_caps_refuses_approximate_measures():
     # a float maximum depends on the labeling that attains it
     with pytest.raises(ParameterError):
