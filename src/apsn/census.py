@@ -10,9 +10,11 @@ uniform game, single masks when every vertex has its own colour, and
 anything between for a mixture.  Each stable or ambiguous class expands to
 its orbit under those relabelings (``orbit_masks``).
 
+A census asks ``is_apsn`` only for each graph's verdict: its early-exit
+report, which stops at the first confident block and builds no delta.
 Exact verdicts carry over as they are.  A tolerant verdict reads float
 deltas, which two labelings of a graph may give in different last digits;
-when ``is_apsn`` reports a delta on an edge of the ambiguity band
+when the scan reads a delta on an edge of the ambiguity band
 (``StabilityReport.fragile``), the census decides every member of that class
 instead: the fragile fallback.  The class list splits into contiguous shards
 that share nothing, so shard count and worker count never change the result

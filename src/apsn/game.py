@@ -21,8 +21,9 @@ numeric endpoint without a rule is evaluated.
 A pair of two agents whose rules read components is never evaluated: its
 addition (lo = g) is decided from g's components and its removal
 (lo = g - ij) from g's bridges, found once per scan as pair masks.
-``_with_deltas`` builds every delta: of each flip a report lists, of the
-flip dynamics takes and of every flip the finite-cost bridge reads.
+``_with_deltas`` builds every delta: of each flip a full report lists, of
+the flip dynamics takes and of every flip the finite-cost bridge reads.  An
+early-exit report, the census's, lists its flips with no deltas.
 """
 from __future__ import annotations
 
@@ -454,6 +455,8 @@ class Flip:
     i: int
     j: int
     kind: str  # 'add' | 'remove'
+    # None for an agent without a measure, and for every flip of an
+    # early-exit report, which asks only for the verdict
     delta_i: Optional[Value] = None
     delta_j: Optional[Value] = None
 
@@ -593,7 +596,11 @@ def is_apsn(
     """Stability verdict with the full list of blocking flips.
 
     With ``early_exit`` the scan aborts at the first confidently blocking
-    flip (census mode); flips seen until then are still reported.
+    flip (census mode).  The flips seen until then are still reported, but
+    as ``Flip(i, j, kind)`` with no deltas: the verdict rests on one sign
+    question per flip, so building a delta would evaluate kernels that no
+    census reads.  ``stable``, ``confident_block`` and ``verdict`` are the
+    full report's; ``fragile`` covers the flips scanned before the exit.
     """
     spec.bind(g)
     cache = cache or EvalCache()
@@ -604,7 +611,10 @@ def is_apsn(
             report.fragile = True
         if not (blocking or ambiguous):
             continue
-        flip = _with_deltas(spec, kind, i, j, values, before, cache)
+        if early_exit:
+            flip = Flip(i, j, kind)
+        else:
+            flip = _with_deltas(spec, kind, i, j, values, before, cache)
         if ambiguous:
             report.ambiguous_flips.append(flip)
         if blocking:

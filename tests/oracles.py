@@ -409,11 +409,13 @@ def labeled_passing_masks(n: int, keep) -> list[int]:
 
 
 def labeled_census(spec: GameSpec, n: int) -> dict:
-    """The payload of a one-shard census of the game, from ``is_apsn`` on
-    every labeled graph with one fresh cache."""
+    """The payload of a one-shard census of the game, from ``is_apsn``'s
+    full report on every labeled graph with one fresh cache, so a census,
+    which reads the early-exit report, is checked against verdicts reached
+    without it."""
     cache = EvalCache()
     verdicts = {
-        mask: is_apsn(spec, Graph(n, mask), cache, early_exit=True).verdict
+        mask: is_apsn(spec, Graph(n, mask), cache).verdict
         for mask in range(graph_count(n))
     }
     stable = [m for m, v in verdicts.items() if v == "stable"]

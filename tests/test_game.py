@@ -380,7 +380,23 @@ def test_is_apsn_matches_per_flip_predicates_exhaustive_n5(spec_of):
                 delta = delta_add if f.kind == "add" else delta_remove
                 assert (f.delta_i, f.delta_j) == delta(spec, g, f.i, f.j, cache)
             ambiguous_seen += len(report.ambiguous_flips)
-            assert report.verdict == is_apsn(spec, g, cache, early_exit=True).verdict
+            early = is_apsn(spec, g, cache, early_exit=True)
+            assert early.verdict == report.verdict
+            # the early-exit report lists the full one's flips up to and
+            # including its first confident block, and no delta
+            order = {flip: k for k, flip in enumerate(candidate_flips(g))}
+            unsure = {flip_key(f) for f in report.ambiguous_flips}
+            confident = [flip_key(f) for f in report.blocking_flips if flip_key(f) not in unsure]
+            last = order[confident[0]] if confident else len(order)
+            for seen, full in ((early.blocking_flips, report.blocking_flips),
+                               (early.ambiguous_flips, report.ambiguous_flips)):
+                assert [flip_key(f) for f in seen] == [
+                    flip_key(f) for f in full if order[flip_key(f)] <= last
+                ], g
+            assert all(
+                f.delta_i is None and f.delta_j is None
+                for f in early.blocking_flips + early.ambiguous_flips
+            ), g
     if isinstance(spec.policy, TolerantPolicy):
         assert ambiguous_seen > 0  # the near-band path ran
 
