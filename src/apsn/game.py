@@ -500,8 +500,8 @@ class StabilityReport:
 def candidate_flips(g: Graph) -> Iterator[tuple[str, int, int]]:
     """Fixed deterministic flip order: additions by pair index, then removals.
 
-    A generator over the pair bits of the mask, so a scan that stops at the
-    first blocking flip builds none of the rest.
+    The order ``_scan`` walks, and the flips the finite-cost bridge reads;
+    no scan calls it.  perfbench's tracer patches it by name.
     """
     pairs = pair_list(g.n)
     mask = g.mask

@@ -3,9 +3,10 @@
 A graph is (n, mask) where bit k of ``mask`` is the k-th unordered pair in
 row-major order: (0,1), (0,2), ..., (0,n-1), (1,2), ...  Graphs are frozen
 and safe to share across parallel workers; every operation returns a new
-value.  Vertex count is capped at 16; orbits at 8; canonical forms at 10;
-class lists, and so every exhaustive walk over the graphs on n vertices,
-at 7.  The caps raise :class:`SizeGuardError` rather than crawling.
+value.  Vertex count is capped at 16; orbits and canonical forms, which
+read one table of relabelings, at 8; class lists, and so every exhaustive
+walk over the graphs on n vertices, at 7.  The caps raise
+:class:`SizeGuardError` rather than crawling.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .errors import (
 
 MAX_VERTICES = 16
 MAX_ORBITS = 8
-MAX_CANONICAL = 10
 MAX_CLASSES = 7
 
 
@@ -328,11 +328,51 @@ def apply_permutation(n: int, mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _colour_key(colours: Sequence[int] | None) -> tuple[int, ...] | None:
+def _colour_key(n: int, colours: Sequence[int] | None) -> tuple[int, ...] | None:
     """The colouring as a tuple, or None when it has at most one colour."""
+    if colours is not None and len(colours) != n:
+        raise ParameterError(f"{len(colours)} colours for {n} vertices")
     if colours is None or len(set(colours)) < 2:
         return None
     return tuple(colours)
+
+
+@functools.cache
+def _relabeling_table(n: int, colours: tuple[int, ...] | None) -> np.ndarray:
+    """One row per permutation p of 0..n-1 that keeps every vertex's colour:
+    column k holds the pair bit ``1 << pair_index(n, p(i), p(j))`` that pair
+    k = (i, j) goes to, read off an n x n matrix of pair bits.  int32, as
+    the C(n, 2) <= 28 pair bits of the cap fit, so a row sum needs no wider
+    type; the table is the only n! x C(n, 2) array the build makes."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    if colours is not None:
+        key = np.array(colours)
+        perms = perms[(key[perms] == key).all(axis=1)]
+    pair_bit = np.zeros((n, n), dtype=np.int32)
+    for k, (i, j) in enumerate(pair_list(n)):
+        pair_bit[i, j] = pair_bit[j, i] = 1 << k
+    i, j = np.array(pair_list(n), dtype=np.intp).reshape(-1, 2).T
+    table = pair_bit[perms[:, i], perms[:, j]]
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def _images(n: int, mask: int, colours: Sequence[int] | None) -> np.ndarray:
+    """The masks of the colour-preserving relabelings of (n, mask), one per
+    row of the relabeling table: the columns of the graph's pairs summed per
+    row.  A row's entries are distinct powers of two, so its sum is the OR
+    of the images.  The images of the complement are the complements of the
+    images, so a graph with more than half of its pairs gathers its
+    complement's columns and subtracts each sum from the full mask: no
+    gather reads more than half the columns."""
+    if n > MAX_ORBITS:
+        raise SizeGuardError(f"relabelings capped at n={MAX_ORBITS} (got {n})")
+    table = _relabeling_table(n, _colour_key(n, colours))
+    pairs = pair_count(n)
+    if 2 * mask.bit_count() > pairs:
+        full = (1 << pairs) - 1
+        return full - table[:, list(bits(full ^ mask))].sum(axis=1)
+    return table[:, list(bits(mask))].sum(axis=1)
 
 
 def canonical_form(g: Graph, colours: Sequence[int] | None = None) -> int:
@@ -340,102 +380,25 @@ def canonical_form(g: Graph, colours: Sequence[int] | None = None) -> int:
     vertex v's colour ``colours[v]``; over all n! of them without colours.
 
     Two graphs are isomorphic (by a colour-preserving map) iff their
-    canonical forms are equal.  The value is exactly that minimum; it is
-    found by a depth-first branch-and-bound search instead of trying every
-    relabeling.
-
-    Row p of the mask (the pairs (p, q) with q > p) is more significant than
-    every row below it, so filling positions n-1, n-2, ..., 0 in turn fixes
-    the mask from its most significant bits downward.  Position p takes a
-    remaining vertex of colour ``colours[p]`` (McKay's canonical form under
-    an ordered vertex partition, "Practical graph isomorphism", 1981); with
-    one colour the search never filters.  A vertex's *word* is its adjacency
-    to the vertices already placed, read from the first one placed; the word
-    of the vertex put at position p is row p.  Hence:
-
-    * only candidates with the smallest word can go at position p;
-    * of tied candidates that are twins (same neighbours apart from each
-      other) only one is explored, as swapping them is an automorphism that
-      keeps colours and fixes everything already placed;
-    * a branch is cut as soon as its rows exceed those of the best complete
-      mask found so far.
-
-    Capped at n = 10.  Measured on one core of an Intel Xeon: about 0.3 ms
-    for a random graph on 7 vertices, about 1 ms on 10 vertices, and under
-    10 ms on the most symmetric 10-vertex graphs tried, such as two disjoint
-    5-cycles.
+    canonical forms are equal.  The value is the smallest row sum of the
+    gather ``orbit_masks`` makes from the memoized relabeling table, so a
+    dense graph is read through its complement there too.  Capped at n = 8
+    with the table.  On one core of a 2-vCPU Intel Xeon VM a call takes
+    about 15 us at n = 6, 50 us at n = 7 and 0.6 ms at n = 8 on random
+    graphs, and 15 us on K7.
     """
-    n = g.n
-    if n > MAX_CANONICAL:
-        raise SizeGuardError(f"canonical form capped at n={MAX_CANONICAL} (got {n})")
-    colours = _colour_key(colours)
-    adj = build_adjacency(n, g.mask)
-    # bits of the mask below row p
-    offsets = [p * (2 * n - p - 1) // 2 for p in range(n)]
-    best = -1
-
-    def place(p: int, remaining: list[int], words: list[int], prefix: int) -> None:
-        nonlocal best
-        pool = remaining if colours is None else [
-            v for v in remaining if colours[v] == colours[p]
-        ]
-        low = min(words[v] for v in pool)
-        prefix = prefix << (n - 1 - p) | low
-        if best >= 0 and prefix > best >> offsets[p]:
-            return
-        if p == 0:
-            best = prefix
-            return
-        explored: list[int] = []
-        for v in pool:
-            if words[v] != low:
-                continue
-            av = adj[v]
-            if any(not (av ^ adj[u]) & ~(1 << u | 1 << v) for u in explored):
-                continue
-            explored.append(v)
-            rest = [u for u in remaining if u != v]
-            child = words[:]
-            for u in rest:
-                child[u] = words[u] << 1 | adj[u] >> v & 1
-            place(p - 1, rest, child, prefix)
-
-    place(n - 1, list(range(n)), [0] * n, 0)
-    return best
-
-
-@functools.cache
-def _relabeling_table(n: int, colours: tuple[int, ...] | None) -> np.ndarray:
-    """One row per permutation p of 0..n-1 that keeps every vertex's colour:
-    column k holds the pair bit ``1 << pair_index(n, p(i), p(j))`` that pair
-    k = (i, j) goes to."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    if colours is not None:
-        key = np.array(colours)
-        perms = perms[(key[perms] == key).all(axis=1)]
-    i, j = np.array(pair_list(n), dtype=np.int64).reshape(-1, 2).T
-    a, b = perms[:, i], perms[:, j]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # pair_index(n, lo, hi): the pairs of the rows above lo, then hi - lo - 1
-    table = np.left_shift(1, lo * (2 * n - lo - 1) // 2 + hi - lo - 1)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
+    return int(_images(g.n, g.mask, colours).min())
 
 
 def orbit_masks(n: int, mask: int, colours: Sequence[int] | None = None) -> set[int]:
     """Masks of the relabelings of the graph that keep every vertex's colour
     (all n! without colours): its class of colour-preserving relabelings.
 
-    One gather from a relabeling table, memoized per n and colouring: the
-    columns of the graph's pairs, summed per row.  A row's entries are
-    distinct powers of two, so its sum is the OR of the images, exact in
-    int64 for the C(n, 2) <= 28 pairs below the cap.  Capped at n = 8, whose
-    table holds 40,320 x 28 integers (9 MB), built on first use.
+    One gather from a relabeling table, memoized per n and colouring.
+    Capped at n = 8, whose table holds 40,320 x 28 int32s (4.5 MB), built
+    on first use.
     """
-    if n > MAX_ORBITS:
-        raise SizeGuardError(f"orbits capped at n={MAX_ORBITS} (got {n})")
-    table = _relabeling_table(n, _colour_key(colours))
-    return set(table[:, list(bits(mask))].sum(axis=1).tolist())
+    return set(_images(n, mask, colours).tolist())
 
 
 _CLASSES: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...]] = {(1, None): (0,)}
@@ -454,14 +417,14 @@ def graph_classes(n: int, colours: Sequence[int] | None = None) -> Sequence[int]
     of its colour a lower degree, and keeping the distinct canonical forms:
     the simplest form of McKay's isomorph-free generation ("Isomorph-free
     exhaustive generation", 1998).  Memoized per n and colouring and capped
-    at n = 7: 1,044 classes in 0.4 s with one colour and 20,364 in 1.5 s for
-    colours of sizes 4 and 3, on one core of a 2-vCPU Intel Xeon VM.
+    at n = 7: 1,044 classes in 0.15 s with one colour and 20,364 in 0.5 s
+    for colours of sizes 4 and 3, on one core of a 2-vCPU Intel Xeon VM.
     """
     if not 1 <= n <= MAX_CLASSES:
         raise SizeGuardError(f"class lists cover n=1..{MAX_CLASSES} (got {n})")
+    key = _colour_key(n, colours)  # refuses a colouring of the wrong length
     if colours is not None and len(set(colours)) == n:
         return range(graph_count(n))
-    key = _colour_key(colours)
     classes = _CLASSES.get((n, key))
     if classes is None:
         index = _pair_table(n)[0]

@@ -195,7 +195,7 @@ def test_p3_and_k3_differ():
 
 def test_canonical_form_guard():
     with pytest.raises(SizeGuardError):
-        canonical_form(Graph(11, 0))
+        canonical_form(Graph(9, 0))
 
 
 @given(graphs_strategy(max_n=5), st.randoms(use_true_random=False))
@@ -363,11 +363,19 @@ def test_distinct_colours_list_every_mask():
     assert len(graph_classes(7, (0, 0, 0, 0, 1, 1, 1))) == 20364
 
 
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)
+def test_colourings_of_the_wrong_length_are_refused():
+    for colours in [(0, 1), (0, 0), (0, 1, 0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(ParameterError):
+            canonical_form(Graph.path(3), colours)
+        with pytest.raises(ParameterError):
+            orbit_masks(3, 1, colours)
+        with pytest.raises(ParameterError):
+            graph_classes(3, colours)
+
+
+def cube() -> Graph:
+    """Q3: vertices 0..7, joined when their labels differ in one bit."""
+    return Graph.from_edges(8, [(v, v | 1 << b) for v in range(8) for b in range(3) if ~v >> b & 1])
 
 
 def complement(g: Graph) -> Graph:
@@ -377,22 +385,22 @@ def complement(g: Graph) -> Graph:
 @pytest.mark.parametrize(
     "g",
     [
-        petersen(),
-        complement(petersen()),
-        Graph.cycle(10),
-        Graph.complete_bipartite(5, 5),
-        Graph.empty(10),
-        Graph.complete(10),
+        cube(),
+        complement(cube()),
+        Graph.cycle(8),
+        Graph.complete_bipartite(4, 4),
+        Graph.empty(8),
+        Graph.complete(8),
     ],
-    ids=["petersen", "petersen-complement", "c10", "k55", "empty", "k10"],
+    ids=["q3", "q3-complement", "c8", "k44", "empty", "k8"],
 )
-def test_canonical_form_relabeling_invariant_n10(g):
+def test_canonical_form_relabeling_invariant_n8(g):
     rnd = random.Random(g.mask)
     base = canonical_form(g)
     assert base <= g.mask
-    assert sorted(Graph(10, base).degrees()) == sorted(g.degrees())
+    assert sorted(Graph(8, base).degrees()) == sorted(g.degrees())
     for _ in range(5):
-        perm = list(range(10))
+        perm = list(range(8))
         rnd.shuffle(perm)
         assert canonical_form(g.relabel(tuple(perm))) == base
 
