@@ -44,6 +44,7 @@ from .game import (
     uniform_game,
 )
 from .graphs import (
+    MAX_CLASSES,
     Graph,
     canonical_form,
     graph_classes,
@@ -54,7 +55,6 @@ from .graphs import (
     to_graph6,
 )
 
-CENSUS_CAP_EXACT = 7
 CENSUS_CAP_SOLVE = 6
 
 #: Written into every checkpoint record; resume keeps only records with the
@@ -75,12 +75,12 @@ def colouring(spec: GameSpec) -> tuple[int, ...]:
 
 
 def census_cap(spec: GameSpec) -> int:
-    """Largest n a census of the game runs at: 7, or 6 for a game with a
-    measure that needs a solve or an eigendecomposition per graph when it
-    would decide more than graph_count(6) = 32,768 classes.  The test is on
-    graph_count(n) / prod(k!) over the sizes k of the colours, a lower bound
-    on the classes by orbit-stabiliser: 416 for one colour at n = 7, and at
-    most 32,768 for any game at n <= 6."""
+    """Largest n a census of the game runs at: ``MAX_CLASSES`` (7), or 6 for
+    a game with a measure that needs a solve or an eigendecomposition per
+    graph when it would decide more than graph_count(6) = 32,768 classes.
+    The test is on graph_count(n) / prod(k!) over the sizes k of the
+    colours, a lower bound on the classes by orbit-stabiliser: 416 for one
+    colour at n = 7, and at most 32,768 for any game at n <= 6."""
     if any(
         isinstance(a, NumericAgent) and KINDS[a.measure.kind].solve
         for a in spec.agents
@@ -88,7 +88,7 @@ def census_cap(spec: GameSpec) -> int:
         relabelings = prod(factorial(k) for k in Counter(colouring(spec)).values())
         if graph_count(spec.n) > graph_count(CENSUS_CAP_SOLVE) * relabelings:
             return CENSUS_CAP_SOLVE
-    return CENSUS_CAP_EXACT
+    return MAX_CLASSES
 
 
 def game_fingerprint(spec: GameSpec) -> str:

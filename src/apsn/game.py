@@ -21,8 +21,10 @@ numeric endpoint without a rule is evaluated.
 A pair of two agents whose rules read components is never evaluated: its
 addition (lo = g) is decided from g's components and its removal
 (lo = g - ij) from g's bridges, found once per scan as pair masks.
-``_with_deltas`` builds every delta: of each flip a full report lists, of
-the flip dynamics takes and of every flip the finite-cost bridge reads.  An
+A numeric endpoint's values on g and on g with ij flipped are read in one
+place, ``_Before.values``: for the sign ``_eval_flip`` reads, and for every
+delta ``_with_deltas`` builds, of each flip a full report lists, of the flip
+dynamics takes and of every flip the finite-cost bridge reads.  An
 early-exit report, the census's, lists its flips with no deltas.
 """
 from __future__ import annotations
@@ -312,11 +314,14 @@ class _Before:
     """What the flips of one scan of g share, each made on first use: g's
     adjacency (or a caller's), its pairs inside a component, and per measure
     (by id) its kernel ``at`` with its values on g, a list that a local kind
-    fills vertex by vertex or, for a global kind (``at`` None), its vector."""
+    fills vertex by vertex or, for a global kind (``at`` None), its vector.
+    ``values`` is the one reader of a numeric endpoint."""
 
     def __init__(self, g: Graph, adj=None):
         self.g = g
         self.found: dict = {}
+        # the last pair ``values`` read, and what it made of g with it flipped
+        self.pair = self.adj_h = self.h = self.on_h = None
         if adj is not None:
             self.adj = adj
 
@@ -331,12 +336,42 @@ class _Before:
         adj[j] ^= 1 << i
         return adj
 
-    def entry(self, m: Measure, cache: EvalCache) -> tuple:
-        """(at, values on g) of measure m, made on first use."""
-        at = KINDS[m.kind].at
-        out = (None, cache.vector(m, self.g)) if at is None else (at, [None] * self.g.n)
-        self.found[id(m)] = out
-        return out
+    def values(self, agent: NumericAgent, k: int, i: int, j: int, cache: EvalCache) -> tuple:
+        """(before, after): numeric ``agent``'s value at endpoint k of pair
+        ij on g and on g with ij flipped, truncated at its threshold.
+
+        A local kind reads ``at`` on g's adjacency and on a copy with ij
+        toggled; a global kind reads cached vectors of g and of g with ij
+        flipped.  Values on g are kept for the scan.  The toggled adjacency,
+        the flipped graph and each measure's vector on it are made at most
+        once per pair, and only the last pair's are kept.
+        """
+        m = agent.measure
+        found = self.found.get(id(m))
+        if found is None:
+            at = KINDS[m.kind].at
+            on_g = cache.vector(m, self.g) if at is None else [None] * self.g.n
+            found = self.found[id(m)] = at, on_g
+        at, on_g = found
+        if self.pair != (i, j):  # drop what the last pair made
+            self.pair, self.adj_h, self.h, self.on_h = (i, j), None, None, {}
+        b = on_g[k]
+        if at is None:
+            on_h = self.on_h.get(id(m))
+            if on_h is None:
+                if self.h is None:
+                    self.h = self.g.toggled(pair_index(self.g.n, i, j))
+                on_h = self.on_h[id(m)] = cache.vector(m, self.h)
+            a = on_h[k]
+        else:
+            if b is None:
+                b = on_g[k] = at(self.adj, k, m)
+            if self.adj_h is None:
+                self.adj_h = self.toggled(i, j)
+            a = at(self.adj_h, k, m)
+        if agent.threshold is not None:
+            return _truncate(b, agent.threshold), _truncate(a, agent.threshold)
+        return b, a
 
     @functools.cached_property
     def same(self) -> int:
@@ -366,28 +401,19 @@ class _Before:
 
 
 def _eval_flip(
-    spec: GameSpec,
-    g: Graph,
-    h: Graph,
-    i: int,
-    j: int,
-    adding: bool,
-    cache: EvalCache,
-    before: _Before,
+    spec: GameSpec, i: int, j: int, adding: bool, cache: EvalCache, before: _Before
 ) -> tuple[bool, bool, bool, list]:
-    """(blocking, ambiguous, fragile, values) of flipping pair ij, which
-    turns g into h.
+    """(blocking, ambiguous, fragile, values) of flipping pair ij of g.
 
     Each endpoint is asked whether it gains from adding ij to lo, the one of
-    g and h without the edge; an addition blocks when both do and a removal
-    when either does not.  An endpoint with a rule answers from lo and gets
-    None in ``values``.  Any other reads a kernel, its value on g from
-    ``before`` (shared by the flips of one scan) and on h from g's adjacency
-    with ij toggled (a local kind) or a cached vector (a global kind), and
-    gets its truncated (before, after).  ``ambiguous`` means the verdict
-    relies on a near-band float delta, and ``fragile`` that a float delta
-    sits on an edge of the band (``on_band_edge``), so another labeling of g
-    could read the flip differently.
+    g and g with ij flipped that lacks the edge; an addition blocks when
+    both do and a removal when either does not.  An endpoint with a rule
+    answers from lo and gets None in ``values``.  Any other gets its
+    truncated (before, after) from ``before.values`` and reads their sign.
+    ``ambiguous`` means the verdict relies on a near-band float delta, and
+    ``fragile`` that a float delta sits on an edge of the band
+    (``on_band_edge``), so another labeling of g could read the flip
+    differently.
     """
     agents = spec.agents
     rules = spec.agent_rules
@@ -395,31 +421,14 @@ def _eval_flip(
     bands = []
     fragile = False
     values = []
-    after = {}
-    adj_h = None
     for k in (i, j):
         rule = rules[k]
         if rule is None:
             agent = agents[k]
-            m = agent.measure
-            at, on_g = before.found.get(id(m)) or before.entry(m, cache)
-            if at is None:
-                vh = after.get(id(m))
-                if vh is None:
-                    vh = after[id(m)] = cache.vector(m, h)
-                b, a = on_g[k], vh[k]
-            else:
-                b = on_g[k]
-                if b is None:
-                    b = on_g[k] = at(before.adj, k, m)
-                if adj_h is None:
-                    adj_h = before.toggled(i, j)
-                a = at(adj_h, k, m)
-            if agent.threshold is not None:
-                b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
+            b, a = before.values(agent, k, i, j, cache)
             values.append((b, a))
             lo, hi = (b, a) if adding else (a, b)
-            if m.is_exact:
+            if agent.measure.is_exact:
                 willing.append(hi > lo)
                 bands.append(False)
             else:
@@ -435,7 +444,7 @@ def _eval_flip(
             if isinstance(rule, HomophilyFunction):
                 willing.append(other.bit_count() <= rule(row.bit_count()))
             else:
-                low = g.mask ^ h.mask
+                low = 1 << pair_index(before.g.n, i, j)
                 same = before.same & low if adding else not bridge_mask(before.adj, low)
                 willing.append(rule_willing(rule, bool(same), not row))
             bands.append(False)
@@ -541,14 +550,11 @@ def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterat
         while visit:
             low = visit & -visit
             visit ^= low
-            p = low.bit_length() - 1
-            i, j = pairs[p]
+            i, j = pairs[low.bit_length() - 1]
             if low & decided:
                 yield kind, i, j, True, False, False, None
                 continue
-            blocking, ambiguous, fragile, values = _eval_flip(
-                spec, g, g.toggled(p), i, j, adding, cache, before
-            )
+            blocking, ambiguous, fragile, values = _eval_flip(spec, i, j, adding, cache, before)
             if blocking or ambiguous or fragile:
                 yield kind, i, j, blocking, ambiguous, fragile, values
 
@@ -558,32 +564,19 @@ def _with_deltas(
 ) -> Flip:
     """The ``Flip`` of pair ij of g with both endpoints' deltas, from the
     ``values`` of its ``_scan`` entry (None for a flip decided or not
-    scanned).  A numeric endpoint without values is evaluated here, a local
-    kind with ``at``, a global kind from cached vectors, and then truncated;
-    an agent without a measure has no delta."""
+    scanned).  A numeric endpoint without values reads them from
+    ``before.values``; an agent without a measure has no delta."""
     deltas = []
-    adj_h = None
     for k, v in zip((i, j), values or (None, None)):
         agent = spec.agents[k]
-        m = getattr(agent, "measure", None)
-        if v is None and m is not None:
-            at = KINDS[m.kind].at
-            if at is None:
-                b = cache.vector(m, before.g)[k]
-                a = cache.vector(m, before.g.toggled(pair_index(before.g.n, i, j)))[k]
-            else:
-                if adj_h is None:
-                    adj_h = before.toggled(i, j)
-                b, a = at(before.adj, k, m), at(adj_h, k, m)
-            if agent.threshold is not None:
-                b, a = _truncate(b, agent.threshold), _truncate(a, agent.threshold)
-            v = (b, a)
-        if v is None:
+        if not isinstance(agent, NumericAgent):
             deltas.append(None)
-        elif m.is_exact:
-            deltas.append(Exact(v[1] - v[0]))
+            continue
+        b, a = v or before.values(agent, k, i, j, cache)
+        if agent.measure.is_exact:
+            deltas.append(Exact(a - b))
         else:  # GameSpec gives approximate measures a tolerant policy
-            deltas.append(Approx(float(v[1]) - float(v[0]), spec.policy.tol))
+            deltas.append(Approx(float(a) - float(b), spec.policy.tol))
     return Flip(i, j, kind, deltas[0], deltas[1])
 
 

@@ -28,6 +28,7 @@ from .centrality import KINDS, Measure
 from .errors import ContractError, ParameterError, SizeGuardError
 from .game import MONOTONE_KINDS, EvalCache, HomophilyFunction
 from .graphs import (
+    MAX_CLASSES,
     Graph,
     bfs_distances,
     bits,
@@ -41,7 +42,6 @@ from .graphs import (
 )
 from .values import FRAGILE_MARGIN, on_band_edge, sign_with_band
 
-FALSIFIER_CAP = 7
 INFER_CAP = 15
 
 
@@ -413,8 +413,8 @@ def falsify_axiom(
     """
     if axiom not in ("1", "1p", "2", "2p", "3", "4"):
         raise ParameterError(f"unknown axiom {axiom!r}")
-    if n_max > FALSIFIER_CAP:
-        raise SizeGuardError(f"axiom falsifier capped at n={FALSIFIER_CAP}")
+    if n_max > MAX_CLASSES:
+        raise SizeGuardError(f"axiom falsifier capped at n={MAX_CLASSES}")
     if measure.kind == "katz" and measure.alpha is None:
         raise ParameterError(
             "axiom checks need a fixed katz alpha; the automatic one varies "

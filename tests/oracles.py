@@ -567,9 +567,11 @@ def _two_way_rule_willing(agent, k: int, i: int, j: int, g: Graph, adding: bool)
 
 
 def two_way_eval_flip(spec, g, h, i, j, adding, cache, before):
-    """(blocking, ambiguous, fragile, values) of flipping pair ij in g, with
-    the signature of ``game._eval_flip``: an endpoint is willing to add when
-    its truncated value strictly rises and to remove when it does not fall."""
+    """(blocking, ambiguous, fragile, values) of flipping pair ij, which
+    turns g into h, as ``game._eval_flip`` returns them, read off whole
+    vectors of g and h (``before`` is not read): an endpoint is willing to
+    add when its truncated value strictly rises and to remove when it does
+    not fall."""
     willing, bands, values = [], [], []
     fragile = False
     for k in (i, j):

@@ -45,6 +45,7 @@ from apsn.graphs import (
     Graph,
     graph_classes,
     graph_count,
+    pair_index,
     pair_list,
     reachable_from,
 )
@@ -253,7 +254,7 @@ def test_witness_bridges_asymptotic_and_finite_exhaustive_n4():
     for measure, threshold in (
         (degree(), None), (harmonic(), None), (closeness(), None), (game_theoretic(), None),
         (betweenness(), None), (rw_closeness(), None), (eccentricity(), None),
-        (degree(), Fraction(2)), (closeness(), Fraction(1, 2)),
+        (degree(), Fraction(2)), (closeness(), Fraction(1, 2)), (betweenness(), Fraction(1)),
     ):
         spec = numeric_game(4, measure, threshold)
         cache = EvalCache()
@@ -352,8 +353,14 @@ def ambiguous_by_band(kind, deltas):
         # eigenvector agents also refuse additions or accept removals in it
         lambda n: uniform_game(n, NumericAgent(pagerank()), TolerantPolicy(3e-5)),
         lambda n: uniform_game(n, NumericAgent(eigenvector()), TolerantPolicy(3e-5)),
+        # truncated local and global kinds: every reported delta against the
+        # whole-vector oracle
+        lambda n: numeric_game(n, degree(), Fraction(2)),
+        lambda n: numeric_game(n, betweenness(), Fraction(1)),
+        lambda n: numeric_game(n, closeness(), Fraction(1, 2)),
     ],
-    ids=["decay-1/2", "pagerank", "eigenvector"],
+    ids=["decay-1/2", "pagerank", "eigenvector", "degree-trunc-2", "betweenness-trunc-1",
+         "closeness-trunc-1/2"],
 )
 def test_is_apsn_matches_per_flip_predicates_exhaustive_n5(spec_of):
     cache = EvalCache()
@@ -502,7 +509,13 @@ def test_one_flip_rule_matches_two_way_oracle_exhaustive_n5(name, monkeypatch, s
         for early in (False, True)
     ]
     reports = [is_apsn(specs[n], g, shared_cache, early_exit=early) for n, g, early in cases]
-    monkeypatch.setattr(game, "_eval_flip", two_way_eval_flip)
+
+    def oracle_eval_flip(spec, i, j, adding, cache, before):
+        g = before.g
+        h = g.toggled(pair_index(g.n, i, j))
+        return two_way_eval_flip(spec, g, h, i, j, adding, cache, before)
+
+    monkeypatch.setattr(game, "_eval_flip", oracle_eval_flip)
     monkeypatch.setattr(game, "rule_of", lambda agent: None)
     untyped = {n: ONE_RULE_GAMES[name](n) for n in range(1, 6)}
     assert not any(spec.rules[0] for spec in untyped.values())
