@@ -23,9 +23,10 @@ addition (lo = g) is decided from g's components and its removal
 (lo = g - ij) from g's bridges, found once per scan as pair masks.
 A numeric endpoint's values on g and on g with ij flipped are read in one
 place, ``_Before.values``: for the sign ``_eval_flip`` reads, and for every
-delta ``_with_deltas`` builds, of each flip a full report lists, of the flip
-dynamics takes and of every flip the finite-cost bridge reads.  An
-early-exit report, the census's, lists its flips with no deltas.
+delta ``_with_deltas`` builds, of each flip a full report lists and of every
+flip the finite-cost bridge reads.  Dynamics records the values of each flip
+it takes, and its ``Trajectory`` builds their deltas when its steps are
+read.  An early-exit report, the census's, lists its flips with no deltas.
 """
 from __future__ import annotations
 
@@ -667,9 +668,31 @@ def epsilon_witness(spec: GameSpec, g: Graph, cache: EvalCache | None = None) ->
 
 @dataclass
 class Trajectory:
-    steps: list[Flip]
+    """A dynamics run: from ``start``, the ``moves`` it made, as (kind, i,
+    j, values) with ``values`` the ``_scan`` entry's, up to ``final``.
+
+    ``steps``, the flips taken with their deltas, is built on first read by
+    replaying the moves through ``_with_deltas`` on a fresh ``EvalCache``:
+    an evaluated endpoint reuses its stored values, and a kept trajectory
+    keeps no caller's cache alive.
+    """
+
+    spec: GameSpec
+    start: Graph
+    moves: list[tuple]
     final: Graph
     converged: bool
+
+    @functools.cached_property
+    def steps(self) -> list[Flip]:
+        cache = EvalCache()
+        g, adj, steps = self.start, None, []
+        for kind, i, j, values in self.moves:
+            before = _Before(g, adj)
+            steps.append(_with_deltas(self.spec, kind, i, j, values, before, cache))
+            g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
+            adj = before.toggled(i, j)
+        return steps
 
     def to_json(self) -> dict:
         from .graphs import to_graph6
@@ -694,7 +717,8 @@ def best_response_dynamics(
     ``rule='first'`` always takes the first blocking flip in the fixed scan
     order; ``rule='random'`` draws uniformly among all blocking flips with a
     deterministic seeded generator.  Each step runs the scan of ``is_apsn``
-    and computes deltas only for the flip it takes.
+    and records the flip it takes with its endpoints' values; the
+    trajectory builds the deltas only when its ``steps`` are read.
     """
     if rule not in ("random", "first"):
         raise ParameterError("dynamics rule must be 'random' or 'first'")
@@ -703,7 +727,7 @@ def best_response_dynamics(
     rng = random.Random(seed)
     g = g0
     adj = None  # g's adjacency, carried from the step before
-    steps: list[Flip] = []
+    moves: list[tuple] = []
     for _ in range(max_steps):
         before = _Before(g, adj)
         blocking = (flip for flip in _scan(spec, g, cache, before) if flip[3])
@@ -713,10 +737,10 @@ def best_response_dynamics(
             found = list(blocking)
             flip = rng.choice(found) if found else None
         if flip is None:
-            return Trajectory(steps, g, True)
+            return Trajectory(spec, g0, moves, g, True)
         kind, i, j, *_, values = flip
-        steps.append(_with_deltas(spec, kind, i, j, values, before, cache))
+        moves.append((kind, i, j, values))
         g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
         adj = before.toggled(i, j)
     stable = not any(flip[3] for flip in _scan(spec, g, cache, _Before(g, adj)))
-    return Trajectory(steps, g, stable)
+    return Trajectory(spec, g0, moves, g, stable)

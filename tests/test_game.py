@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -599,6 +600,76 @@ def test_dynamics_trajectories_are_pinned(name, rule):
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
     assert digest == DYNAMICS_PINS[name, rule]
 
+
+
+#: games whose dynamics evaluate global kinds or read a tolerant band
+GLOBAL_DYNAMICS_GAMES = {
+    "betweenness": partial(numeric_game, measure=betweenness()),
+    "truncated-betweenness": partial(numeric_game, measure=betweenness(), threshold=Fraction(1)),
+    "pagerank-1e-09": partial(tolerant_game, measure=pagerank(), tol=1e-9),
+    "closeness-betweenness": lambda n: GameSpec(
+        (NumericAgent(closeness()),) * 3 + (NumericAgent(betweenness()),) * (n - 3)
+    ),
+}
+
+#: (steps, sha256 of the runs' JSON) of each game's sixteen n = 6 runs,
+#: recorded while every step still built its deltas as it was taken
+GLOBAL_DYNAMICS_PINS = {
+    "betweenness": (59, "3d0d0a0f6e22a100658c1afab5004c210a7bba33804cec0e661559cf15a9d3f4"),
+    "truncated-betweenness":
+        (66, "e5a314e0710cd29106fddec21d585e6b7fac9788bece5240c74be4f5a7fdd298"),
+    "pagerank-1e-09": (118, "fc8f5c6a2546486e4191189f8685dc5838257f3c44d919da57c970069c06f862"),
+    "closeness-betweenness":
+        (98, "dfdeafabade9dbd9175d1583f50f40cd745fdb4ce0f5367505bc0a80080fb60b"),
+}
+
+
+@pytest.mark.parametrize("name", list(GLOBAL_DYNAMICS_GAMES))
+def test_global_and_tolerant_dynamics_take_flips_of_full_reports(name):
+    """Every step, with its deltas, is a blocking flip of the full report on
+    its graph under a fresh cache (the first one under rule 'first'), for
+    eight seeded n = 6 starts per rule on one shared cache."""
+    spec = GLOBAL_DYNAMICS_GAMES[name](6)
+    cache = EvalCache()
+    runs, steps = [], 0
+    for rule in ("first", "random"):
+        for seed in range(8):
+            g = Graph(6, random.Random(f"6-{seed}").getrandbits(15))
+            traj = best_response_dynamics(spec, g, 100, seed=seed, rule=rule, cache=cache)
+            assert traj.converged
+            for flip in traj.steps:
+                blocking = is_apsn(spec, g, EvalCache()).blocking_flips
+                assert flip in (blocking[:1] if rule == "first" else blocking), (rule, g)
+                g = g.toggled(pair_index(6, flip.i, flip.j))
+            assert g == traj.final
+            steps += len(traj.steps)
+            runs.append(traj.to_json())
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert (steps, digest) == GLOBAL_DYNAMICS_PINS[name]
+
+
+def test_trajectory_keeps_no_cache_and_builds_its_steps_once(monkeypatch):
+    """A kept trajectory does not keep the caller's cache alive, reading its
+    steps computes no vector of a global kind and stores none in the
+    caller's cache, and a second read is the same list."""
+    spec = numeric_game(6, betweenness())
+    cache = EvalCache()
+    g0 = Graph(6, random.Random("6-1").getrandbits(15))
+    traj = best_response_dynamics(spec, g0, 100, seed=3, cache=cache)
+    cache.vectors.clear()
+
+    def no_kernel(m, g):
+        raise AssertionError(f"replay computed a {m.kind} vector")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "centrality_vector", no_kernel)
+        steps = traj.steps
+    assert steps and traj.steps is steps
+    assert len(cache.vectors) == 0
+    ref = weakref.ref(cache)
+    del cache
+    assert ref() is None
+    assert traj.to_json()["steps"] == [f.to_json() for f in steps]
 
 def test_settle_mask_marks_untruncated_agents_of_kinds_with_the_fact():
     """The rule table: untruncated agents of degree, decay, harmonic (rule
