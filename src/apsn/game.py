@@ -18,15 +18,18 @@ endpoint is isolated (``rule_willing``); a homophilic agent's threshold, as
 game-theoretic centrality's ``GT_HOMOPHILY``, reads lo's degrees.  Only a
 numeric endpoint without a rule is evaluated.
 
-A pair of two agents whose rules read components is never evaluated: its
-addition (lo = g) is decided from g's components and its removal
-(lo = g - ij) from g's bridges, found once per scan as pair masks.
+A pair of two agents whose rules read components is never evaluated: one
+function, ``_decided_blocks``, gives the blocking ones of one direction as a
+pair mask, its additions (lo = g) read from g's components and its removals
+(lo = g - ij) from g's bridges.
 A numeric endpoint's values on g and on g with ij flipped are read in one
 place, ``_Before.values``: for the sign ``_eval_flip`` reads, and for every
 delta ``_with_deltas`` builds, of each flip a full report lists and of every
 flip the finite-cost bridge reads.  Dynamics records the values of each flip
 it takes, and its ``Trajectory`` builds their deltas when its steps are
-read.  An early-exit report, the census's, lists its flips with no deltas.
+read; when every pair is decided, a step builds no scan and draws its flip
+from the two masks of ``_decided_blocks``.  An early-exit report, the
+census's, lists its flips with no deltas.
 """
 from __future__ import annotations
 
@@ -311,12 +314,56 @@ def rule_of(agent: Agent) -> str | HomophilyFunction | None:
     return None
 
 
+def _same_pairs(n: int, adj) -> int:
+    """Pair mask of the pairs whose ends share a component of the graph
+    with adjacency ``adj``."""
+    rest, out = (1 << n) - 1, 0
+    while rest:
+        comp = reachable_from(adj, rest & -rest)
+        out |= pairs_within(n, comp)
+        rest ^= comp
+    return out
+
+
+def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool) -> int:
+    """Pair mask of the blocking flips of g (pair mask ``mask``, adjacency
+    ``adj``) among its additions (``adding``) or its removals whose two ends
+    are rule-typed by ``rules``, the ``GameSpec.rules`` masks.
+
+    Each end refuses the addition to lo, the graph without the pair, by its
+    case of ``rule_willing``: whether it is isolated in lo (no neighbour in
+    g, or for a removal only the partner) and whether the pair shares a
+    component of lo.  Where the refusal of a pair does not turn on the
+    latter, neither is read; elsewhere it is read off g's components
+    (lo = g) or bridges (lo = g - ij).  An addition blocks unless refused,
+    a removal when refused.
+    """
+    typed, refuse = rules
+    among = pairs_within(n, typed) & (~mask if adding else mask)
+    if not among:
+        return 0
+    iso, bit = 0, 1
+    for a in adj:
+        if not (a if adding else a & a - 1):
+            iso |= bit
+        bit <<= 1
+    everyone = (1 << n) - 1
+    across = among & ~pairs_within(n, everyone ^ (refuse[0] & ~iso | refuse[1] & iso))
+    inside = among & ~pairs_within(n, everyone ^ (refuse[2] & ~iso | refuse[3] & iso))
+    if inside != across:
+        same = _same_pairs(n, adj) if adding else ~bridge_mask(adj, inside ^ across)
+        inside = inside & same | across & ~same
+    return among & ~inside if adding else inside
+
+
 class _Before:
     """What the flips of one scan of g share, each made on first use: g's
-    adjacency (or a caller's), its pairs inside a component, and per measure
-    (by id) its kernel ``at`` with its values on g, a list that a local kind
-    fills vertex by vertex or, for a global kind (``at`` None), its vector.
-    ``values`` is the one reader of a numeric endpoint."""
+    adjacency ``adj`` (or a caller's), its pairs inside a component
+    ``same``, and per measure (by id) its kernel ``at`` with its values on
+    g, a list that a local kind fills vertex by vertex or, for a global kind
+    (``at`` None), its vector.  ``adj`` and ``same`` are plain attributes
+    filled on first read, so a scan that reads neither, as a global kind's,
+    builds neither.  ``values`` is the one reader of a numeric endpoint."""
 
     def __init__(self, g: Graph, adj=None):
         self.g = g
@@ -326,9 +373,15 @@ class _Before:
         if adj is not None:
             self.adj = adj
 
-    @functools.cached_property
-    def adj(self) -> tuple[int, ...]:
-        return self.g.adjacency()
+    def __getattr__(self, name: str):
+        # called only while the attribute is missing
+        if name == "adj":
+            value = self.adj = self.g.adjacency()
+        elif name == "same":
+            value = self.same = _same_pairs(self.g.n, self.adj)
+        else:
+            raise AttributeError(name)
+        return value
 
     def toggled(self, i: int, j: int) -> list[int]:
         """g's adjacency with pair ij flipped."""
@@ -373,32 +426,6 @@ class _Before:
         if agent.threshold is not None:
             return _truncate(b, agent.threshold), _truncate(a, agent.threshold)
         return b, a
-
-    @functools.cached_property
-    def same(self) -> int:
-        """Pair mask of the pairs whose ends share a component of g."""
-        rest, out = (1 << self.g.n) - 1, 0
-        while rest:
-            comp = reachable_from(self.adj, rest & -rest)
-            out |= pairs_within(self.g.n, comp)
-            rest ^= comp
-        return out
-
-    def refused(self, refuse: tuple, among: int, adding: bool) -> int:
-        """The pairs of pair mask ``among``, all absent from g (``adding``) or
-        all present, at which a rule-typed endpoint refuses the addition to
-        lo, by the ``GameSpec.rules`` masks ``refuse``."""
-        n, everyone = self.g.n, (1 << self.g.n) - 1
-        # isolated in lo: no neighbour in g, or for a removal only the partner
-        iso = sum(1 << v for v, a in enumerate(self.adj) if not (a if adding else a & a - 1))
-        inside, across = (
-            among & ~pairs_within(n, everyone ^ (refuse[s] & ~iso | refuse[s + 1] & iso))
-            for s in (2, 0)
-        )
-        if inside == across:
-            return inside
-        same = self.same if adding else ~bridge_mask(self.adj, inside ^ across)
-        return inside & same | across & ~same
 
 
 def _eval_flip(
@@ -533,21 +560,17 @@ def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterat
     ambiguous or are fragile, as (kind, i, j, blocking, ambiguous, fragile,
     values).
 
-    The pairs of two rule-typed agents are decided from g's components and,
-    once the scan reaches the removals, its bridges: a blocking one comes
-    with ``values`` None, any other is skipped.  Every other flip is
-    evaluated.
+    The pairs of two rule-typed agents are decided by ``_decided_blocks``,
+    the removals only once the scan reaches them: a blocking one comes with
+    ``values`` None, any other is skipped.  Every other flip is evaluated.
     """
-    pairs = pair_list(g.n)
-    typed, refuse = spec.rules
-    decided = pairs_within(g.n, typed)
+    n, pairs = g.n, pair_list(g.n)
+    decided = pairs_within(n, spec.rules[0])
     for kind in ("add", "remove"):
         adding = kind == "add"
         visit = g.mask ^ (1 << len(pairs)) - 1 if adding else g.mask
         if decided:
-            ours = visit & decided
-            refused = before.refused(refuse, ours, adding)
-            visit ^= refused if adding else ours ^ refused
+            visit = visit & ~decided | _decided_blocks(spec.rules, n, g.mask, before.adj, adding)
         while visit:
             low = visit & -visit
             visit ^= low
@@ -669,7 +692,8 @@ def epsilon_witness(spec: GameSpec, g: Graph, cache: EvalCache | None = None) ->
 @dataclass
 class Trajectory:
     """A dynamics run: from ``start``, the ``moves`` it made, as (kind, i,
-    j, values) with ``values`` the ``_scan`` entry's, up to ``final``.
+    j, values) with ``values`` the ``_scan`` entry's (None for a decided
+    flip), up to ``final``.
 
     ``steps``, the flips taken with their deltas, is built on first read by
     replaying the moves through ``_with_deltas`` on a fresh ``EvalCache``:
@@ -690,7 +714,7 @@ class Trajectory:
         for kind, i, j, values in self.moves:
             before = _Before(g, adj)
             steps.append(_with_deltas(self.spec, kind, i, j, values, before, cache))
-            g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
+            g = g.toggled(pair_index(g.n, i, j))
             adj = before.toggled(i, j)
         return steps
 
@@ -702,6 +726,39 @@ class Trajectory:
             "final": to_graph6(self.final),
             "converged": self.converged,
         }
+
+
+def _decided_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple | None:
+    """The move of a dynamics step on g when every pair of g is decided:
+    with ``rng``, ``rng.choice`` among g's blocking flips in
+    ``candidate_flips`` order, else the first.  The flips stay two pair
+    masks, additions before removals; drawing an index below their count
+    takes the bits ``rng.choice`` over their list would."""
+    n, rules = g.n, spec.rules
+    adds = _decided_blocks(rules, n, g.mask, adj, True)
+    removes = 0 if adds and rng is None else _decided_blocks(rules, n, g.mask, adj, False)
+    added = adds.bit_count()
+    total = added + removes.bit_count()
+    if not total:
+        return None
+    k = 0 if rng is None else rng.choice(range(total))
+    kind, found = ("add", adds) if k < added else ("remove", removes)
+    for _ in range(k if k < added else k - added):
+        found &= found - 1
+    i, j = pair_list(n)[(found & -found).bit_length() - 1]
+    return kind, i, j, None
+
+
+def _scanned_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple | None:
+    """The move of a dynamics step on g read off ``_scan``: with ``rng``,
+    ``rng.choice`` among the blocking flips, else the first."""
+    blocking = (flip for flip in _scan(spec, g, cache, _Before(g, adj)) if flip[3])
+    if rng is None:
+        flip = next(blocking, None)
+    else:
+        found = list(blocking)
+        flip = rng.choice(found) if found else None
+    return None if flip is None else (flip[0], flip[1], flip[2], flip[6])
 
 
 def best_response_dynamics(
@@ -716,31 +773,30 @@ def best_response_dynamics(
 
     ``rule='first'`` always takes the first blocking flip in the fixed scan
     order; ``rule='random'`` draws uniformly among all blocking flips with a
-    deterministic seeded generator.  Each step runs the scan of ``is_apsn``
-    and records the flip it takes with its endpoints' values; the
+    deterministic seeded generator.  When every pair is decided (every
+    agent rule-typed, ``GameSpec.rules``) a step reads the blocking flips as
+    pair masks from ``_decided_blocks`` and builds no scan; otherwise it
+    runs the scan of ``is_apsn``.  Both carry g's adjacency from step to
+    step and record the flip taken with its endpoints' values; the
     trajectory builds the deltas only when its ``steps`` are read.
     """
     if rule not in ("random", "first"):
         raise ParameterError("dynamics rule must be 'random' or 'first'")
+    if max_steps < 0:
+        raise ParameterError(f"step budget must be >= 0 (got {max_steps})")
     spec.bind(g0)
     cache = cache or EvalCache()
-    rng = random.Random(seed)
-    g = g0
-    adj = None  # g's adjacency, carried from the step before
+    rng = random.Random(seed) if rule == "random" else None
+    move_on = _decided_move if spec.rules[0] == (1 << g0.n) - 1 else _scanned_move
+    g, adj = g0, list(g0.adjacency())  # toggled in place, step by step
     moves: list[tuple] = []
     for _ in range(max_steps):
-        before = _Before(g, adj)
-        blocking = (flip for flip in _scan(spec, g, cache, before) if flip[3])
-        if rule == "first":
-            flip = next(blocking, None)
-        else:
-            found = list(blocking)
-            flip = rng.choice(found) if found else None
-        if flip is None:
+        move = move_on(spec, g, adj, cache, rng)
+        if move is None:
             return Trajectory(spec, g0, moves, g, True)
-        kind, i, j, *_, values = flip
-        moves.append((kind, i, j, values))
-        g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
-        adj = before.toggled(i, j)
-    stable = not any(flip[3] for flip in _scan(spec, g, cache, _Before(g, adj)))
-    return Trajectory(spec, g0, moves, g, stable)
+        moves.append(move)
+        _, i, j, _ = move
+        g = g.toggled(pair_index(g.n, i, j))
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    return Trajectory(spec, g0, moves, g, move_on(spec, g, adj, cache, None) is None)

@@ -209,8 +209,11 @@ class Graph:
 # reachability
 
 
-def reachable_from(adj: tuple[int, ...], start_mask: int) -> int:
+def reachable_from(adj: tuple[int, ...], start_mask: int, avoid: int = 0) -> int:
+    """The vertices reachable from ``start_mask`` on paths that enter no
+    vertex of ``avoid``, a mask disjoint from it."""
     seen = frontier = start_mask
+    seen |= avoid
     while frontier:
         nxt = 0
         while frontier:
@@ -219,7 +222,7 @@ def reachable_from(adj: tuple[int, ...], start_mask: int) -> int:
             frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return seen
+    return seen & ~avoid
 
 
 def component_masks(g: Graph) -> list[int]:
@@ -244,18 +247,15 @@ def is_connected(g: Graph) -> bool:
 
 def bridge_mask(adj: Sequence[int], edges: int) -> int:
     """The bridges among the edges of pair mask ``edges``.  An edge whose ends
-    share a neighbour lies on a triangle; any other is searched around."""
+    share a neighbour lies on a triangle; edge ij is otherwise a bridge when
+    j is not reachable from i's other neighbours on paths avoiding i."""
     pairs, out = pair_list(len(adj)), 0
     while edges:
         low = edges & -edges
         edges ^= low
         i, j = pairs[low.bit_length() - 1]
-        if not adj[i] & adj[j]:
-            cut = list(adj)
-            cut[i] ^= 1 << j
-            cut[j] ^= 1 << i
-            if not reachable_from(cut, 1 << i) >> j & 1:
-                out |= low
+        if not adj[i] & adj[j] and not reachable_from(adj, adj[i] ^ 1 << j, 1 << i) >> j & 1:
+            out |= low
     return out
 
 

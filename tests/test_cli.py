@@ -499,6 +499,15 @@ def test_dynamics_first_order(capsys, k4_file):
     assert payload["converged"]
 
 
+def test_dynamics_rejects_a_negative_step_budget(capsys, k4_file):
+    code, out, err = run_cli(
+        capsys, "dynamics", "--graph", k4_file, "--measure", "closeness", "--seed", "1",
+        "--max-steps", "-3",
+    )
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "parameter"
+
+
 def test_export_dot_with_profile(capsys):
     code, out, _ = run_cli(
         capsys,

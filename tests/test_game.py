@@ -44,6 +44,8 @@ from apsn.game import (
 )
 from apsn.graphs import (
     Graph,
+    bits,
+    component_of,
     graph_classes,
     graph_count,
     pair_index,
@@ -738,6 +740,98 @@ def test_kind_rule_equals_the_evaluated_strict_gain(measure):
                 seen.add((same, not lo[k]))
     # every possible case was met: an isolated k has no partner in its component
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+# -- decided pairs as pair masks --------------------------------------------------------
+
+
+#: games whose pairs are all decided by rules that read components
+DECIDED_GAMES = {
+    **{f"local-{m.kind}": partial(numeric_game, measure=m)
+       for m in (degree(), decay(Fraction(1, 2)), harmonic(), closeness())},
+    **{f"monotone-{kind}": partial(rule_game, kind=kind) for kind in ("1", "1p", "2", "2p")},
+    "closeness-degree-monotone": partial(cycled, agents=[
+        NumericAgent(closeness()), MonotoneAgent("2p"), NumericAgent(degree()),
+        MonotoneAgent("2"), NumericAgent(closeness()), MonotoneAgent("1p"),
+    ]),
+}
+
+
+def reference_blocks(spec, g, adding):
+    """Pair mask of the blocking additions (``adding``) or removals of g
+    whose ends both have a rule that reads components: each end asks
+    ``rule_willing`` about lo, g without the pair, built as a graph."""
+    rules = spec.agent_rules
+    out = 0
+    for p, (i, j) in enumerate(pair_list(g.n)):
+        if g.has_edge(i, j) == adding or not all(isinstance(rules[k], str) for k in (i, j)):
+            continue
+        lo = g if adding else g.remove_edge(i, j)
+        same = bool(component_of(lo, i) >> j & 1)
+        degrees = lo.degrees()
+        willing = [rule_willing(rules[k], same, degrees[k] == 0) for k in (i, j)]
+        if all(willing) == adding:
+            out |= 1 << p
+    return out
+
+
+@pytest.mark.parametrize("name", [*DECIDED_GAMES, "closeness-rule-mixed"])
+def test_decided_blocks_match_rule_willing_on_lo_exhaustive_n5(name):
+    make = DECIDED_GAMES.get(name) or ONE_RULE_GAMES[name]
+    for n in range(1, 6):
+        spec = make(n)
+        for g in enumerate_labeled_graphs(n):
+            adj = g.adjacency()
+            for adding in (True, False):
+                got = game._decided_blocks(spec.rules, n, g.mask, adj, adding)
+                assert got == reference_blocks(spec, g, adding), (g, adding)
+
+
+def reference_dynamics(spec, g0, max_steps, seed, rule):
+    """(moves, final, converged) of a dynamics run that takes the first of
+    ``reference_blocks``' flips in candidate order or draws one with
+    ``random.Random(seed).choice``."""
+    rng = random.Random(seed)
+    pairs = pair_list(g0.n)
+    g, moves = g0, []
+    for step in range(max_steps + 1):
+        flips = [
+            (kind, *pairs[p])
+            for kind, adding in (("add", True), ("remove", False))
+            for p in bits(reference_blocks(spec, g, adding))
+        ]
+        if not flips or step == max_steps:
+            return moves, g, not flips
+        kind, i, j = flips[0] if rule == "first" else rng.choice(flips)
+        moves.append((kind, i, j, None))
+        g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
+
+
+@pytest.mark.parametrize("name", list(DECIDED_GAMES))
+def test_decided_dynamics_match_a_reference_loop(name):
+    """25 seeded starts per n = 4..7 under both rules, with a budget that
+    lets them converge and one of two steps that mostly does not."""
+    stopped = 0
+    for n in range(4, 8):
+        spec = DECIDED_GAMES[name](n)
+        assert spec.rules[0] == (1 << n) - 1
+        for seed in range(25):
+            g0 = Graph(n, random.Random(f"{n}-{seed}").getrandbits(n * (n - 1) // 2))
+            for rule in ("first", "random"):
+                for budget in (100, 2):
+                    traj = best_response_dynamics(spec, g0, budget, seed=seed, rule=rule)
+                    got = traj.moves, traj.final, traj.converged
+                    assert got == reference_dynamics(spec, g0, budget, seed, rule), (n, seed, rule)
+                    stopped += not traj.converged
+    assert stopped  # some budget ran out
+
+
+def test_dynamics_rejects_a_negative_step_budget():
+    spec = numeric_game(3, closeness())
+    with pytest.raises(ParameterError, match="step budget"):
+        best_response_dynamics(spec, Graph.path(3), -3, seed=1)
+    traj = best_response_dynamics(spec, Graph.path(3), 0, seed=1)
+    assert traj.moves == [] and traj.final == Graph.path(3)
 
 
 # -- homophilic rule agents -----------------------------------------------------------
