@@ -10,7 +10,11 @@ uniform game, single masks when every vertex has its own colour, and
 anything between for a mixture.  Each stable or ambiguous class expands to
 its orbit under those relabelings (``orbit_masks``).
 
-A census asks ``is_apsn`` only for each graph's verdict: its early-exit
+A game whose agents are all rule-typed decides every pair by its rules
+from components and bridges alone: its census reads each class's verdict
+from ``game._decided_flip``, the two pair masks of blocking flips that
+dynamics draws from, and builds no graph, report or cache.  Any other
+census asks ``is_apsn`` only for each graph's verdict: its early-exit
 report, which stops at the first confident block and builds no delta.
 Exact verdicts carry over as they are.  A tolerant verdict reads float
 deltas, which two labelings of a graph may give in different last digits;
@@ -40,12 +44,14 @@ from .game import (
     GameSpec,
     NumericAgent,
     TolerantPolicy,
+    _decided_flip,
     is_apsn,
     uniform_game,
 )
 from .graphs import (
     MAX_CLASSES,
     Graph,
+    build_adjacency,
     canonical_form,
     graph_classes,
     graph_count,
@@ -140,9 +146,21 @@ def _scan_shard(
 ) -> tuple[list[int], list[int], list[int]]:
     """Stable, ambiguous and fragile classes of one shard of the class list;
     a fresh cache unless given one.  A fragile class is in neither of the
-    other lists."""
+    other lists.
+
+    When every agent is rule-typed (``GameSpec.rules``) a class is stable
+    exactly when ``_decided_flip`` finds no blocking flip on its adjacency:
+    no ``Graph``, report or cache is made, and a decided flip has no delta,
+    so no such class is ambiguous or fragile.  Any other game asks
+    ``is_apsn`` for each class's early-exit report."""
     work = graph_classes(n, colouring(spec))
     lo, hi = shard_bounds(len(work), shard, shards)
+    rules = spec.rules
+    if rules[0] == (1 << n) - 1:
+        return [
+            mask for mask in work[lo:hi]
+            if _decided_flip(rules, n, mask, build_adjacency(n, mask), None) is None
+        ], [], []
     if cache is None:
         cache = EvalCache()
     stable: list[int] = []
@@ -236,6 +254,8 @@ def run_census(
         raise ParameterError(f"game has {spec.n} agents, census wants n={n}")
     if shards < 1:
         raise ParameterError("need at least one shard")
+    if jobs < 1:
+        raise ParameterError(f"need at least one job (got {jobs})")
     start = time.monotonic()
     colours = colouring(spec)
     # built here, before any pool starts, so forked workers inherit the memo

@@ -27,9 +27,10 @@ place, ``_Before.values``: for the sign ``_eval_flip`` reads, and for every
 delta ``_with_deltas`` builds, of each flip a full report lists and of every
 flip the finite-cost bridge reads.  Dynamics records the values of each flip
 it takes, and its ``Trajectory`` builds their deltas when its steps are
-read; when every pair is decided, a step builds no scan and draws its flip
-from the two masks of ``_decided_blocks``.  An early-exit report, the
-census's, lists its flips with no deltas.
+read.  When every pair is decided, ``_decided_flip`` draws a blocking flip
+from the two masks of ``_decided_blocks`` with no scan: each dynamics step
+takes it, and a census reads a class as stable when there is none.  An
+early-exit report, the census's otherwise, lists its flips with no deltas.
 """
 from __future__ import annotations
 
@@ -728,15 +729,17 @@ class Trajectory:
         }
 
 
-def _decided_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple | None:
-    """The move of a dynamics step on g when every pair of g is decided:
-    with ``rng``, ``rng.choice`` among g's blocking flips in
-    ``candidate_flips`` order, else the first.  The flips stay two pair
-    masks, additions before removals; drawing an index below their count
-    takes the bits ``rng.choice`` over their list would."""
-    n, rules = g.n, spec.rules
-    adds = _decided_blocks(rules, n, g.mask, adj, True)
-    removes = 0 if adds and rng is None else _decided_blocks(rules, n, g.mask, adj, False)
+def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
+    """A blocking flip of g (pair mask ``mask``, adjacency ``adj``), as
+    (kind, i, j), when every agent is rule-typed by ``rules``, the
+    ``GameSpec.rules`` masks: with ``rng``, ``rng.choice`` among g's
+    blocking flips in ``candidate_flips`` order, else the first; None when g
+    is stable.  The flips stay the two pair masks of ``_decided_blocks``,
+    additions before removals, and without ``rng`` the removals are read
+    only when no addition blocks.  Drawing an index below their count takes
+    the bits ``rng.choice`` over their list would."""
+    adds = _decided_blocks(rules, n, mask, adj, True)
+    removes = 0 if adds and rng is None else _decided_blocks(rules, n, mask, adj, False)
     added = adds.bit_count()
     total = added + removes.bit_count()
     if not total:
@@ -746,7 +749,7 @@ def _decided_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple
     for _ in range(k if k < added else k - added):
         found &= found - 1
     i, j = pair_list(n)[(found & -found).bit_length() - 1]
-    return kind, i, j, None
+    return kind, i, j
 
 
 def _scanned_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple | None:
@@ -774,11 +777,12 @@ def best_response_dynamics(
     ``rule='first'`` always takes the first blocking flip in the fixed scan
     order; ``rule='random'`` draws uniformly among all blocking flips with a
     deterministic seeded generator.  When every pair is decided (every
-    agent rule-typed, ``GameSpec.rules``) a step reads the blocking flips as
-    pair masks from ``_decided_blocks`` and builds no scan; otherwise it
-    runs the scan of ``is_apsn``.  Both carry g's adjacency from step to
-    step and record the flip taken with its endpoints' values; the
-    trajectory builds the deltas only when its ``steps`` are read.
+    agent rule-typed, ``GameSpec.rules``) a step takes ``_decided_flip``,
+    drawn from the pair masks of ``_decided_blocks``, and builds no scan;
+    otherwise it runs the scan of ``is_apsn``.  Both carry g's adjacency
+    from step to step and record the flip taken with its endpoints'
+    values; the trajectory builds the deltas only when its ``steps`` are
+    read.
     """
     if rule not in ("random", "first"):
         raise ParameterError("dynamics rule must be 'random' or 'first'")
@@ -787,16 +791,24 @@ def best_response_dynamics(
     spec.bind(g0)
     cache = cache or EvalCache()
     rng = random.Random(seed) if rule == "random" else None
-    move_on = _decided_move if spec.rules[0] == (1 << g0.n) - 1 else _scanned_move
+    n, rules = g0.n, spec.rules
+    decided = rules[0] == (1 << n) - 1
     g, adj = g0, list(g0.adjacency())  # toggled in place, step by step
+
+    def move_on(g: Graph, rng) -> tuple | None:
+        if not decided:
+            return _scanned_move(spec, g, adj, cache, rng)
+        flip = _decided_flip(rules, n, g.mask, adj, rng)
+        return None if flip is None else (*flip, None)
+
     moves: list[tuple] = []
     for _ in range(max_steps):
-        move = move_on(spec, g, adj, cache, rng)
+        move = move_on(g, rng)
         if move is None:
             return Trajectory(spec, g0, moves, g, True)
         moves.append(move)
         _, i, j, _ = move
-        g = g.toggled(pair_index(g.n, i, j))
+        g = g.toggled(pair_index(n, i, j))
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
-    return Trajectory(spec, g0, moves, g, move_on(spec, g, adj, cache, None) is None)
+    return Trajectory(spec, g0, moves, g, move_on(g, None) is None)

@@ -247,14 +247,18 @@ def is_connected(g: Graph) -> bool:
 
 def bridge_mask(adj: Sequence[int], edges: int) -> int:
     """The bridges among the edges of pair mask ``edges``.  An edge whose ends
-    share a neighbour lies on a triangle; edge ij is otherwise a bridge when
-    j is not reachable from i's other neighbours on paths avoiding i."""
-    pairs, out = pair_list(len(adj)), 0
+    share a neighbour lies on a triangle, so the pairs within each vertex's
+    neighbourhood are dropped first; edge ij is otherwise a bridge when j is
+    not reachable from i's other neighbours on paths avoiding i."""
+    n, out = len(adj), 0
+    for a in adj:
+        edges &= ~pairs_within(n, a)
+    pairs = pair_list(n)
     while edges:
         low = edges & -edges
         edges ^= low
         i, j = pairs[low.bit_length() - 1]
-        if not adj[i] & adj[j] and not reachable_from(adj, adj[i] ^ 1 << j, 1 << i) >> j & 1:
+        if not reachable_from(adj, adj[i] ^ 1 << j, 1 << i) >> j & 1:
             out |= low
     return out
 
@@ -329,7 +333,11 @@ def apply_permutation(n: int, mask: int, perm: tuple[int, ...]) -> int:
 
 
 def _colour_key(n: int, colours: Sequence[int] | None) -> tuple[int, ...] | None:
-    """The colouring as a tuple, or None when it has at most one colour."""
+    """The colouring as a tuple, or None when it has at most one colour.
+    Refuses n above ``MAX_ORBITS``, the relabeling table's cap, and a
+    colouring whose length is not n."""
+    if n > MAX_ORBITS:
+        raise SizeGuardError(f"relabelings capped at n={MAX_ORBITS} (got {n})")
     if colours is not None and len(colours) != n:
         raise ParameterError(f"{len(colours)} colours for {n} vertices")
     if colours is None or len(set(colours)) < 2:
@@ -357,17 +365,16 @@ def _relabeling_table(n: int, colours: tuple[int, ...] | None) -> np.ndarray:
     return table
 
 
-def _images(n: int, mask: int, colours: Sequence[int] | None) -> np.ndarray:
-    """The masks of the colour-preserving relabelings of (n, mask), one per
-    row of the relabeling table: the columns of the graph's pairs summed per
-    row.  A row's entries are distinct powers of two, so its sum is the OR
-    of the images.  The images of the complement are the complements of the
-    images, so a graph with more than half of its pairs gathers its
-    complement's columns and subtracts each sum from the full mask: no
-    gather reads more than half the columns."""
-    if n > MAX_ORBITS:
-        raise SizeGuardError(f"relabelings capped at n={MAX_ORBITS} (got {n})")
-    table = _relabeling_table(n, _colour_key(n, colours))
+def _images(n: int, mask: int, key: tuple[int, ...] | None) -> np.ndarray:
+    """The masks of the relabelings of (n, mask) that keep the colouring
+    ``key`` (``_colour_key``), one per row of the relabeling table: the
+    columns of the graph's pairs summed per row.  A row's entries are
+    distinct powers of two, so its sum is the OR of the images.  The images
+    of the complement are the complements of the images, so a graph with
+    more than half of its pairs gathers its complement's columns and
+    subtracts each sum from the full mask: no gather reads more than half
+    the columns."""
+    table = _relabeling_table(n, key)
     pairs = pair_count(n)
     if 2 * mask.bit_count() > pairs:
         full = (1 << pairs) - 1
@@ -385,9 +392,13 @@ def canonical_form(g: Graph, colours: Sequence[int] | None = None) -> int:
     dense graph is read through its complement there too.  Capped at n = 8
     with the table.  On one core of a 2-vCPU Intel Xeon VM a call takes
     about 15 us at n = 6, 50 us at n = 7 and 0.6 ms at n = 8 on random
-    graphs, and 15 us on K7.
+    graphs.  Every relabeling fixes the empty and the complete graph, so
+    their own masks are returned without the gather.
     """
-    return int(_images(g.n, g.mask, colours).min())
+    key = _colour_key(g.n, colours)
+    if not g.mask or g.mask == (1 << pair_count(g.n)) - 1:
+        return g.mask
+    return int(_images(g.n, g.mask, key).min())
 
 
 def orbit_masks(n: int, mask: int, colours: Sequence[int] | None = None) -> set[int]:
@@ -398,7 +409,7 @@ def orbit_masks(n: int, mask: int, colours: Sequence[int] | None = None) -> set[
     Capped at n = 8, whose table holds 40,320 x 28 int32s (4.5 MB), built
     on first use.
     """
-    return set(_images(n, mask, colours).tolist())
+    return set(_images(n, mask, _colour_key(n, colours)).tolist())
 
 
 _CLASSES: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...]] = {(1, None): (0,)}

@@ -3,6 +3,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from apsn.centrality import (
     degree,
     eigenvector,
     game_theoretic,
+    harmonic,
     katz,
     linear,
     pagerank,
@@ -24,6 +26,7 @@ from apsn.centrality import (
 )
 from apsn.errors import ParameterError, SizeGuardError
 from apsn.game import (
+    EvalCache,
     ExactPolicy,
     GameSpec,
     HomophilicAgent,
@@ -71,6 +74,12 @@ def test_parallel_jobs_match_sequential():
     seq = run_census(spec, 4, shards=4, jobs=1)
     par = run_census(spec, 4, shards=4, jobs=2)
     assert seq.payload() == par.payload()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_census_refuses_fewer_than_one_job(jobs):
+    with pytest.raises(ParameterError, match="at least one job"):
+        run_census(decay_game(3), 3, jobs=jobs)
 
 
 def test_checkpoint_resume(tmp_path, shared_cache):
@@ -511,3 +520,70 @@ def test_mixed_census_matches_labeled_oracle(name, monkeypatch):
             assert census.graph_classes(n, census.colouring(spec)) == range(graph_count(n))
     if name == "katz":
         assert fragile  # the fragile fallback ran
+
+
+# -- censuses of rule-typed games -------------------------------------------------
+
+
+def cycled(n, agents, policy=ExactPolicy()):
+    """A game whose agent k is ``agents[k % len(agents)]``."""
+    return GameSpec(tuple(agents[k % len(agents)] for k in range(n)), policy)
+
+
+#: (game on n agents, largest n checked) for games whose every agent is
+#: rule-typed, so a census reads each class's verdict from pair masks
+RULE_TYPED_GAMES = {
+    **{f"uniform-{m.kind}": (partial(uniform_game, agent=NumericAgent(m)), 6)
+       for m in (degree(), decay(Fraction(1, 2)), harmonic(), closeness())},
+    **{f"monotone-{kind}": (partial(uniform_game, agent=MonotoneAgent(kind)), 5)
+       for kind in ("1", "1p", "2", "2p")},
+    "closeness-degree-monotone": (partial(cycled, agents=[
+        NumericAgent(closeness()), MonotoneAgent("2p"), NumericAgent(degree()),
+        MonotoneAgent("2"), MonotoneAgent("1p"),
+    ]), 5),
+    "tolerant-closeness": (
+        partial(uniform_game, agent=NumericAgent(closeness()), policy=TolerantPolicy(1e-9)), 5
+    ),
+}
+
+
+def forbid_evaluation(monkeypatch):
+    """Make the census's ``is_apsn`` and every ``EvalCache.vector`` raise."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a graph was evaluated")
+
+    monkeypatch.setattr(census, "is_apsn", refuse)
+    monkeypatch.setattr(EvalCache, "vector", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_TYPED_GAMES))
+def test_rule_typed_census_matches_labeled_oracle_without_evaluating(name, monkeypatch):
+    make, top = RULE_TYPED_GAMES[name]
+    for n in range(1, top + 1):
+        spec = make(n)
+        assert spec.rules[0] == (1 << n) - 1
+        expected = labeled_census(spec, n)
+        forbid_evaluation(monkeypatch)
+        assert run_census(spec, n).payload() == expected, n
+        monkeypatch.undo()
+
+
+def test_rule_typed_census_ignores_shards_jobs_and_resume(tmp_path, monkeypatch):
+    spec = RULE_TYPED_GAMES["closeness-degree-monotone"][0](5)
+    alone = run_census(spec, 5).payload()
+    ckpt = tmp_path / "census.jsonl"
+    pooled = run_census(spec, 5, shards=3, jobs=2, checkpoint=str(ckpt)).payload()
+    records = read_records(ckpt)
+    assert len(records) == 3
+    assert all(r["ambiguous"] == r["fragile"] == [] for r in records)
+    scanned = scan_recorder(monkeypatch)
+    resumed = run_census(spec, 5, shards=3, resume=str(ckpt)).payload()
+    assert scanned == [] and resumed == pooled
+    assert {**pooled, "shards": 1} == alone
+
+
+def test_a_game_with_an_evaluated_agent_still_asks_is_apsn(monkeypatch):
+    spec = GameSpec((NumericAgent(closeness()),) * 3 + (NumericAgent(betweenness()),))
+    forbid_evaluation(monkeypatch)
+    with pytest.raises(RuntimeError, match="evaluated"):
+        run_census(spec, 4)

@@ -128,6 +128,17 @@ def test_learn_agent_outside_the_game_is_a_parameter_error(capsys, agent):
     assert json.loads(err)["error"] == "parameter"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_fewer_than_one_job_is_a_parameter_error(capsys, jobs):
+    for argv in (
+        ["census", "--n", "4", "--rule", "2"],
+        ["learn", "--n", "4", "--profile", str(DATA / "degree_theta2.json"), "--agent", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv, f"--jobs={jobs}")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "parameter"
+
+
 def test_census_negative_tolerance_is_a_parameter_error(capsys):
     # argparse reads a lone "-1e-9" as an option, hence the "=" form
     code, out, err = run_cli(

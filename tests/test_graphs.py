@@ -18,6 +18,7 @@ from apsn.graphs import (
     Graph,
     apply_permutation,
     bfs_distances,
+    bridge_mask,
     bridges,
     canonical_form,
     dominates,
@@ -27,6 +28,7 @@ from apsn.graphs import (
     is_connected,
     orbit_masks,
     pair_count,
+    pair_index,
     read_edge_list,
     shard_bounds,
     to_graph6,
@@ -154,6 +156,17 @@ def test_bridges_match_networkx_exhaustive_n5():
             assert bridges(g) == expected, g
 
 
+def test_bridge_mask_matches_networkx_on_edge_subsets_exhaustive_n6():
+    """Every labeled graph on 6 vertices, asked about all its edges and about
+    two seeded random subsets of them, as the census and dynamics ask."""
+    rnd = random.Random(6)
+    for g in enumerate_labeled_graphs(6):
+        adj = g.adjacency()
+        expected = sum(1 << pair_index(6, *e) for e in nx.bridges(to_networkx(g)))
+        for edges in (g.mask, g.mask & rnd.getrandbits(15), g.mask & rnd.getrandbits(15)):
+            assert bridge_mask(adj, edges) == expected & edges, (g, edges)
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
@@ -196,6 +209,19 @@ def test_p3_and_k3_differ():
 def test_canonical_form_guard():
     with pytest.raises(SizeGuardError):
         canonical_form(Graph(9, 0))
+
+
+def test_empty_and_complete_graphs_are_their_own_canonical_forms():
+    for n in range(1, 9):
+        for g in (Graph.empty(n), Graph.complete(n)):
+            assert canonical_form(g) == g.mask == min(orbit_masks(n, g.mask))
+            assert canonical_form(g, [k % 2 for k in range(n)]) == g.mask
+    for g in (Graph.empty(9), Graph.complete(9)):
+        with pytest.raises(SizeGuardError):
+            canonical_form(g)
+    for g in (Graph.empty(3), Graph.complete(3)):
+        with pytest.raises(ParameterError):
+            canonical_form(g, (0, 1))
 
 
 @given(graphs_strategy(max_n=5), st.randoms(use_true_random=False))
