@@ -15,11 +15,15 @@ The JSON file at this repository's root holds every run's end-to-end metrics
 and, per workload and metric, each side's median and quartiles and the
 number of pairs this checkout won, and whether each traced run was correct.
 
-A traced run that exits non-zero is recorded with its exit code and the tail
-of its stderr, and the comparison goes on; the script still writes the JSON
-file and then exits non-zero.  An untraced run that exits non-zero stops the
-comparison: its workload, seed, side and the tail of its stderr go to stderr
-and the script exits non-zero.
+A traced run that exits 0 is recorded with the wall milliseconds of its
+untraced and traced phases, read from the ``ops`` of the results file it
+left in that checkout's ``.perfbench/results/``, and each workload records
+its shortest phase per side: ``RefClock`` cannot time a phase that ends
+before its first probe.  A traced run that exits non-zero is recorded with
+its exit code and the tail of its stderr, and the comparison goes on; the
+script still writes the JSON file and then exits non-zero.  An untraced
+run that exits non-zero stops the comparison: its workload, seed, side and
+the tail of its stderr go to stderr and the script exits non-zero.
 """
 from __future__ import annotations
 
@@ -62,11 +66,41 @@ def run_once(
         print(message, file=sys.stderr)
         return {"exit": out.returncode, "stderr_tail": tail}
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    return {
+    run = {
         "exit": 0,
         "correct": result["correct"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+    if trace:
+        run["phase_ms"] = phase_ms(checkout, workload, seed)
+    return run
+
+
+def phase_ms(checkout: Path, workload: str, seed: int) -> dict:
+    """Wall ms of a traced run's untraced and traced phases, each from its
+    first operation's start to its last one's end.  Its results file lists
+    the operations of both phases in turn, and the two run the same ones,
+    so each is one half of the list."""
+    path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace1.json"
+    ops = json.loads(path.read_text())["ops"]  # [label, start, wall, seconds]
+    half = len(ops) // 2
+
+    def span(phase: list) -> float:
+        return (phase[-1][1] + phase[-1][2] - phase[0][1]) * 1000
+
+    return {"untraced": span(ops[:half]), "traced": span(ops[half:])}
+
+
+def shortest_phase_ms(traced: list[dict]) -> dict:
+    """Per side, the shortest phase of its traced runs that exited 0 (None
+    when none did)."""
+    return {
+        side: min(
+            (ms for t in traced if t["side"] == side and not t["exit"] for ms in t["phase_ms"].values()),
+            default=None,
+        )
+        for side in ("base", "head")
     }
 
 
@@ -133,6 +167,7 @@ def main(argv=None) -> int:
             "metrics": {spec["name"]: compare(runs, spec) for spec in bench["end_to_end"]},
             "runs": runs,
             "traced": traced[workload],
+            "shortest_phase_ms": shortest_phase_ms(traced[workload]),
         }
     out = HEAD / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")

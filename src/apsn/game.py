@@ -28,14 +28,19 @@ delta ``_with_deltas`` builds, of each flip a full report lists and of every
 flip the finite-cost bridge reads.  Dynamics records the values of each flip
 it takes, and its ``Trajectory`` builds their deltas when its steps are
 read.  When every pair is decided, ``_decided_flip`` draws a blocking flip
-from the two masks of ``_decided_blocks`` with no scan: each dynamics step
-takes it, and a census reads a class as stable when there is none.  An
+from the two masks of ``_decided_blocks`` with no scan and returns it with
+its pair bit.  Dynamics then runs on ints: each step reads the isolated
+vertices of both directions in one pass (``_isolated``), toggles the drawn
+bit in g's pair mask and the two rows of its adjacency, and a ``Graph`` is
+built only for the endpoint.  A census reads a class as stable when there
+is no such flip, and reads its removals only when no addition blocks.  An
 early-exit report, the census's otherwise, lists its flips with no deltas.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -326,28 +331,38 @@ def _same_pairs(n: int, adj) -> int:
     return out
 
 
-def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool) -> int:
+def _isolated(adj) -> tuple[int, int]:
+    """The vertices of the graph with adjacency ``adj`` that have no
+    neighbour and those that have at most one, as two vertex masks read in
+    one pass over its rows: a vertex lies in as many rows as it has
+    neighbours."""
+    seen = twice = 0
+    for a in adj:
+        twice |= seen & a
+        seen |= a
+    everyone = (1 << len(adj)) - 1
+    return everyone ^ seen, everyone ^ twice
+
+
+def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool, iso: int) -> int:
     """Pair mask of the blocking flips of g (pair mask ``mask``, adjacency
     ``adj``) among its additions (``adding``) or its removals whose two ends
     are rule-typed by ``rules``, the ``GameSpec.rules`` masks.
 
     Each end refuses the addition to lo, the graph without the pair, by its
-    case of ``rule_willing``: whether it is isolated in lo (no neighbour in
-    g, or for a removal only the partner) and whether the pair shares a
-    component of lo.  Where the refusal of a pair does not turn on the
-    latter, neither is read; elsewhere it is read off g's components
-    (lo = g) or bridges (lo = g - ij).  An addition blocks unless refused,
-    a removal when refused.
+    case of ``rule_willing``: whether it is isolated in lo and whether the
+    pair shares a component of lo.  ``iso`` holds the vertices isolated in
+    lo, those of ``_isolated(adj)`` with no neighbour in g for an addition
+    and with at most one (the partner) for a removal.  Where the refusal of
+    a pair does not turn on sharing a component, that is not read;
+    elsewhere it is read off g's components (lo = g) or bridges
+    (lo = g - ij).  An addition blocks unless refused, a removal when
+    refused.
     """
     typed, refuse = rules
     among = pairs_within(n, typed) & (~mask if adding else mask)
     if not among:
         return 0
-    iso, bit = 0, 1
-    for a in adj:
-        if not (a if adding else a & a - 1):
-            iso |= bit
-        bit <<= 1
     everyone = (1 << n) - 1
     across = among & ~pairs_within(n, everyone ^ (refuse[0] & ~iso | refuse[1] & iso))
     inside = among & ~pairs_within(n, everyone ^ (refuse[2] & ~iso | refuse[3] & iso))
@@ -571,7 +586,8 @@ def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterat
         adding = kind == "add"
         visit = g.mask ^ (1 << len(pairs)) - 1 if adding else g.mask
         if decided:
-            visit = visit & ~decided | _decided_blocks(spec.rules, n, g.mask, before.adj, adding)
+            iso = _isolated(before.adj)[not adding]
+            visit = visit & ~decided | _decided_blocks(spec.rules, n, g.mask, before.adj, adding, iso)
         while visit:
             low = visit & -visit
             visit ^= low
@@ -731,25 +747,41 @@ class Trajectory:
 
 def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
     """A blocking flip of g (pair mask ``mask``, adjacency ``adj``), as
-    (kind, i, j), when every agent is rule-typed by ``rules``, the
-    ``GameSpec.rules`` masks: with ``rng``, ``rng.choice`` among g's
-    blocking flips in ``candidate_flips`` order, else the first; None when g
-    is stable.  The flips stay the two pair masks of ``_decided_blocks``,
-    additions before removals, and without ``rng`` the removals are read
-    only when no addition blocks.  Drawing an index below their count takes
-    the bits ``rng.choice`` over their list would."""
-    adds = _decided_blocks(rules, n, mask, adj, True)
-    removes = 0 if adds and rng is None else _decided_blocks(rules, n, mask, adj, False)
-    added = adds.bit_count()
-    total = added + removes.bit_count()
-    if not total:
-        return None
-    k = 0 if rng is None else rng.choice(range(total))
-    kind, found = ("add", adds) if k < added else ("remove", removes)
-    for _ in range(k if k < added else k - added):
-        found &= found - 1
-    i, j = pair_list(n)[(found & -found).bit_length() - 1]
-    return kind, i, j
+    (bit, kind, i, j) with ``bit`` its pair bit, when every agent is
+    rule-typed by ``rules``, the ``GameSpec.rules`` masks: with ``rng``,
+    ``rng.choice`` among g's blocking flips in ``candidate_flips`` order,
+    else the first; None when g is stable.
+
+    The flips stay the two pair masks of ``_decided_blocks``, additions
+    before removals.  With ``rng`` one pass of ``_isolated`` gives the
+    isolated vertices of both directions, and ``rng.randrange`` of the
+    flips' count draws the index ``rng.choice`` over their list would (both
+    take ``rng._randbelow`` of the length).  Without it, as in a census,
+    the additions read only the vertices with no neighbour, from one
+    ``functools.reduce`` of the rows that costs less than that pass, and
+    the removals are read only when no addition blocks."""
+    if rng is None:
+        alone = (1 << n) - 1 & ~functools.reduce(operator.or_, adj)
+        kind, found = "add", _decided_blocks(rules, n, mask, adj, True, alone)
+        if not found:
+            kind, found = "remove", _decided_blocks(rules, n, mask, adj, False, _isolated(adj)[1])
+            if not found:
+                return None
+    else:
+        alone, leaves = _isolated(adj)
+        adds = _decided_blocks(rules, n, mask, adj, True, alone)
+        removes = _decided_blocks(rules, n, mask, adj, False, leaves)
+        added = adds.bit_count()
+        total = added + removes.bit_count()
+        if not total:
+            return None
+        k = rng.randrange(total)
+        kind, found = ("add", adds) if k < added else ("remove", removes)
+        for _ in range(k if k < added else k - added):
+            found &= found - 1
+    bit = found & -found
+    i, j = pair_list(n)[bit.bit_length() - 1]
+    return bit, kind, i, j
 
 
 def _scanned_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple | None:
@@ -762,6 +794,23 @@ def _scanned_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple
         found = list(blocking)
         flip = rng.choice(found) if found else None
     return None if flip is None else (flip[0], flip[1], flip[2], flip[6])
+
+
+def _scanned_dynamics(spec: GameSpec, g0: Graph, max_steps: int, rng, cache: EvalCache) -> Trajectory:
+    """``best_response_dynamics`` of a game with an evaluated pair: each
+    step takes ``_scanned_move`` on g, whose adjacency it carries from step
+    to step."""
+    g, adj, moves = g0, list(g0.adjacency()), []  # adj toggled in place
+    for _ in range(max_steps):
+        move = _scanned_move(spec, g, adj, cache, rng)
+        if move is None:
+            return Trajectory(spec, g0, moves, g, True)
+        moves.append(move)
+        _, i, j, _ = move
+        g = g.toggled(pair_index(g.n, i, j))
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    return Trajectory(spec, g0, moves, g, _scanned_move(spec, g, adj, cache, None) is None)
 
 
 def best_response_dynamics(
@@ -777,11 +826,13 @@ def best_response_dynamics(
     ``rule='first'`` always takes the first blocking flip in the fixed scan
     order; ``rule='random'`` draws uniformly among all blocking flips with a
     deterministic seeded generator.  When every pair is decided (every
-    agent rule-typed, ``GameSpec.rules``) a step takes ``_decided_flip``,
-    drawn from the pair masks of ``_decided_blocks``, and builds no scan;
-    otherwise it runs the scan of ``is_apsn``.  Both carry g's adjacency
-    from step to step and record the flip taken with its endpoints'
-    values; the trajectory builds the deltas only when its ``steps`` are
+    agent rule-typed, ``GameSpec.rules``) the run is one loop on ints: a
+    step draws ``_decided_flip`` from g's pair mask and adjacency rows and
+    toggles the drawn pair bit in the one and the two rows in the other,
+    with no scan, no cache and no ``Graph`` but the endpoint's.  Otherwise
+    each step runs the scan of ``is_apsn`` (``_scanned_dynamics``).  Both
+    record each flip taken with its endpoints' values (None for a decided
+    one); the trajectory builds the deltas only when its ``steps`` are
     read.
     """
     if rule not in ("random", "first"):
@@ -789,26 +840,20 @@ def best_response_dynamics(
     if max_steps < 0:
         raise ParameterError(f"step budget must be >= 0 (got {max_steps})")
     spec.bind(g0)
-    cache = cache or EvalCache()
     rng = random.Random(seed) if rule == "random" else None
     n, rules = g0.n, spec.rules
-    decided = rules[0] == (1 << n) - 1
-    g, adj = g0, list(g0.adjacency())  # toggled in place, step by step
-
-    def move_on(g: Graph, rng) -> tuple | None:
-        if not decided:
-            return _scanned_move(spec, g, adj, cache, rng)
-        flip = _decided_flip(rules, n, g.mask, adj, rng)
-        return None if flip is None else (*flip, None)
-
+    if rules[0] != (1 << n) - 1:
+        return _scanned_dynamics(spec, g0, max_steps, rng, cache or EvalCache())
+    mask, adj = g0.mask, list(g0.adjacency())  # toggled in place, step by step
     moves: list[tuple] = []
     for _ in range(max_steps):
-        move = move_on(g, rng)
-        if move is None:
-            return Trajectory(spec, g0, moves, g, True)
-        moves.append(move)
-        _, i, j, _ = move
-        g = g.toggled(pair_index(n, i, j))
+        flip = _decided_flip(rules, n, mask, adj, rng)
+        if flip is None:
+            return Trajectory(spec, g0, moves, Graph(n, mask), True)
+        bit, kind, i, j = flip
+        moves.append((kind, i, j, None))
+        mask ^= bit
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
-    return Trajectory(spec, g0, moves, g, move_on(g, None) is None)
+    converged = _decided_flip(rules, n, mask, adj, None) is None
+    return Trajectory(spec, g0, moves, Graph(n, mask), converged)

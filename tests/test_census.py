@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from apsn import census
+from apsn import census, game
 from apsn.census import census_cap, conjecture_report, game_fingerprint, run_census
 from apsn.centrality import (
     betweenness,
@@ -580,6 +580,31 @@ def test_rule_typed_census_ignores_shards_jobs_and_resume(tmp_path, monkeypatch)
     resumed = run_census(spec, 5, shards=3, resume=str(ckpt)).payload()
     assert scanned == [] and resumed == pooled
     assert {**pooled, "shards": 1} == alone
+
+
+@pytest.mark.parametrize("measure, calls", [
+    (closeness(), {6: 5, 7: 7}),
+    (degree(), {6: 0, 7: 0}),
+    (decay(Fraction(1, 2)), {6: 0, 7: 0}),
+])
+def test_rule_typed_census_reads_bridges_only_when_no_addition_blocks(measure, calls, monkeypatch):
+    """A class's removals, the only flips read off bridges, are read only
+    when none of its additions blocks: for closeness that is one
+    ``bridge_mask`` call per class with an edge and no blocking addition,
+    and a degree or decay game, whose additions block unless the graph is
+    complete, reads none."""
+    seen = []
+    bridge_mask = game.bridge_mask
+
+    def counted(adj, edges):
+        seen.append(edges)
+        return bridge_mask(adj, edges)
+
+    monkeypatch.setattr(game, "bridge_mask", counted)
+    for n, expected in calls.items():
+        seen.clear()
+        run_census(uniform_game(n, NumericAgent(measure)), n)
+        assert len(seen) == expected, n
 
 
 def test_a_game_with_an_evaluated_agent_still_asks_is_apsn(monkeypatch):

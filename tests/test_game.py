@@ -783,7 +783,8 @@ def test_decided_blocks_match_rule_willing_on_lo_exhaustive_n5(name):
         for g in enumerate_labeled_graphs(n):
             adj = g.adjacency()
             for adding in (True, False):
-                got = game._decided_blocks(spec.rules, n, g.mask, adj, adding)
+                iso = game._isolated(adj)[not adding]
+                got = game._decided_blocks(spec.rules, n, g.mask, adj, adding, iso)
                 assert got == reference_blocks(spec, g, adding), (g, adding)
 
 
@@ -809,13 +810,14 @@ def reference_dynamics(spec, g0, max_steps, seed, rule):
 
 @pytest.mark.parametrize("name", list(DECIDED_GAMES))
 def test_decided_dynamics_match_a_reference_loop(name):
-    """25 seeded starts per n = 4..7 under both rules, with a budget that
-    lets them converge and one of two steps that mostly does not."""
+    """25 seeded starts per n = 4..7 and 3 at n = 9 and 12, whose pair
+    masks are wider than 32 and 64 bits, under both rules, with a budget
+    that lets them converge and one of two steps that mostly does not."""
     stopped = 0
-    for n in range(4, 8):
+    for n, starts in [*((n, 25) for n in range(4, 8)), (9, 3), (12, 3)]:
         spec = DECIDED_GAMES[name](n)
         assert spec.rules[0] == (1 << n) - 1
-        for seed in range(25):
+        for seed in range(starts):
             g0 = Graph(n, random.Random(f"{n}-{seed}").getrandbits(n * (n - 1) // 2))
             for rule in ("first", "random"):
                 for budget in (100, 2):
