@@ -8,7 +8,7 @@ same agent, relabels the verdict too, so the census decides one graph per
 class of such relabelings (``graph_classes``): the isomorphism classes of a
 uniform game, single masks when every vertex has its own colour, and
 anything between for a mixture.  Each stable or ambiguous class expands to
-its orbit under those relabelings (``orbit_masks``).
+its orbit under those relabelings (``orbit_union``).
 
 A game whose agents are all rule-typed decides every pair by its rules
 from components and bridges alone: its census reads each class's verdict
@@ -29,11 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import itemgetter
 from typing import Sequence
 
 from . import __version__
@@ -56,7 +58,7 @@ from .graphs import (
     graph_classes,
     graph_count,
     is_connected,
-    orbit_masks,
+    orbit_union,
     shard_bounds,
     to_graph6,
 )
@@ -186,19 +188,25 @@ def _record_fits(
     rec: dict, header: dict, layout: list[tuple[int, int]], work: Sequence[int]
 ) -> bool:
     """Whether a checkpoint record carries this census's header, covers one
-    whole shard of the layout and lists only masks of that shard's work."""
+    whole shard of the layout and lists only masks of that shard's work.
+    The work is ascending (a range, or the class list), so each mask is
+    looked up by bisection."""
     if any(rec.get(key) != value for key, value in header.items()):
         return False
     shard = rec.get("shard")
     if not isinstance(shard, int) or not 0 <= shard < len(layout):
         return False
     lo, hi = layout[shard]
-    members = work[lo:hi]  # a range, or a slice of the class list
     lists = [rec.get(key) for key in _RECORD_LISTS]
+
+    def listed(m) -> bool:
+        k = bisect_left(work, m, lo, hi)
+        return k < hi and work[k] == m
+
     return (
         rec.get("scanned") == hi - lo
         and all(isinstance(masks, list) for masks in lists)
-        and all(m in members for masks in lists for m in masks)
+        and all(isinstance(m, int) and listed(m) for masks in lists for m in masks)
     )
 
 
@@ -209,30 +217,38 @@ def _expand_classes(
     """(stable masks, ambiguous masks, (isomorphism class, representative)
     per stable isomorphism class) of a census from its class verdicts.
 
-    A stable or ambiguous class contributes its whole orbit, and its mask,
-    the smallest of the orbit, is its smallest stable member.  A fragile
+    The stable and the ambiguous classes each contribute the union of
+    their orbits (``orbit_union``), and a stable class's mask, the
+    smallest of its orbit, is its smallest stable member.  A fragile
     class has each member decided on its own, and its smallest stable
     member, if any, stands for it.  The smallest of these members per
     uncoloured ``canonical_form`` represents that isomorphism class, as a
-    scan of every mask would report it.
+    scan of every mask would report it.  With one colour a class is an
+    isomorphism class and its mask is canonical (``graph_classes``), so
+    the class names it and no canonical form is computed.
     """
-    stable_masks = [m for c in stable for m in orbit_masks(n, c, colours)]
-    ambiguous_masks = [m for c in ambiguous for m in orbit_masks(n, c, colours)]
-    smallest = list(stable)
-    for c in fragile:
-        kept = []
-        for m in sorted(orbit_masks(n, c, colours)):
-            verdict = is_apsn(spec, Graph(n, m), cache, early_exit=True).verdict
-            if verdict == "stable":
-                kept.append(m)
-            elif verdict == "ambiguous":
-                ambiguous_masks.append(m)
-        stable_masks += kept
-        smallest += kept[:1]
+    stable_masks = orbit_union(n, stable, colours)
+    ambiguous_masks = orbit_union(n, ambiguous, colours)
+    smallest = [(c, c) for c in stable]
+    if fragile:
+        for c in fragile:
+            kept = []
+            for m in orbit_union(n, [c], colours):
+                verdict = is_apsn(spec, Graph(n, m), cache, early_exit=True).verdict
+                if verdict == "stable":
+                    kept.append(m)
+                elif verdict == "ambiguous":
+                    ambiguous_masks.append(m)
+            stable_masks += kept
+            if kept:
+                smallest.append((c, kept[0]))
+        stable_masks.sort()
+        ambiguous_masks.sort()
+    one_colour = len(set(colours)) == 1
     reps: dict[int, int] = {}
-    for m in sorted(smallest):
-        reps.setdefault(canonical_form(Graph(n, m)), m)
-    return sorted(stable_masks), sorted(ambiguous_masks), sorted(reps.items())
+    for c, m in sorted(smallest, key=itemgetter(1)):
+        reps.setdefault(c if one_colour else canonical_form(Graph(n, m)), m)
+    return stable_masks, ambiguous_masks, sorted(reps.items())
 
 
 def run_census(
@@ -258,8 +274,10 @@ def run_census(
         raise ParameterError(f"need at least one job (got {jobs})")
     start = time.monotonic()
     colours = colouring(spec)
-    # built here, before any pool starts, so forked workers inherit the memo
+    # built here, before any pool starts, so forked workers inherit the
+    # memos of the class list and of the adjacency byte tables
     work = graph_classes(n, colours)
+    build_adjacency(n, 0)
     layout = [shard_bounds(len(work), k, shards) for k in range(shards)]
     header = {
         "fingerprint": game_fingerprint(spec),

@@ -7,12 +7,18 @@ value.  Vertex count is capped at 16; orbits and canonical forms, which
 read one table of relabelings, at 8; class lists, and so every exhaustive
 walk over the graphs on n vertices, at 7.  The caps raise
 :class:`SizeGuardError` rather than crawling.
+
+Adjacency rows are read from one table per byte of the pair mask
+(``build_adjacency``): ceil(C(n, 2) / 8) tables of at most 256 rows, two
+at n = 6, four at n = 8 and 15 at n = 16, memoized per n and built in
+0.1-0.4 ms at n <= 8 and about 2.5 ms at n = 16 (some 800 KB).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,18 +73,41 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def build_adjacency(n: int, mask: int) -> tuple[int, ...]:
-    """Per-vertex neighbor bitsets for a pair-mask graph."""
-    adj = [0] * n
-    m = mask
+@functools.cache
+def _byte_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One table per byte of an n-vertex pair mask: row v of table b is the
+    adjacency of the graph whose pairs are the set bits of v placed at pair
+    8b.  Built by doubling: the rows of v are those of v without its lowest
+    bit, plus that bit's pair.  One table at n = 1, where there is no
+    pair; the last table covers only the pairs left."""
     pairs = pair_list(n)
-    while m:
-        low = m & -m
-        i, j = pairs[low.bit_length() - 1]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        m ^= low
-    return tuple(adj)
+    tables = []
+    for first in range(0, max(len(pairs), 1), 8):
+        rows = [(0,) * n]
+        for v in range(1, 1 << min(8, len(pairs) - first)):
+            low = v & -v
+            i, j = pairs[first + low.bit_length() - 1]
+            row = list(rows[v ^ low])
+            row[i] |= 1 << j
+            row[j] |= 1 << i
+            rows.append(tuple(row))
+        tables.append(tuple(rows))
+    return tuple(tables)
+
+
+def build_adjacency(n: int, mask: int) -> tuple[int, ...]:
+    """Per-vertex neighbor bitsets for a pair-mask graph: the rows of each
+    byte of the mask, read from ``_byte_rows`` and ORed per vertex.  The
+    tables hold at most ceil(C(n, 2) / 8) x 256 rows (15 tables at
+    n = 16) and are built on the first call per n, in 0.1-0.4 ms at
+    n <= 8 and about 2.5 ms at n = 16 on one core of a 2-vCPU Intel Xeon
+    VM.  A call then takes about 0.6 us at n = 6 and 1.1 us at n = 7."""
+    tables = _byte_rows(n)
+    adj = tables[0][mask & 255]
+    for table in tables[1:]:
+        mask >>= 8
+        adj = tuple(map(or_, adj, table[mask & 255]))
+    return adj
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -391,9 +420,9 @@ def canonical_form(g: Graph, colours: Sequence[int] | None = None) -> int:
     gather ``orbit_masks`` makes from the memoized relabeling table, so a
     dense graph is read through its complement there too.  Capped at n = 8
     with the table.  On one core of a 2-vCPU Intel Xeon VM a call takes
-    about 15 us at n = 6, 50 us at n = 7 and 0.6 ms at n = 8 on random
-    graphs.  Every relabeling fixes the empty and the complete graph, so
-    their own masks are returned without the gather.
+    about 11-14 us at n = 6, 35-47 us at n = 7 and 0.43-0.45 ms at n = 8
+    on random graphs.  Every relabeling fixes the empty and the complete
+    graph, so their own masks are returned without the gather.
     """
     key = _colour_key(g.n, colours)
     if not g.mask or g.mask == (1 << pair_count(g.n)) - 1:
@@ -412,6 +441,22 @@ def orbit_masks(n: int, mask: int, colours: Sequence[int] | None = None) -> set[
     return set(_images(n, mask, _colour_key(n, colours)).tolist())
 
 
+def orbit_union(n: int, classes: Sequence[int], colours: Sequence[int] | None = None) -> list[int]:
+    """Ascending masks of the union of the classes' orbits (``orbit_masks``):
+    their gathers concatenated, sorted in place and deduplicated once, and
+    one ``tolist``.  Deduplicates by comparing neighbours, not with
+    ``np.unique``, whose first call costs 10-20 ms."""
+    if not classes:
+        return []
+    key = _colour_key(n, colours)
+    masks = np.concatenate([_images(n, c, key) for c in classes])
+    masks.sort()
+    keep = np.empty(len(masks), dtype=bool)
+    keep[0] = True
+    np.not_equal(masks[1:], masks[:-1], out=keep[1:])
+    return masks[keep].tolist()
+
+
 _CLASSES: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...]] = {(1, None): (0,)}
 
 
@@ -428,8 +473,9 @@ def graph_classes(n: int, colours: Sequence[int] | None = None) -> Sequence[int]
     of its colour a lower degree, and keeping the distinct canonical forms:
     the simplest form of McKay's isomorph-free generation ("Isomorph-free
     exhaustive generation", 1998).  Memoized per n and colouring and capped
-    at n = 7: 1,044 classes in 0.15 s with one colour and 20,364 in 0.5 s
-    for colours of sizes 4 and 3, on one core of a 2-vCPU Intel Xeon VM.
+    at n = 7: 1,044 classes in 0.11-0.12 s with one colour and 20,364 in
+    0.42 s for colours of sizes 4 and 3, on one core of a 2-vCPU Intel
+    Xeon VM.
     """
     if not 1 <= n <= MAX_CLASSES:
         raise SizeGuardError(f"class lists cover n=1..{MAX_CLASSES} (got {n})")
@@ -463,10 +509,7 @@ def graph_classes(n: int, colours: Sequence[int] | None = None) -> Sequence[int]
 def passing_masks(n: int, keep, colours: Sequence[int] | None = None) -> list[int]:
     """Ascending masks of the graphs on n vertices that pass ``keep``, a
     predicate that no colour-preserving relabeling changes, tested per class."""
-    return sorted(
-        m for c in graph_classes(n, colours) if keep(Graph(n, c))
-        for m in orbit_masks(n, c, colours)
-    )
+    return orbit_union(n, [c for c in graph_classes(n, colours) if keep(Graph(n, c))], colours)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@
   vectors from those rational solves, and ``oracle_closeness``,
   ``oracle_betweenness`` and the other distance oracles are the
   ``Fraction`` loops that the integer BFS kernels replaced;
+* ``adjacency_by_bits`` builds adjacency rows one pair bit at a time, and
+  ``expand_classes_per_class`` expands a census's class verdicts one orbit
+  set at a time: the loops that ``graphs.build_adjacency``'s byte tables
+  and ``census._expand_classes``'s sorted orbit unions replaced;
+  ``colour_patterns`` lists every colouring of n vertices;
 * ``enumerate_labeled_graphs`` walks every labeled graph in mask order,
   the walk that ``graphs.graph_classes`` replaces with one graph per class
   of colour-preserving relabelings; ``labeled_census``,
@@ -54,6 +59,8 @@ from apsn.graphs import (
     component_masks,
     component_of,
     graph_count,
+    orbit_masks,
+    pair_list,
     reachable_from,
     to_graph6,
 )
@@ -401,6 +408,51 @@ def enumerate_labeled_graphs(n: int):
         raise SizeGuardError(f"full enumeration capped at n={LABELED_CAP} (got {n})")
     for mask in range(graph_count(n)):
         yield Graph(n, mask)
+
+
+def colour_patterns(n: int):
+    """Every colouring of n vertices up to renaming the colours, each
+    numbered in order of first appearance."""
+    if n == 0:
+        yield ()
+        return
+    for head in colour_patterns(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield head + (c,)
+
+
+def adjacency_by_bits(n: int, mask: int) -> tuple[int, ...]:
+    """Per-vertex neighbor bitsets read one pair bit at a time, the loop
+    that ``graphs.build_adjacency``'s byte tables replaced."""
+    adj = [0] * n
+    for k in bits(mask):
+        i, j = pair_list(n)[k]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def expand_classes_per_class(spec, n, colours, stable, ambiguous, fragile, cache):
+    """``census._expand_classes`` with one ``orbit_masks`` set per class and
+    one uncoloured ``canonical_form`` per stable class, the expansion that
+    its sorted orbit unions replaced."""
+    stable_masks = [m for c in stable for m in orbit_masks(n, c, colours)]
+    ambiguous_masks = [m for c in ambiguous for m in orbit_masks(n, c, colours)]
+    smallest = list(stable)
+    for c in fragile:
+        kept = []
+        for m in sorted(orbit_masks(n, c, colours)):
+            verdict = is_apsn(spec, Graph(n, m), cache, early_exit=True).verdict
+            if verdict == "stable":
+                kept.append(m)
+            elif verdict == "ambiguous":
+                ambiguous_masks.append(m)
+        stable_masks += kept
+        smallest += kept[:1]
+    reps: dict[int, int] = {}
+    for m in sorted(smallest):
+        reps.setdefault(canonical_form(Graph(n, m)), m)
+    return sorted(stable_masks), sorted(ambiguous_masks), sorted(reps.items())
 
 
 def labeled_passing_masks(n: int, keep) -> list[int]:

@@ -37,8 +37,8 @@ from apsn.game import (
     is_apsn,
     uniform_game,
 )
-from apsn.graphs import Graph, canonical_form, graph_count
-from oracles import delta_remove, labeled_census
+from apsn.graphs import Graph, canonical_form, graph_count, orbit_masks
+from oracles import colour_patterns, delta_remove, expand_classes_per_class, labeled_census
 
 
 def decay_game(n):
@@ -182,6 +182,30 @@ def test_resume_rescans_invalid_records(tmp_path, monkeypatch, shared_cache):
     scanned = scan_recorder(monkeypatch)
     resumed = run_census(spec, 4, shards=4, cache=shared_cache, resume=str(ckpt))
     assert scanned == [1, 3]
+    assert resumed.payload() == fresh.payload()
+
+
+def test_resume_rescans_foreign_masks_on_a_class_tuple(tmp_path, monkeypatch, shared_cache):
+    # a uniform census's work is its tuple of classes, so a record's masks
+    # are looked up in that tuple, not in a range
+    spec = uniform_game(5, NumericAgent(betweenness()))
+    work = census.graph_classes(5, census.colouring(spec))
+    assert isinstance(work, tuple)
+    ckpt = tmp_path / "census.jsonl"
+    fresh = run_census(spec, 5, shards=4, cache=shared_cache, checkpoint=str(ckpt))
+    scanned = scan_recorder(monkeypatch)
+    run_census(spec, 5, shards=4, cache=shared_cache, resume=str(ckpt))
+    assert scanned == []  # every record fits as written
+    (_, hi0), (lo1, _), (lo2, hi2), _ = fresh.shard_layout
+    records = read_records(ckpt)
+    records[0]["stable"].append(work[hi0])  # the first class of shard 1
+    records[1]["ambiguous"].append(work[lo1 - 1])  # the last class of shard 0
+    between = next(m for m in range(work[lo2], work[hi2 - 1]) if m not in work)
+    records[2]["fragile"].append(between)  # inside shard 2's span, but no class
+    records[3]["stable"].append(str(work[-1]))  # not an int
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in records))
+    resumed = run_census(spec, 5, shards=4, cache=shared_cache, resume=str(ckpt))
+    assert scanned == [0, 1, 2, 3]
     assert resumed.payload() == fresh.payload()
 
 
@@ -445,17 +469,55 @@ def test_katz_deltas_on_the_band_edge_fall_back_to_labeled_members(monkeypatch):
     assert 0 in fragile  # the empty graph
 
 
-def test_tolerance_equal_to_a_delta_falls_back_to_labeled_members(monkeypatch):
-    # the centre of a star on 4 vertices loses the same value whichever
-    # leaf edge goes, but its labelings compute it in different last digits;
-    # at a tolerance of exactly that value each labeling reads it its own way
+def star_tolerance_game():
+    """Uniform PageRank at a tolerance equal to the loss of a star's centre
+    when a leaf edge goes, which the star's labelings read in different
+    last digits."""
     star = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
     probe = uniform_game(4, NumericAgent(pagerank()), TolerantPolicy())
     tol = abs(delta_remove(probe, star, 0, 3)[1].value)
-    spec = uniform_game(4, NumericAgent(pagerank()), TolerantPolicy(tol))
+    return star, uniform_game(4, NumericAgent(pagerank()), TolerantPolicy(tol))
+
+
+def test_tolerance_equal_to_a_delta_falls_back_to_labeled_members(monkeypatch):
+    star, spec = star_tolerance_game()
     fragile = record_fragile(monkeypatch)
     assert run_census(spec, 4).payload() == labeled_census(spec, 4)
     assert canonical_form(star) in fragile
+
+
+def test_expansion_of_the_fragile_star_matches_the_per_class_expansion():
+    star, spec = star_tolerance_game()
+    colours = census.colouring(spec)
+    stable, ambiguous, fragile = census._scan_shard(spec, 4, 0, 1)
+    assert canonical_form(star) in fragile
+    args = (spec, 4, colours, stable, ambiguous, fragile)
+    expanded = census._expand_classes(*args, EvalCache())
+    assert expanded == expand_classes_per_class(*args, EvalCache())
+    # the star's labelings split: some are ambiguous, the others unstable
+    labelings = orbit_masks(4, canonical_form(star))
+    assert 0 < len(labelings & set(expanded[1])) < len(labelings)
+
+
+# one rule-typed agent per colour, so that fragile classes decide fast
+COLOUR_AGENTS = (
+    NumericAgent(closeness()), NumericAgent(degree()), MonotoneAgent("2p"),
+    NumericAgent(decay(Fraction(1, 2))), MonotoneAgent("1"),
+)
+
+
+def test_expansion_matches_the_per_class_expansion_for_every_colouring():
+    """Every colouring at n <= 5, with its classes dealt in turn to the
+    stable, the ambiguous and the fragile list."""
+    for n in range(1, 6):
+        for colours in colour_patterns(n):
+            spec = GameSpec(tuple(COLOUR_AGENTS[c] for c in colours))
+            assert census.colouring(spec) == colours
+            classes = list(census.graph_classes(n, colours))
+            lists = (classes[0::3], classes[1::3], classes[2::3])
+            args = (spec, n, colours, *lists)
+            expanded = census._expand_classes(*args, EvalCache())
+            assert expanded == expand_classes_per_class(*args, EvalCache()), colours
 
 
 def test_resume_checks_the_fragile_lists(tmp_path, monkeypatch, shared_cache):

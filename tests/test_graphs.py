@@ -20,6 +20,7 @@ from apsn.graphs import (
     bfs_distances,
     bridge_mask,
     bridges,
+    build_adjacency,
     canonical_form,
     dominates,
     from_graph6,
@@ -27,6 +28,7 @@ from apsn.graphs import (
     graph_count,
     is_connected,
     orbit_masks,
+    orbit_union,
     pair_count,
     pair_index,
     read_edge_list,
@@ -34,7 +36,7 @@ from apsn.graphs import (
     to_graph6,
     write_edge_list,
 )
-from oracles import enumerate_labeled_graphs, same_component
+from oracles import adjacency_by_bits, colour_patterns, enumerate_labeled_graphs, same_component
 
 
 def graphs_strategy(max_n=6):
@@ -299,17 +301,6 @@ def test_canonical_forms_split_n6_into_its_156_classes():
         assert orbit_masks(6, key) == set(members)
 
 
-def colour_patterns(n):
-    """Every colouring of n vertices up to renaming the colours, each
-    numbered in order of first appearance."""
-    if n == 0:
-        yield ()
-        return
-    for head in colour_patterns(n - 1):
-        for c in range(max(head, default=-1) + 2):
-            yield head + (c,)
-
-
 SIX_VERTEX_PATTERNS = [(0, 0, 0, 1, 1, 1), (0, 1, 0, 1, 2, 2), (0, 0, 0, 0, 0, 1)]
 
 
@@ -375,6 +366,16 @@ def test_orbit_masks_match_the_relabeling_oracle():
         for mask in [0, full] + [rnd.randrange(full + 1) for _ in range(6)]:
             expected = {apply_permutation(n, mask, p) for p in keep}
             assert orbit_masks(n, mask, colours) == expected, (n, colours, mask)
+
+
+def test_orbit_union_is_the_sorted_union_of_the_orbits():
+    rnd = random.Random(2016)
+    for n, colours in COLOURINGS + [(7, None), (7, (0, 0, 0, 0, 1, 1, 1))]:
+        classes = list(graph_classes(n, colours))
+        picked = sorted(rnd.sample(classes, min(len(classes), 9)))
+        expected = sorted(set().union(*(orbit_masks(n, c, colours) for c in picked)))
+        assert orbit_union(n, picked, colours) == expected, (n, colours)
+        assert orbit_union(n, [], colours) == []
 
 
 def test_orbit_guard():
@@ -492,6 +493,18 @@ def test_graph6_agrees_with_networkx(g):
 def test_is_connected_marks_components():
     assert is_connected(Graph.complete(4))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_build_adjacency_matches_the_per_bit_reference():
+    for n in range(1, 7):
+        for mask in range(graph_count(n)):
+            assert build_adjacency(n, mask) == adjacency_by_bits(n, mask), (n, mask)
+    rnd = random.Random(1961)
+    for n in range(7, 17):
+        full = graph_count(n) - 1
+        for mask in [0, full] + [rnd.randrange(full + 1) for _ in range(200)]:
+            assert build_adjacency(n, mask) == adjacency_by_bits(n, mask), (n, mask)
+            assert Graph(n, mask).adjacency() == adjacency_by_bits(n, mask)
 
 
 def test_pair_count():
