@@ -10,19 +10,21 @@ uniform game, single masks when every vertex has its own colour, and
 anything between for a mixture.  Each stable or ambiguous class expands to
 its orbit under those relabelings (``orbit_union``).
 
-A game whose agents are all rule-typed decides every pair by its rules
-from components and bridges alone: its census reads each class's verdict
-from ``game._decided_flip``, the two pair masks of blocking flips that
-dynamics draws from, and builds no graph, report or cache.  Any other
-census asks ``is_apsn`` only for each graph's verdict: its early-exit
-report, which stops at the first confident block and builds no delta.
-Exact verdicts carry over as they are.  A tolerant verdict reads float
-deltas, which two labelings of a graph may give in different last digits;
-when the scan reads a delta on an edge of the ambiguity band
-(``StabilityReport.fragile``), the census decides every member of that class
-instead: the fragile fallback.  The class list splits into contiguous shards
-that share nothing, so shard count and worker count never change the result
-payload; per-shard checkpoint records make long runs resumable.
+A game whose agents are all rule-typed (monotone, homophilic, or of a
+kind with a rule, as game-theoretic centrality) decides every pair from
+components, bridges and degrees: its census reads each class's verdict from
+``game._decided_flip``, the two pair masks of blocking flips that dynamics
+draws from, and builds no graph, report or cache.  Any other census asks
+``is_apsn`` only for each graph's verdict: its early-exit report, which
+stops at the first confident block and builds no delta.  Exact verdicts
+carry over as they are.  A tolerant verdict reads float deltas, which two
+labelings of a graph may give in different last digits; when the scan
+reads a delta on an edge of the ambiguity band (``StabilityReport.fragile``;
+a flip a rule-typed end decides reads none), the census decides every
+member of that class instead: the fragile fallback.  The class list splits
+into contiguous shards that share nothing, so shard count and worker count
+never change the result payload; per-shard checkpoint records make long
+runs resumable.
 """
 from __future__ import annotations
 

@@ -487,15 +487,16 @@ class Kind:
     vertex.  A global kind has ``at = None``.
 
     ``rule`` says when an untruncated agent gains from an edge ko added to
-    lo, the graph without it, on every graph (``game.rule_of``).  "1",
-    always: degree, decay and harmonic, since ko adds a neighbour and
-    lengthens no distance.  "2 or isolated", when o is in k's component of lo
-    or k is isolated there: closeness, since d(k, o) falls to 1 inside and
-    the distance sum grows by o's component across.  "homophily", when
-    d_o <= (d_k + 1)(d_k + 2) - 3 in lo (``game.GT_HOMOPHILY``): game-theoretic
-    centrality, since ko turns k's term 1 / (d_k + 1) into 1 / (d_k + 2) and
-    adds o's 1 / (d_o + 2), a change of 1 / (d_o + 2) - 1 / ((d_k + 1)(d_k + 2))
-    (Michalak et al., JAIR 2013).
+    lo, the graph without it, on every graph (``game.rule_of``), so that
+    ``game._decided_blocks`` decides it from pair masks.  "1", always:
+    degree, decay and harmonic, since ko adds a neighbour and lengthens no
+    distance.  "2 or isolated", when o is in k's component of lo or k is
+    isolated there: closeness, since d(k, o) falls to 1 inside and the
+    distance sum grows by o's component across.  "homophily", when
+    d_o <= (d_k + 1)(d_k + 2) - 3 in lo (``game.GT_HOMOPHILY``, read off
+    lo's degrees): game-theoretic centrality, since ko turns k's term
+    1 / (d_k + 1) into 1 / (d_k + 2) and adds o's 1 / (d_o + 2), a change
+    of 1 / (d_o + 2) - 1 / ((d_k + 1)(d_k + 2)) (Michalak et al., JAIR 2013).
     Random-walk closeness obeys "2 or isolated" too (checked on every class
     to n = 7), but waits for ``perfbench``'s ``RefClock`` to probe at a
     phase's start: a census-walk pass decided from components ends before its

@@ -11,30 +11,26 @@ when ``sign_with_band`` reads the rise as positive).
 * a removal blocks stability iff at least one endpoint is not willing (the
   saved cost then strictly improves its utility).
 
-An endpoint with a rule (``rule_of``) answers from it and facts of lo, never
-from a kernel.  A monotone agent's type and an untruncated numeric agent's
-``Kind.rule`` read whether i and j share a component and whether the
-endpoint is isolated (``rule_willing``); a homophilic agent's threshold, as
-game-theoretic centrality's ``GT_HOMOPHILY``, reads lo's degrees.  Only a
-numeric endpoint without a rule is evaluated.
-
-A pair of two agents whose rules read components is never evaluated: one
-function, ``_decided_blocks``, gives the blocking ones of one direction as a
-pair mask, its additions (lo = g) read from g's components and its removals
-(lo = g - ij) from g's bridges.
+An endpoint with a rule (``rule_of``) is rule-typed: it answers from facts
+of lo, never from a kernel.  A monotone agent's type and an untruncated
+numeric agent's ``Kind.rule`` read whether i and j share a component and
+whether the endpoint is isolated (``rule_willing``); a homophilic agent's
+threshold, as game-theoretic centrality's ``GT_HOMOPHILY``, reads lo's
+degrees.  One function reads every rule: ``_decided_blocks`` gives the
+additions no rule-typed end refuses, or the removals one refuses, as a pair
+mask read from g's components, bridges and degrees.  A rule-typed end's
+refusal decides its pair, and so does a pair of two rule-typed ends;
+``_eval_flip`` reads only the numeric ends of the rest.
 A numeric endpoint's values on g and on g with ij flipped are read in one
 place, ``_Before.values``: for the sign ``_eval_flip`` reads, and for every
-delta ``_with_deltas`` builds, of each flip a full report lists and of every
-flip the finite-cost bridge reads.  Dynamics records the values of each flip
-it takes, and its ``Trajectory`` builds their deltas when its steps are
-read.  When every pair is decided, ``_decided_flip`` draws a blocking flip
-from the two masks of ``_decided_blocks`` with no scan and returns it with
-its pair bit.  Dynamics then runs on ints: each step reads the isolated
-vertices of both directions in one pass (``_isolated``), toggles the drawn
-bit in g's pair mask and the two rows of its adjacency, and a ``Graph`` is
-built only for the endpoint.  A census reads a class as stable when there
-is no such flip, and reads its removals only when no addition blocks.  An
-early-exit report, the census's otherwise, lists its flips with no deltas.
+delta ``_with_deltas`` builds.  Dynamics records the values of each flip it
+takes, and its ``Trajectory`` builds their deltas when its steps are read.
+When every agent is rule-typed, ``_decided_flip`` draws a blocking flip
+from the two masks with no scan, and dynamics runs on ints: g's pair mask
+and adjacency rows, with a ``Graph`` built only for the endpoint.  A census
+reads a class as stable when there is no such flip, and reads its removals
+only when no addition blocks.  An early-exit report, the census's
+otherwise, lists its flips with no deltas.
 """
 from __future__ import annotations
 
@@ -164,20 +160,20 @@ class GameSpec:
         return len(self.agents)
 
     @functools.cached_property
-    def agent_rules(self) -> tuple:
-        """``rule_of`` of each agent."""
-        return tuple(rule_of(agent) for agent in self.agents)
-
-    @functools.cached_property
-    def rules(self) -> tuple[int, tuple[int, ...]]:
-        """(typed, refuse): bitmasks of the agents whose rule reads only
-        (same, isolated) and, per case 2 * same + isolated of
-        ``rule_willing``, of those that refuse."""
-        rules = [r if isinstance(r, str) else None for r in self.agent_rules]
+    def rules(self) -> tuple[int, tuple[int, ...], tuple]:
+        """(typed, refuse, homophilic): the vertex mask of the agents with a
+        rule (``rule_of``); per case 2 * same + isolated of
+        ``rule_willing``, the mask of those whose rule reads components and
+        refuses; and (f, mask of its agents) per homophily threshold f."""
+        rules = [rule_of(agent) for agent in self.agents]
         return sum(1 << k for k, r in enumerate(rules) if r), tuple(
-            sum(1 << k for k, r in enumerate(rules) if r and not rule_willing(r, same, iso))
+            sum(1 << k for k, r in enumerate(rules)
+                if isinstance(r, str) and not rule_willing(r, same, iso))
             for same in (False, True)
             for iso in (False, True)
+        ), tuple(
+            (f, sum(1 << k for k, r in enumerate(rules) if r == f))
+            for f in dict.fromkeys(r for r in rules if isinstance(r, HomophilyFunction))
         )
 
     def bind(self, g: Graph) -> None:
@@ -344,42 +340,67 @@ def _isolated(adj) -> tuple[int, int]:
     return everyone ^ seen, everyone ^ twice
 
 
-def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool, iso: int) -> int:
-    """Pair mask of the blocking flips of g (pair mask ``mask``, adjacency
-    ``adj``) among its additions (``adding``) or its removals whose two ends
-    are rule-typed by ``rules``, the ``GameSpec.rules`` masks.
+def _homophily_refusals(homophilic: tuple, n: int, adj, adding: bool) -> int:
+    """Pair mask of the pairs ko of g (adjacency ``adj``) that an agent k
+    of threshold f, by ``homophilic`` of ``GameSpec.rules``, refuses to add
+    to lo, the graph without ko: d_lo(o) > f(d_lo(k)), with lo = g for an
+    addition and both degrees one lower for a removal (pairs of the other
+    direction are the caller's to drop).  The agents of one f and degree
+    refuse one suffix of g's degree buckets, and f is read only at a degree
+    lo can have (0 to n - 2) of an agent with a pair in this direction."""
+    exact = [0] * (n + 1)  # exact[d]: the vertices of degree d
+    for v, a in enumerate(adj):
+        exact[a.bit_count()] |= 1 << v
+    least = list(itertools.accumulate(reversed(exact), operator.or_))[::-1]  # degree d or more
+    drop = 0 if adding else 1
+    out = 0
+    for f, agents in homophilic:
+        for d in range(drop, n - 1 + drop):
+            ks = agents & exact[d]
+            t = f(d - drop) + drop + 1 if ks else n  # partners of degree t or more refuse
+            if t < n:  # pairs with one end in ks and the other in partners
+                partners = least[max(t, 0)]
+                out |= (pairs_within(n, ks | partners) ^ pairs_within(n, ks & ~partners)
+                        ^ pairs_within(n, partners & ~ks))
+    return out
 
-    Each end refuses the addition to lo, the graph without the pair, by its
-    case of ``rule_willing``: whether it is isolated in lo and whether the
-    pair shares a component of lo.  ``iso`` holds the vertices isolated in
-    lo, those of ``_isolated(adj)`` with no neighbour in g for an addition
-    and with at most one (the partner) for a removal.  Where the refusal of
-    a pair does not turn on sharing a component, that is not read;
-    elsewhere it is read off g's components (lo = g) or bridges
-    (lo = g - ij).  An addition blocks unless refused, a removal when
-    refused.
+
+def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool, iso: int) -> int:
+    """Pair mask of the additions (``adding``) of g (pair mask ``mask``,
+    adjacency ``adj``) that no rule-typed end refuses, or of its removals
+    that one refuses, by ``rules``, the ``GameSpec.rules`` masks: g's
+    blocking flips when every agent is rule-typed.
+
+    An end refuses the addition to lo, the graph without the pair, by its
+    homophily threshold (``_homophily_refusals``) or by its case of
+    ``rule_willing``: whether it is isolated in lo (``iso``, those of
+    ``_isolated(adj)`` with no neighbour in g for an addition and with at
+    most one for a removal) and whether the pair shares a component of lo,
+    read only where a refusal turns on it, off g's components (lo = g) or
+    bridges (lo = g - ij).
     """
-    typed, refuse = rules
-    among = pairs_within(n, typed) & (~mask if adding else mask)
+    _, refuse, homophilic = rules
+    everyone = (1 << n) - 1
+    among = pairs_within(n, everyone) & ~mask if adding else mask
     if not among:
         return 0
-    everyone = (1 << n) - 1
     across = among & ~pairs_within(n, everyone ^ (refuse[0] & ~iso | refuse[1] & iso))
     inside = among & ~pairs_within(n, everyone ^ (refuse[2] & ~iso | refuse[3] & iso))
     if inside != across:
         same = _same_pairs(n, adj) if adding else ~bridge_mask(adj, inside ^ across)
         inside = inside & same | across & ~same
+    if homophilic:
+        inside |= among & _homophily_refusals(homophilic, n, adj, adding)
     return among & ~inside if adding else inside
 
 
 class _Before:
     """What the flips of one scan of g share, each made on first use: g's
-    adjacency ``adj`` (or a caller's), its pairs inside a component
-    ``same``, and per measure (by id) its kernel ``at`` with its values on
-    g, a list that a local kind fills vertex by vertex or, for a global kind
-    (``at`` None), its vector.  ``adj`` and ``same`` are plain attributes
-    filled on first read, so a scan that reads neither, as a global kind's,
-    builds neither.  ``values`` is the one reader of a numeric endpoint."""
+    adjacency ``adj`` (or a caller's), and per measure (by id) its kernel
+    ``at`` with its values on g, a list that a local kind fills vertex by
+    vertex or, for a global kind (``at`` None), its vector.  A scan that
+    does not read ``adj``, as a global kind's, does not build it.
+    ``values`` is the one reader of a numeric endpoint."""
 
     def __init__(self, g: Graph, adj=None):
         self.g = g
@@ -389,15 +410,9 @@ class _Before:
         if adj is not None:
             self.adj = adj
 
-    def __getattr__(self, name: str):
-        # called only while the attribute is missing
-        if name == "adj":
-            value = self.adj = self.g.adjacency()
-        elif name == "same":
-            value = self.same = _same_pairs(self.g.n, self.adj)
-        else:
-            raise AttributeError(name)
-        return value
+    @functools.cached_property
+    def adj(self):
+        return self.g.adjacency()
 
     def toggled(self, i: int, j: int) -> list[int]:
         """g's adjacency with pair ij flipped."""
@@ -447,52 +462,32 @@ class _Before:
 def _eval_flip(
     spec: GameSpec, i: int, j: int, adding: bool, cache: EvalCache, before: _Before
 ) -> tuple[bool, bool, bool, list]:
-    """(blocking, ambiguous, fragile, values) of flipping pair ij of g.
+    """(blocking, ambiguous, fragile, values) of flipping pair ij of g, a
+    pair with a numeric end that ``_decided_blocks`` left open.
 
-    Each endpoint is asked whether it gains from adding ij to lo, the one of
-    g and g with ij flipped that lacks the edge; an addition blocks when
-    both do and a removal when either does not.  An endpoint with a rule
-    answers from lo and gets None in ``values``.  Any other gets its
-    truncated (before, after) from ``before.values`` and reads their sign.
+    Each end is asked whether it gains from adding ij to lo, the one of g
+    and g with ij flipped that lacks the edge; an addition blocks when both
+    do and a removal when either does not.  A rule-typed end did not refuse,
+    so it is willing and gets None in ``values``.  A numeric one reads the
+    sign of its truncated (before, after) from ``before.values``.
     ``ambiguous`` means the verdict relies on a near-band float delta, and
     ``fragile`` that a float delta sits on an edge of the band
-    (``on_band_edge``), so another labeling of g could read the flip
-    differently.
+    (``on_band_edge``), so another labeling of g could read it differently.
     """
-    agents = spec.agents
-    rules = spec.agent_rules
-    willing = []
-    bands = []
-    fragile = False
-    values = []
-    for k in (i, j):
-        rule = rules[k]
-        if rule is None:
-            agent = agents[k]
-            b, a = before.values(agent, k, i, j, cache)
-            values.append((b, a))
-            lo, hi = (b, a) if adding else (a, b)
-            if agent.measure.is_exact:
-                willing.append(hi > lo)
-                bands.append(False)
-            else:
-                x = float(hi) - float(lo)
-                sign, near = sign_with_band(x, spec.policy.tol)
-                willing.append(sign > 0)
-                bands.append(near)
-                fragile = fragile or on_band_edge(x, spec.policy.tol, b, a)
+    willing, bands, values, fragile = [True, True], [False, False], [None, None], False
+    for e, k in enumerate((i, j)):
+        if spec.rules[0] >> k & 1:
+            continue
+        agent = spec.agents[k]
+        b, a = values[e] = before.values(agent, k, i, j, cache)
+        lo, hi = (b, a) if adding else (a, b)
+        if agent.measure.is_exact:
+            willing[e] = hi > lo
         else:
-            # k's and the partner's rows in lo, the graph without ij
-            o = j if k == i else i
-            row, other = before.adj[k] & ~(1 << o), before.adj[o] & ~(1 << k)
-            if isinstance(rule, HomophilyFunction):
-                willing.append(other.bit_count() <= rule(row.bit_count()))
-            else:
-                low = 1 << pair_index(before.g.n, i, j)
-                same = before.same & low if adding else not bridge_mask(before.adj, low)
-                willing.append(rule_willing(rule, bool(same), not row))
-            bands.append(False)
-            values.append(None)
+            x = float(hi) - float(lo)
+            sign, bands[e] = sign_with_band(x, spec.policy.tol)
+            willing[e] = sign > 0
+            fragile = fragile or on_band_edge(x, spec.policy.tol, b, a)
     blocking = (willing[0] and willing[1]) == adding
     # a confident refusal by either endpoint settles the verdict
     settled = (not willing[0] and not bands[0]) or (not willing[1] and not bands[1])
@@ -574,20 +569,22 @@ def candidate_flips(g: Graph) -> Iterator[tuple[str, int, int]]:
 def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterator[tuple]:
     """The flips of g, in ``candidate_flips`` order, that block, are
     ambiguous or are fragile, as (kind, i, j, blocking, ambiguous, fragile,
-    values).
-
-    The pairs of two rule-typed agents are decided by ``_decided_blocks``,
-    the removals only once the scan reaches them: a blocking one comes with
-    ``values`` None, any other is skipped.  Every other flip is evaluated.
+    values).  A pair with a rule-typed end goes through ``_decided_blocks``
+    (its removals once the scan reaches them) and is decided when that end
+    refuses, an addition skipped and a removal blocking with ``values``
+    None, or when both ends are rule-typed.  Every other flip is evaluated.
     """
     n, pairs = g.n, pair_list(g.n)
-    decided = pairs_within(n, spec.rules[0])
+    typed = spec.rules[0]
     for kind in ("add", "remove"):
         adding = kind == "add"
         visit = g.mask ^ (1 << len(pairs)) - 1 if adding else g.mask
-        if decided:
+        decided = 0
+        if typed:  # a game with no rule-typed agent does no mask work
             iso = _isolated(before.adj)[not adding]
-            visit = visit & ~decided | _decided_blocks(spec.rules, n, g.mask, before.adj, adding, iso)
+            blocks = _decided_blocks(spec.rules, n, g.mask, before.adj, adding, iso)
+            both = pairs_within(n, typed)
+            visit, decided = (blocks, both) if adding else (visit & ~both | blocks, blocks)
         while visit:
             low = visit & -visit
             visit ^= low

@@ -37,8 +37,14 @@ from apsn.game import (
     is_apsn,
     uniform_game,
 )
-from apsn.graphs import Graph, canonical_form, graph_count, orbit_masks
-from oracles import colour_patterns, delta_remove, expand_classes_per_class, labeled_census
+from apsn.graphs import Graph, canonical_form, graph_count, orbit_masks, pair_index
+from oracles import (
+    colour_patterns,
+    delta_remove,
+    expand_classes_per_class,
+    labeled_census,
+    two_way_eval_flip,
+)
 
 
 def decay_game(n):
@@ -486,6 +492,26 @@ def test_tolerance_equal_to_a_delta_falls_back_to_labeled_members(monkeypatch):
     assert canonical_form(star) in fragile
 
 
+def test_a_flip_a_rule_typed_end_refuses_reads_no_float(monkeypatch):
+    """Leaves of type 1p refuse every edge, so each flip of the star with a
+    PageRank centre is decided by a leaf and its report is not fragile,
+    though the centre's delta sits on the band edge; the verdict is the one
+    an evaluation of every end gives, which is fragile."""
+    star, uniform = star_tolerance_game()
+    spec = GameSpec((MonotoneAgent("1p"),) * 3 + (NumericAgent(pagerank()),), uniform.policy)
+    report = is_apsn(spec, star)
+    assert not report.fragile and report.verdict == "unstable"
+
+    def oracle_eval_flip(spec, i, j, adding, cache, before):
+        g = before.g
+        return two_way_eval_flip(spec, g, g.toggled(pair_index(g.n, i, j)), i, j, adding, cache, before)
+
+    monkeypatch.setattr(game, "_eval_flip", oracle_eval_flip)
+    monkeypatch.setattr(game, "rule_of", lambda agent: None)
+    evaluated = is_apsn(GameSpec(spec.agents, spec.policy), star)
+    assert evaluated.fragile and evaluated.verdict == report.verdict
+
+
 def test_expansion_of_the_fragile_star_matches_the_per_class_expansion():
     star, spec = star_tolerance_game()
     colours = census.colouring(spec)
@@ -568,6 +594,10 @@ MIXED_GAMES = {
         n, NumericAgent(katz()), NumericAgent(katz(0.1)), TolerantPolicy(1e-3)
     ),
     "linear": lambda n: uniform_game(n, NumericAgent(linear(weight_table(n)))),
+    # a pair a monotone end refuses is decided without reading PageRank's float
+    "monotone-pagerank": lambda n: halves(
+        n, MonotoneAgent("2"), NumericAgent(pagerank()), TolerantPolicy(1e-9)
+    ),
 }
 
 

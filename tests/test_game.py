@@ -25,6 +25,7 @@ from apsn.centrality import (
 from apsn.errors import ContractError, ParameterError, SpecValidationError
 from apsn.game import (
     EvalCache,
+    GT_HOMOPHILY,
     ExactPolicy,
     GameSpec,
     HomophilicAgent,
@@ -675,9 +676,11 @@ def test_trajectory_keeps_no_cache_and_builds_its_steps_once(monkeypatch):
 
 def test_settle_mask_marks_untruncated_agents_of_kinds_with_the_fact():
     """The rule table: untruncated agents of degree, decay, harmonic (rule
-    "1") and closeness ("2 or isolated") and monotone agents (their type) are
-    rule-typed, and ``GameSpec.rules`` marks who refuses in each case.
-    Game-theoretic agents ("homophily") read degrees, so no mask holds them."""
+    "1"), closeness ("2 or isolated") and game-theoretic centrality
+    ("homophily", as ``GT_HOMOPHILY``), monotone agents (their type) and
+    homophilic agents (their threshold) are rule-typed.  ``GameSpec.rules``
+    marks who refuses in each component case and lists the homophilic
+    ones, which read degrees instead."""
     assert {kind: KINDS[kind].rule for kind in KINDS if KINDS[kind].rule} == {
         "degree": "1", "closeness": "2 or isolated", "decay": "1", "harmonic": "1",
         "gametheoretic": "homophily",
@@ -686,17 +689,23 @@ def test_settle_mask_marks_untruncated_agents_of_kinds_with_the_fact():
     assert all(KINDS[kind].at for kind in KINDS if KINDS[kind].rule)
     none, every = (0, 0, 0, 0), (0b11111,) * 4
     for m in (degree(), decay(Fraction(1, 2)), harmonic()):
-        assert numeric_game(5, m).rules == (0b11111, none)
-        assert numeric_game(5, m, Fraction(1)).rules == (0, none)
+        assert numeric_game(5, m).rules == (0b11111, none, ())
+        assert numeric_game(5, m, Fraction(1)).rules == (0, none, ())
     # (across, across and isolated, inside, inside and isolated)
-    assert numeric_game(5, closeness()).rules == (0b11111, (0b11111, 0, 0, 0))
-    for m in (eccentricity(), game_theoretic(), linear(seeded_weights(5)), betweenness()):
-        assert numeric_game(5, m).rules == (0, none)
+    assert numeric_game(5, closeness()).rules == (0b11111, (0b11111, 0, 0, 0), ())
+    homophilic = ((GT_HOMOPHILY, 0b11111),)
+    assert numeric_game(5, game_theoretic()).rules == (0b11111, none, homophilic)
+    assert uniform_game(5, HomophilicAgent()).rules == (0b11111, none, homophilic)
+    assert numeric_game(5, game_theoretic(), Fraction(1)).rules == (0, none, ())
+    for m in (eccentricity(), linear(seeded_weights(5)), betweenness()):
+        assert numeric_game(5, m).rules == (0, none, ())
     for kind, refuse in (("1", none), ("1p", every), ("2", (0b11111,) * 2 + (0, 0)),
                          ("2p", (0, 0) + (0b11111,) * 2)):
-        assert rule_game(5, kind).rules == (0b11111, refuse)
+        assert rule_game(5, kind).rules == (0b11111, refuse, ())
     # closeness, M2, homophilic, closeness, M2
-    assert ONE_RULE_GAMES["closeness-rule-mixed"](5).rules == (0b11011, (0b11011, 0b10010, 0, 0))
+    assert ONE_RULE_GAMES["closeness-rule-mixed"](5).rules == (
+        0b11111, (0b11011, 0b10010, 0, 0), ((GT_HOMOPHILY, 0b00100),)
+    )
 
 
 def rule_cases():
@@ -758,24 +767,34 @@ DECIDED_GAMES = {
 
 
 def reference_blocks(spec, g, adding):
-    """Pair mask of the blocking additions (``adding``) or removals of g
-    whose ends both have a rule that reads components: each end asks
-    ``rule_willing`` about lo, g without the pair, built as a graph."""
-    rules = spec.agent_rules
+    """Pair mask of the additions (``adding``) of g that no rule-typed end
+    refuses, or of its removals that one refuses: each end asks its rule
+    (``rule_willing`` or its homophily threshold f) about lo, g without the
+    pair, built as a graph, and a numeric end does not answer.  In a game
+    whose every agent is rule-typed, these are g's blocking flips."""
+    rules = [rule_of(agent) for agent in spec.agents]
     out = 0
     for p, (i, j) in enumerate(pair_list(g.n)):
-        if g.has_edge(i, j) == adding or not all(isinstance(rules[k], str) for k in (i, j)):
+        if g.has_edge(i, j) == adding:
             continue
         lo = g if adding else g.remove_edge(i, j)
         same = bool(component_of(lo, i) >> j & 1)
         degrees = lo.degrees()
-        willing = [rule_willing(rules[k], same, degrees[k] == 0) for k in (i, j)]
-        if all(willing) == adding:
+        refused = False
+        for k, o in ((i, j), (j, i)):
+            if isinstance(rules[k], HomophilyFunction):
+                refused |= degrees[o] > rules[k](degrees[k])
+            elif rules[k] is not None:
+                refused |= not rule_willing(rules[k], same, degrees[k] == 0)
+        if refused != adding:
             out |= 1 << p
     return out
 
 
-@pytest.mark.parametrize("name", [*DECIDED_GAMES, "closeness-rule-mixed"])
+@pytest.mark.parametrize("name", [
+    *DECIDED_GAMES, "closeness-rule-mixed", "numeric-rule-mixed", "homophilic-gt",
+    "homophilic-table",
+])
 def test_decided_blocks_match_rule_willing_on_lo_exhaustive_n5(name):
     make = DECIDED_GAMES.get(name) or ONE_RULE_GAMES[name]
     for n in range(1, 6):
@@ -828,6 +847,22 @@ def test_decided_dynamics_match_a_reference_loop(name):
     assert stopped  # some budget ran out
 
 
+def test_monotone_types_1_2_2p_cycle_under_the_first_rule():
+    """The monotone game of types (1, 2, 2p) at n = 3 loops under rule
+    'first' from every start with edge 12, with period 4: agent 0 takes
+    every edge, agent 2 joins across components and leaves within one, and
+    agent 1 joins within its component and drops 01 once it is a bridge."""
+    spec = GameSpec(tuple(MonotoneAgent(t) for t in ("1", "2", "2p")))
+    traj = best_response_dynamics(spec, Graph.from_edges(3, [(1, 2)]), 50, 0, rule="first")
+    assert len(traj.moves) == 50 and not traj.converged
+    period = [("add", 0, 2, None), ("add", 0, 1, None), ("remove", 0, 2, None),
+              ("remove", 0, 1, None)]
+    assert traj.moves == period * 12 + period[:2]
+    loops = [m for m in range(8)
+             if not best_response_dynamics(spec, Graph(3, m), 50, 0, rule="first").converged]
+    assert loops == [4, 5, 6, 7]  # the starts with edge 12
+
+
 def test_dynamics_rejects_a_negative_step_budget():
     spec = numeric_game(3, closeness())
     with pytest.raises(ParameterError, match="step budget"):
@@ -853,6 +888,23 @@ def test_homophilic_rule_matches_numeric_gt_on_flips_n5():
                 assert improving_remove(rule_spec, g, i, j, cache) == improving_remove(
                     gt_spec, g, i, j, cache
                 )
+
+
+def test_a_homophily_table_is_read_at_every_degree_lo_can_have():
+    """A scan direction reads f at the degree in lo of each homophilic
+    agent with a pair in it, 0 to n - 2: a table that covers those never
+    raises, not even on K_n, whose vertices of degree n - 1 have no
+    addition, and a shorter one raises even where an early exit stops
+    before the vertex's pairs."""
+    covered = uniform_game(4, HomophilicAgent(HomophilyFunction((0, 1, 2))))
+    for g in enumerate_labeled_graphs(4):
+        is_apsn(covered, g)
+    path = Graph.from_edges(4, [(0, 1), (1, 2)])
+    # the first addition, 02, blocks: an early exit never reaches 13
+    assert [(f.i, f.j) for f in is_apsn(covered, path, early_exit=True).blocking_flips] == [(0, 2)]
+    short = uniform_game(4, HomophilicAgent(HomophilyFunction((0, 1))))
+    with pytest.raises(ParameterError, match="no value for degree 2"):
+        is_apsn(short, path, early_exit=True)
 
 
 def test_homophily_table_validation():

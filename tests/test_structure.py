@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from apsn.census import run_census
 from apsn.centrality import (
     betweenness,
     centrality_vector,
@@ -26,9 +27,10 @@ from apsn.game import (
     HomophilyFunction,
     MonotoneAgent,
     NumericAgent,
+    rule_of,
     uniform_game,
 )
-from apsn.graphs import Graph, canonical_form, from_graph6, read_edge_list
+from apsn.graphs import Graph, canonical_form, from_graph6, passing_masks, read_edge_list
 from apsn.values import AMBIGUITY_BAND
 from apsn.game import is_apsn
 from apsn.profiles import load_profile_file
@@ -271,6 +273,20 @@ def test_stratified_census_equivalence_n5():
         g.mask for g in enumerate_labeled_graphs(5) if is_stratified(g, GT_HOMOPHILY)
     }
     assert stable == predicted
+
+
+@pytest.mark.parametrize("agent", [
+    NumericAgent(game_theoretic()),
+    HomophilicAgent(),
+    HomophilicAgent(HomophilyFunction((0, 1, 3, 6, 10, 15, 21))),
+], ids=["gametheoretic", "homophilic", "homophilic-table"])
+def test_stratified_census_equivalence_n7(agent):
+    """The uniform census at n = 7 is the stratified-clique family of the
+    agent's threshold, compared on every class and expanded to every
+    labeled graph."""
+    f = rule_of(agent)
+    stable = run_census(uniform_game(7, agent), 7).stable_masks
+    assert stable == passing_masks(7, lambda g: is_stratified(g, f))
 
 
 # -- betweenness condition ---------------------------------------------------------
