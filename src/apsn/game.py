@@ -26,11 +26,12 @@ place, ``_Before.values``: for the sign ``_eval_flip`` reads, and for every
 delta ``_with_deltas`` builds.  Dynamics records the values of each flip it
 takes, and its ``Trajectory`` builds their deltas when its steps are read.
 When every agent is rule-typed, ``_decided_flip`` draws a blocking flip
-from the two masks with no scan, and dynamics runs on ints: g's pair mask
-and adjacency rows, with a ``Graph`` built only for the endpoint.  A census
-reads a class as stable when there is no such flip, and reads its removals
-only when no addition blocks.  An early-exit report, the census's
-otherwise, lists its flips with no deltas.
+from the two masks with no scan.  A census reads a class as stable when
+there is no such flip, and reads its removals only when no addition
+blocks.  An early-exit report, the census's otherwise, lists its flips with
+no deltas.  Dynamics runs one loop on ints, g's pair mask and adjacency
+rows, whose move is ``_decided_flip`` or, in a game with an evaluated pair,
+``_scanned_flip``, the same question put to the scan.
 """
 from __future__ import annotations
 
@@ -744,10 +745,10 @@ class Trajectory:
 
 def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
     """A blocking flip of g (pair mask ``mask``, adjacency ``adj``), as
-    (bit, kind, i, j) with ``bit`` its pair bit, when every agent is
-    rule-typed by ``rules``, the ``GameSpec.rules`` masks: with ``rng``,
-    ``rng.choice`` among g's blocking flips in ``candidate_flips`` order,
-    else the first; None when g is stable.
+    (bit, kind, i, j, None) with ``bit`` its pair bit and no values, when
+    every agent is rule-typed by ``rules``, the ``GameSpec.rules`` masks:
+    with ``rng``, ``rng.choice`` among g's blocking flips in
+    ``candidate_flips`` order, else the first; None when g is stable.
 
     The flips stay the two pair masks of ``_decided_blocks``, additions
     before removals.  With ``rng`` one pass of ``_isolated`` gives the
@@ -778,36 +779,22 @@ def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
             found &= found - 1
     bit = found & -found
     i, j = pair_list(n)[bit.bit_length() - 1]
-    return bit, kind, i, j
+    return bit, kind, i, j, None
 
 
-def _scanned_move(spec: GameSpec, g: Graph, adj, cache: EvalCache, rng) -> tuple | None:
-    """The move of a dynamics step on g read off ``_scan``: with ``rng``,
-    ``rng.choice`` among the blocking flips, else the first."""
+def _scanned_flip(spec: GameSpec, cache: EvalCache, n: int, mask: int, adj, rng) -> tuple | None:
+    """``_decided_flip`` of a game with an evaluated pair, read off the
+    ``_scan`` of g, ``Graph(n, mask)``, with the flip's ``_scan`` values
+    last: with ``rng``, ``rng.randrange`` of the blocking flips' count
+    picks one (the draw ``rng.choice`` makes), else the scan stops at the
+    first."""
+    g = Graph(n, mask)
     blocking = (flip for flip in _scan(spec, g, cache, _Before(g, adj)) if flip[3])
-    if rng is None:
-        flip = next(blocking, None)
-    else:
-        found = list(blocking)
-        flip = rng.choice(found) if found else None
-    return None if flip is None else (flip[0], flip[1], flip[2], flip[6])
-
-
-def _scanned_dynamics(spec: GameSpec, g0: Graph, max_steps: int, rng, cache: EvalCache) -> Trajectory:
-    """``best_response_dynamics`` of a game with an evaluated pair: each
-    step takes ``_scanned_move`` on g, whose adjacency it carries from step
-    to step."""
-    g, adj, moves = g0, list(g0.adjacency()), []  # adj toggled in place
-    for _ in range(max_steps):
-        move = _scanned_move(spec, g, adj, cache, rng)
-        if move is None:
-            return Trajectory(spec, g0, moves, g, True)
-        moves.append(move)
-        _, i, j, _ = move
-        g = g.toggled(pair_index(g.n, i, j))
-        adj[i] ^= 1 << j
-        adj[j] ^= 1 << i
-    return Trajectory(spec, g0, moves, g, _scanned_move(spec, g, adj, cache, None) is None)
+    found = list(itertools.islice(blocking, 1) if rng is None else blocking)
+    if not found:
+        return None
+    kind, i, j, *_, values = found[0 if rng is None else rng.randrange(len(found))]
+    return 1 << pair_index(n, i, j), kind, i, j, values
 
 
 def best_response_dynamics(
@@ -822,15 +809,15 @@ def best_response_dynamics(
 
     ``rule='first'`` always takes the first blocking flip in the fixed scan
     order; ``rule='random'`` draws uniformly among all blocking flips with a
-    deterministic seeded generator.  When every pair is decided (every
-    agent rule-typed, ``GameSpec.rules``) the run is one loop on ints: a
-    step draws ``_decided_flip`` from g's pair mask and adjacency rows and
-    toggles the drawn pair bit in the one and the two rows in the other,
-    with no scan, no cache and no ``Graph`` but the endpoint's.  Otherwise
-    each step runs the scan of ``is_apsn`` (``_scanned_dynamics``).  Both
-    record each flip taken with its endpoints' values (None for a decided
-    one); the trajectory builds the deltas only when its ``steps`` are
-    read.
+    deterministic seeded generator.  The run is one loop on ints: a step
+    asks ``move`` for a flip of g's pair mask and adjacency rows, then
+    toggles the flip's pair bit in the one and its two rows in the other;
+    only the endpoint is built as a ``Graph``.  ``move`` is picked once:
+    ``_decided_flip`` when every pair is decided (every agent rule-typed,
+    ``GameSpec.rules``), which draws from the pair masks with no scan and
+    no cache, else ``_scanned_flip``, the scan of ``is_apsn``.  Each flip
+    taken is recorded with its endpoints' values (None for a decided one);
+    the trajectory builds the deltas only when its ``steps`` are read.
     """
     if rule not in ("random", "first"):
         raise ParameterError("dynamics rule must be 'random' or 'first'")
@@ -838,19 +825,20 @@ def best_response_dynamics(
         raise ParameterError(f"step budget must be >= 0 (got {max_steps})")
     spec.bind(g0)
     rng = random.Random(seed) if rule == "random" else None
-    n, rules = g0.n, spec.rules
-    if rules[0] != (1 << n) - 1:
-        return _scanned_dynamics(spec, g0, max_steps, rng, cache or EvalCache())
+    n = g0.n
+    if spec.rules[0] == (1 << n) - 1:
+        move = functools.partial(_decided_flip, spec.rules, n)
+    else:
+        move = functools.partial(_scanned_flip, spec, cache or EvalCache(), n)
     mask, adj = g0.mask, list(g0.adjacency())  # toggled in place, step by step
     moves: list[tuple] = []
     for _ in range(max_steps):
-        flip = _decided_flip(rules, n, mask, adj, rng)
+        flip = move(mask, adj, rng)
         if flip is None:
             return Trajectory(spec, g0, moves, Graph(n, mask), True)
-        bit, kind, i, j = flip
-        moves.append((kind, i, j, None))
+        bit, kind, i, j, values = flip
+        moves.append((kind, i, j, values))
         mask ^= bit
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
-    converged = _decided_flip(rules, n, mask, adj, None) is None
-    return Trajectory(spec, g0, moves, Graph(n, mask), converged)
+    return Trajectory(spec, g0, moves, Graph(n, mask), move(mask, adj, None) is None)

@@ -172,14 +172,12 @@ class CliqueSequence:
 
 
 def _validate_homophily(f: HomophilyFunction, n: int) -> None:
-    prev = None
-    for d in range(n):
-        val = f(d)
-        if prev is not None and val <= prev:
-            raise ParameterError("homophily function must be strictly increasing")
-        if d >= 1 and val < d:
+    """f(x) >= x at every degree 1..n-2: a game on n agents, and the
+    stability of a clique sequence, read f only at 0..n-2.  f is strictly
+    increasing already (``HomophilyFunction``)."""
+    for d in range(1, n - 1):
+        if f(d) < d:
             raise ParameterError("homophily function must satisfy f(x) >= x for x >= 1")
-        prev = val
 
 
 def sequence_is_stable(seq: CliqueSequence, f: HomophilyFunction) -> bool:

@@ -204,9 +204,10 @@ def maximal_member(
 ) -> MaximalMemberResult:
     """Grow an edge-maximal graph whose values stay within the caps.
 
-    Measures must be regular (increasing, zero at isolated vertices, and
-    never raised by an edge elsewhere), so a single pass in pair order is
-    enough: once an addition overshoots a cap it stays overshot.
+    Measures must be increasing (``_check_increasing``), and no value of
+    an admitted kind falls when an edge is added anywhere, so a single pass
+    in pair order is enough: once an addition overshoots a cap it stays
+    overshot on every larger graph.
     """
     if len(measures) != n or len(thetas) != n:
         raise ParameterError("measures and thresholds must match the vertex count")
@@ -220,19 +221,10 @@ def maximal_member(
         else compute_caps(n, measures, thetas, cache)
     )
     g = Graph.empty(n)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pair_list(n):
-            if g.has_edge(i, j):
-                continue
-            h = g.add_edge(i, j)
-            within = all(
-                cache.vector(measures[k], h)[k] <= resolved[k] for k in range(n)
-            )
-            if within:
-                g = h
-                changed = True
+    for i, j in pair_list(n):
+        h = g.add_edge(i, j)
+        if all(cache.vector(measures[k], h)[k] <= resolved[k] for k in range(n)):
+            g = h
     return MaximalMemberResult(g, resolved)
 
 

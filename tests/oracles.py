@@ -22,6 +22,9 @@
   ``labeled_falsify_axiom``, ``labeled_compute_caps`` and
   ``labeled_passing_masks`` are the census, the axiom hunt, the cap
   computation and the predicate filter on that walk;
+* ``maximal_member_by_rounds`` repeats ``truncation.maximal_member``'s pass
+  in pair order until a pass adds no pair, the loop its single pass
+  replaced;
 * ``two_way_eval_flip`` spells out the willingness rules of additions and
   removals separately, the flip evaluation that ``game._eval_flip``'s one
   rule replaced;
@@ -594,6 +597,23 @@ def labeled_compute_caps(n: int, measures, thetas, cache=None) -> tuple[Fraction
                         "within its cap although it already met its threshold"
                     )
     return filled
+
+
+def maximal_member_by_rounds(n: int, measures, caps, cache=None) -> Graph:
+    """The graph ``truncation.maximal_member`` grows within ``caps``, by
+    passes over the missing pairs in pair order, adding each that keeps
+    every value within its cap, until a pass adds none."""
+    cache = cache or EvalCache()
+    g, changed = Graph.empty(n), True
+    while changed:
+        changed = False
+        for i, j in pair_list(n):
+            if g.has_edge(i, j):
+                continue
+            h = g.add_edge(i, j)
+            if all(cache.vector(measures[k], h)[k] <= caps[k] for k in range(n)):
+                g, changed = h, True
+    return g
 
 
 # -- flip evaluation -------------------------------------------------------------

@@ -847,6 +847,46 @@ def test_decided_dynamics_match_a_reference_loop(name):
     assert stopped  # some budget ran out
 
 
+def reference_scanned_dynamics(spec, g0, max_steps, seed, rule):
+    """(steps, final, converged) of a dynamics run that reads a full
+    ``is_apsn`` report of each graph on a fresh cache and takes its first
+    blocking flip or draws one with ``random.Random(seed).choice``."""
+    rng = random.Random(seed)
+    g, steps = g0, []
+    for step in range(max_steps + 1):
+        flips = is_apsn(spec, g, EvalCache()).blocking_flips
+        if not flips or step == max_steps:
+            return steps, g, not flips
+        flip = flips[0] if rule == "first" else rng.choice(flips)
+        steps.append(flip)
+        g = g.add_edge(flip.i, flip.j) if flip.kind == "add" else g.remove_edge(flip.i, flip.j)
+
+
+@pytest.mark.parametrize("measure, threshold, sizes", [
+    (degree(), Fraction(2), (9, 12)),
+    (betweenness(), None, (9,)),
+], ids=["degree-truncated-2", "betweenness"])
+def test_evaluated_dynamics_match_a_reference_loop(measure, threshold, sizes):
+    """3 seeded starts per n, whose pair masks are wider than 32 and 64
+    bits, under both rules, with a budget that lets them converge and one
+    of two steps; the steps' deltas come from the values the walk
+    recorded."""
+    stopped = 0
+    for n in sizes:
+        spec = numeric_game(n, measure, threshold)
+        assert spec.rules[0] != (1 << n) - 1
+        for seed in range(3):
+            g0 = Graph(n, random.Random(f"{n}-{seed}").getrandbits(n * (n - 1) // 2))
+            for rule in ("first", "random"):
+                for budget in (100, 2):
+                    traj = best_response_dynamics(spec, g0, budget, seed=seed, rule=rule)
+                    got = traj.steps, traj.final, traj.converged
+                    assert got == reference_scanned_dynamics(spec, g0, budget, seed, rule), (
+                        n, seed, rule)
+                    stopped += not traj.converged
+    assert stopped  # some budget ran out
+
+
 def test_monotone_types_1_2_2p_cycle_under_the_first_rule():
     """The monotone game of types (1, 2, 2p) at n = 3 loops under rule
     'first' from every start with edge 12, with period 4: agent 0 takes

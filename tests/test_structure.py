@@ -279,11 +279,13 @@ def test_stratified_census_equivalence_n5():
     NumericAgent(game_theoretic()),
     HomophilicAgent(),
     HomophilicAgent(HomophilyFunction((0, 1, 3, 6, 10, 15, 21))),
-], ids=["gametheoretic", "homophilic", "homophilic-table"])
+    HomophilicAgent(HomophilyFunction((0, 1, 3, 6, 10, 15))),
+], ids=["gametheoretic", "homophilic", "homophilic-table", "homophilic-table-to-n-2"])
 def test_stratified_census_equivalence_n7(agent):
     """The uniform census at n = 7 is the stratified-clique family of the
     agent's threshold, compared on every class and expanded to every
-    labeled graph."""
+    labeled graph.  A table needs values only up to degree n - 2, the
+    highest a game reads."""
     f = rule_of(agent)
     stable = run_census(uniform_game(7, agent), 7).stable_masks
     assert stable == passing_masks(7, lambda g: is_stratified(g, f))

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from apsn.truncation import (
 from oracles import (
     enumerate_labeled_graphs,
     labeled_compute_caps,
+    maximal_member_by_rounds,
     seeded_weights,
     write_weight_table,
 )
@@ -234,6 +237,29 @@ def test_maximal_member_rejects_a_caps_list_of_the_wrong_length():
     for caps in ([Fraction(1)], [Fraction(1)] * 4):
         with pytest.raises(ParameterError):
             maximal_member(3, [degree()] * 3, [Fraction(1)] * 3, caps)
+
+
+def test_maximal_member_matches_repeated_passes(shared_cache):
+    """One pass grows the graph that passes repeated until one adds no pair
+    grow, for every admitted kind and a mix of them at n = 2..5, with caps
+    read off seeded graphs' values so that some pairs fit and some do
+    not."""
+    between = 0
+    for n in range(2, 6):
+        rnd = random.Random(n)
+        w = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            w[i][j] = w[j][i] = rnd.randrange(1, 3)
+        kinds = [degree(), decay(Fraction(1, 2)), harmonic(), katz(0.1), linear(w)]
+        for measures in [*([m] * n for m in kinds), (kinds * n)[:n]]:
+            for _ in range(4):
+                g = Graph(n, rnd.getrandbits(n * (n - 1) // 2))
+                caps = [Fraction(shared_cache.vector(m, g)[k]) for k, m in enumerate(measures)]
+                got = maximal_member(n, measures, [None] * n, caps, shared_cache).graph
+                assert got == maximal_member_by_rounds(n, measures, caps, shared_cache), (
+                    n, measures[0].kind, g)
+                between += 0 < got.edge_count() < n * (n - 1) // 2
+    assert between  # some grown graph is neither empty nor complete
 
 
 def test_stable_graphs_are_edge_maximal_within_caps(shared_cache):
