@@ -21,9 +21,12 @@ left in that checkout's ``.perfbench/results/``, and each workload records
 its shortest phase per side: ``RefClock`` cannot time a phase that ends
 before its first probe.  A traced run that exits non-zero is recorded with
 its exit code and the tail of its stderr, and the comparison goes on; the
-script still writes the JSON file and then exits non-zero.  An untraced
-run that exits non-zero stops the comparison: its workload, seed, side and
-the tail of its stderr go to stderr and the script exits non-zero.
+script still writes the JSON file and then exits non-zero.  Such a run is
+marked ``"refclock_stop": true`` when its stderr ends in ``RefClock``'s
+empty-probe error, a phase that ended before the first 25 ms probe, and
+the closing "failed traced runs" line names those runs separately.  An
+untraced run that exits non-zero stops the comparison: its workload, seed,
+side and the tail of its stderr go to stderr and the script exits non-zero.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ PAIRS = 10
 TRACED_SEEDS = (1, 2, 3)
 #: stderr lines of a failed run worth showing
 STDERR_TAIL = 20
+#: how the stderr of a traced run ends when ``RefClock`` averaged no probes
+REFCLOCK_STOP = "StatisticsError: mean requires at least one data point"
 
 
 def run_once(
@@ -49,7 +54,7 @@ def run_once(
 ) -> dict:
     """One run's correctness and end-to-end metrics.  A failed run exits
     this script unless it was traced; a failed traced run is returned as
-    ``{"exit": code, "stderr_tail": text}``."""
+    ``{"exit": code, "stderr_tail": text, "refclock_stop": bool}``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -64,7 +69,8 @@ def run_once(
         if not trace:
             sys.exit(message)
         print(message, file=sys.stderr)
-        return {"exit": out.returncode, "stderr_tail": tail}
+        return {"exit": out.returncode, "stderr_tail": tail,
+                "refclock_stop": tail.endswith(REFCLOCK_STOP)}
     result = json.loads(out.stdout.strip().splitlines()[-1])
     run = {
         "exit": 0,
@@ -172,14 +178,15 @@ def main(argv=None) -> int:
     out = HEAD / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
-    failed = [
-        f"{workload} seed {t['seed']} on {t['side']} exited {t['exit']}"
-        for workload, runs in traced.items()
-        for t in runs
-        if t["exit"]
-    ]
+    failed = [(f"{workload} seed {t['seed']} on {t['side']}", t)
+              for workload, runs in traced.items() for t in runs if t["exit"]]
     if failed:
-        print("failed traced runs: " + "; ".join(failed), file=sys.stderr)
+        stops = [name for name, t in failed if t["refclock_stop"]]
+        print(
+            "failed traced runs: " + "; ".join(f"{name} exited {t['exit']}" for name, t in failed)
+            + (f" (RefClock empty-probe stops: {', '.join(stops)})" if stops else ""),
+            file=sys.stderr,
+        )
         return 1
     return 0
 

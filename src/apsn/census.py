@@ -163,7 +163,7 @@ def _scan_shard(
     if rules[0] == (1 << n) - 1:
         return [
             mask for mask in work[lo:hi]
-            if _decided_flip(rules, n, mask, build_adjacency(n, mask), None) is None
+            if _decided_flip(rules, n, None, mask, build_adjacency(n, mask), None) is None
         ], [], []
     if cache is None:
         cache = EvalCache()

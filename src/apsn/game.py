@@ -31,7 +31,9 @@ there is no such flip, and reads its removals only when no addition
 blocks.  An early-exit report, the census's otherwise, lists its flips with
 no deltas.  Dynamics runs one loop on ints, g's pair mask and adjacency
 rows, whose move is ``_decided_flip`` or, in a game with an evaluated pair,
-``_scanned_flip``, the same question put to the scan.
+``_scanned_flip``, the same question put to the scan.  A decided run
+carries g's components from flip to flip (``_Components``) instead of
+rebuilding them for its additions.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from typing import Iterator, Optional, Union
 
 from .centrality import KINDS, Measure, centrality_vector
 from .errors import ContractError, ParameterError, SpecValidationError
-from .graphs import Graph, bridge_mask, pair_index, pair_list, pairs_within, reachable_from
+from .graphs import PAIRS_WITHIN, Graph, bits, bridge_mask, pair_index, pair_list, reachable_from
 from .values import (
     DEFAULT_TOLERANCE,
     Approx,
@@ -320,10 +322,10 @@ def rule_of(agent: Agent) -> str | HomophilyFunction | None:
 def _same_pairs(n: int, adj) -> int:
     """Pair mask of the pairs whose ends share a component of the graph
     with adjacency ``adj``."""
-    rest, out = (1 << n) - 1, 0
+    rest, out, within = (1 << n) - 1, 0, PAIRS_WITHIN[n]
     while rest:
         comp = reachable_from(adj, rest & -rest)
-        out |= pairs_within(n, comp)
+        out |= within[comp]
         rest ^= comp
     return out
 
@@ -354,19 +356,20 @@ def _homophily_refusals(homophilic: tuple, n: int, adj, adding: bool) -> int:
         exact[a.bit_count()] |= 1 << v
     least = list(itertools.accumulate(reversed(exact), operator.or_))[::-1]  # degree d or more
     drop = 0 if adding else 1
-    out = 0
+    out, within = 0, PAIRS_WITHIN[n]
     for f, agents in homophilic:
         for d in range(drop, n - 1 + drop):
             ks = agents & exact[d]
             t = f(d - drop) + drop + 1 if ks else n  # partners of degree t or more refuse
             if t < n:  # pairs with one end in ks and the other in partners
                 partners = least[max(t, 0)]
-                out |= (pairs_within(n, ks | partners) ^ pairs_within(n, ks & ~partners)
-                        ^ pairs_within(n, partners & ~ks))
+                out |= within[ks | partners] ^ within[ks & ~partners] ^ within[partners & ~ks]
     return out
 
 
-def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool, iso: int) -> int:
+def _decided_blocks(
+    rules: tuple, n: int, mask: int, adj, adding: bool, iso: int, same: int | None = None
+) -> int:
     """Pair mask of the additions (``adding``) of g (pair mask ``mask``,
     adjacency ``adj``) that no rule-typed end refuses, or of its removals
     that one refuses, by ``rules``, the ``GameSpec.rules`` masks: g's
@@ -378,17 +381,25 @@ def _decided_blocks(rules: tuple, n: int, mask: int, adj, adding: bool, iso: int
     ``_isolated(adj)`` with no neighbour in g for an addition and with at
     most one for a removal) and whether the pair shares a component of lo,
     read only where a refusal turns on it, off g's components (lo = g) or
-    bridges (lo = g - ij).
+    bridges (lo = g - ij).  For an addition those are ``same``, the pair
+    mask of g's same-component pairs a walk carries (``_Components``), or
+    ``_same_pairs`` when it is None.  Vertex masks become pair masks
+    through the ``PAIRS_WITHIN`` table, bound once per call: at most 2^n
+    entries per n, 65,536 (about 7 MB, filled in about 32 ms) at n = 16.
     """
     _, refuse, homophilic = rules
     everyone = (1 << n) - 1
-    among = pairs_within(n, everyone) & ~mask if adding else mask
+    within = PAIRS_WITHIN[n]
+    among = within[everyone] & ~mask if adding else mask
     if not among:
         return 0
-    across = among & ~pairs_within(n, everyone ^ (refuse[0] & ~iso | refuse[1] & iso))
-    inside = among & ~pairs_within(n, everyone ^ (refuse[2] & ~iso | refuse[3] & iso))
+    across = among & ~within[everyone ^ (refuse[0] & ~iso | refuse[1] & iso)]
+    inside = among & ~within[everyone ^ (refuse[2] & ~iso | refuse[3] & iso)]
     if inside != across:
-        same = _same_pairs(n, adj) if adding else ~bridge_mask(adj, inside ^ across)
+        if not adding:
+            same = ~bridge_mask(adj, inside ^ across)
+        elif same is None:
+            same = _same_pairs(n, adj)
         inside = inside & same | across & ~same
     if homophilic:
         inside |= among & _homophily_refusals(homophilic, n, adj, adding)
@@ -584,7 +595,7 @@ def _scan(spec: GameSpec, g: Graph, cache: EvalCache, before: _Before) -> Iterat
         if typed:  # a game with no rule-typed agent does no mask work
             iso = _isolated(before.adj)[not adding]
             blocks = _decided_blocks(spec.rules, n, g.mask, before.adj, adding, iso)
-            both = pairs_within(n, typed)
+            both = PAIRS_WITHIN[n][typed]
             visit, decided = (blocks, both) if adding else (visit & ~both | blocks, blocks)
         while visit:
             low = visit & -visit
@@ -743,12 +754,13 @@ class Trajectory:
         }
 
 
-def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
+def _decided_flip(rules: tuple, n: int, parts, mask: int, adj, rng) -> tuple | None:
     """A blocking flip of g (pair mask ``mask``, adjacency ``adj``), as
-    (bit, kind, i, j, None) with ``bit`` its pair bit and no values, when
-    every agent is rule-typed by ``rules``, the ``GameSpec.rules`` masks:
-    with ``rng``, ``rng.choice`` among g's blocking flips in
-    ``candidate_flips`` order, else the first; None when g is stable.
+    (bit, kind, None) with ``bit`` its pair bit and no values, when every
+    agent is rule-typed by ``rules``, the ``GameSpec.rules`` masks: with
+    ``rng``, ``rng.choice`` among g's blocking flips in ``candidate_flips``
+    order, else the first; None when g is stable.  ``parts`` is a walk's
+    ``_Components`` of g, whose ``same`` the additions read, or None.
 
     The flips stay the two pair masks of ``_decided_blocks``, additions
     before removals.  With ``rng`` one pass of ``_isolated`` gives the
@@ -758,16 +770,17 @@ def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
     the additions read only the vertices with no neighbour, from one
     ``functools.reduce`` of the rows that costs less than that pass, and
     the removals are read only when no addition blocks."""
+    same = None if parts is None else parts.same
     if rng is None:
         alone = (1 << n) - 1 & ~functools.reduce(operator.or_, adj)
-        kind, found = "add", _decided_blocks(rules, n, mask, adj, True, alone)
+        kind, found = "add", _decided_blocks(rules, n, mask, adj, True, alone, same)
         if not found:
             kind, found = "remove", _decided_blocks(rules, n, mask, adj, False, _isolated(adj)[1])
             if not found:
                 return None
     else:
         alone, leaves = _isolated(adj)
-        adds = _decided_blocks(rules, n, mask, adj, True, alone)
+        adds = _decided_blocks(rules, n, mask, adj, True, alone, same)
         removes = _decided_blocks(rules, n, mask, adj, False, leaves)
         added = adds.bit_count()
         total = added + removes.bit_count()
@@ -777,9 +790,7 @@ def _decided_flip(rules: tuple, n: int, mask: int, adj, rng) -> tuple | None:
         kind, found = ("add", adds) if k < added else ("remove", removes)
         for _ in range(k if k < added else k - added):
             found &= found - 1
-    bit = found & -found
-    i, j = pair_list(n)[bit.bit_length() - 1]
-    return bit, kind, i, j, None
+    return found & -found, kind, None
 
 
 def _scanned_flip(spec: GameSpec, cache: EvalCache, n: int, mask: int, adj, rng) -> tuple | None:
@@ -794,7 +805,46 @@ def _scanned_flip(spec: GameSpec, cache: EvalCache, n: int, mask: int, adj, rng)
     if not found:
         return None
     kind, i, j, *_, values = found[0 if rng is None else rng.randrange(len(found))]
-    return 1 << pair_index(n, i, j), kind, i, j, values
+    return 1 << pair_index(n, i, j), kind, values
+
+
+class _Components:
+    """The components of a decided walk's graph g, carried from flip to
+    flip instead of rebuilt: ``comp[v]`` is v's component mask and ``same``
+    the pair mask of the pairs within one, which ``_decided_blocks`` reads
+    for additions.  An addition across two components joins them; a
+    removal splits its component only when j is not reachable from i
+    after it, one ``reachable_from``.  This is dynamic connectivity (Holm,
+    de Lichtenberg and Thorup, JACM 2001) in its simplest form."""
+
+    __slots__ = ("within", "comp", "same")
+
+    def __init__(self, n: int, adj):
+        self.within, self.comp, self.same = PAIRS_WITHIN[n], [0] * n, 0
+        rest = (1 << n) - 1
+        while rest:
+            comp = reachable_from(adj, rest & -rest)
+            self._hold(comp)
+            rest ^= comp
+
+    def _hold(self, comp: int) -> None:
+        self.same |= self.within[comp]
+        for v in bits(comp):
+            self.comp[v] = comp
+
+    def flip(self, adding: bool, bit: int, i: int, j: int, adj) -> None:
+        """Follow the flip of pair ij (pair bit ``bit``); ``adj`` is the
+        adjacency after it."""
+        if adding:
+            if not self.same & bit:
+                self._hold(self.comp[i] | self.comp[j])
+            return
+        part = reachable_from(adj, 1 << i)
+        if not part >> j & 1:
+            whole = self.comp[i]
+            self.same &= ~self.within[whole]
+            self._hold(part)
+            self._hold(whole ^ part)
 
 
 def best_response_dynamics(
@@ -815,7 +865,11 @@ def best_response_dynamics(
     only the endpoint is built as a ``Graph``.  ``move`` is picked once:
     ``_decided_flip`` when every pair is decided (every agent rule-typed,
     ``GameSpec.rules``), which draws from the pair masks with no scan and
-    no cache, else ``_scanned_flip``, the scan of ``is_apsn``.  Each flip
+    no cache, else ``_scanned_flip``, the scan of ``is_apsn``.  A decided
+    run builds g0's components once and carries them through its flips
+    (``_Components``); its pair masks come from the ``PAIRS_WITHIN`` table,
+    at most 2^n entries per n, 65,536 (about 7 MB, filled in about 32 ms)
+    at n = 16, of which a run fills only those its graphs meet.  Each flip
     taken is recorded with its endpoints' values (None for a decided one);
     the trajectory builds the deltas only when its ``steps`` are read.
     """
@@ -825,20 +879,25 @@ def best_response_dynamics(
         raise ParameterError(f"step budget must be >= 0 (got {max_steps})")
     spec.bind(g0)
     rng = random.Random(seed) if rule == "random" else None
-    n = g0.n
+    n, pairs = g0.n, pair_list(g0.n)
+    mask, adj = g0.mask, list(g0.adjacency())  # toggled in place, step by step
+    parts = None
     if spec.rules[0] == (1 << n) - 1:
-        move = functools.partial(_decided_flip, spec.rules, n)
+        parts = _Components(n, adj)
+        move = functools.partial(_decided_flip, spec.rules, n, parts)
     else:
         move = functools.partial(_scanned_flip, spec, cache or EvalCache(), n)
-    mask, adj = g0.mask, list(g0.adjacency())  # toggled in place, step by step
     moves: list[tuple] = []
     for _ in range(max_steps):
         flip = move(mask, adj, rng)
         if flip is None:
             return Trajectory(spec, g0, moves, Graph(n, mask), True)
-        bit, kind, i, j, values = flip
+        bit, kind, values = flip
+        i, j = pairs[bit.bit_length() - 1]
         moves.append((kind, i, j, values))
         mask ^= bit
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
+        if parts is not None:
+            parts.flip(kind == "add", bit, i, j, adj)
     return Trajectory(spec, g0, moves, Graph(n, mask), move(mask, adj, None) is None)

@@ -37,7 +37,8 @@
 eccentricity increase that ``structure.ecc_strict_condition_distance``
 corrects.  ``same_component`` reads whether two vertices are connected.
 ``seeded_weights`` gives the linear kernel tests a reproducible weight table
-and ``write_weight_table`` is the inverse of ``truncation.read_weight_table``.
+and ``write_weight_table`` and ``write_edge_list`` are the inverses of
+``truncation.read_weight_table`` and ``graphs.read_edge_list``.
 """
 from __future__ import annotations
 
@@ -723,7 +724,16 @@ def improving_remove(spec, g: Graph, i: int, j: int, cache: EvalCache | None = N
     return two_way_eval_flip(spec, g, h, i, j, False, cache or EvalCache(), None)[0]
 
 
-# -- weight-table file format --------------------------------------------------------
+# -- text file formats ---------------------------------------------------------------
+
+
+def write_edge_list(g: Graph) -> str:
+    """The edge-list text ``graphs.read_edge_list`` reads: a line "n count",
+    then one "i j" line per edge, i < j, in pair order."""
+    lines = [f"{g.n} {g.edge_count()}"]
+    lines.extend(f"{i} {j}" for i, j in g.edges())
+    return "\n".join(lines) + "\n"
+
 
 
 def write_weight_table(weights: tuple[tuple[int, ...], ...]) -> str:

@@ -33,7 +33,7 @@ with open(sys.argv[0] + ".log", "a") as log:
 arg = lambda name: sys.argv[sys.argv.index(name) + 1]
 if arg("--trace") == "1":
     if FAIL_TRACED:
-        print("StatisticsError: mean requires at least one data point", file=sys.stderr)
+        print(MESSAGE, file=sys.stderr)
         sys.exit(1)
     # two ops per phase: the untraced one spans (10 s + 5) ms and the traced
     # one (20 s + 5) ms, s being the seed times SCALE
@@ -48,10 +48,15 @@ print(json.dumps({"correct": True, "failed": 0, "metrics": {"work_per_s": {"valu
 """
 
 
-def fake_checkout(root, fail_traced, scale=1):
+REFCLOCK_STOP = "StatisticsError: mean requires at least one data point"
+
+
+def fake_checkout(root, fail_traced, scale=1, message=REFCLOCK_STOP):
+    """A checkout whose traced runs print ``message`` and exit 1 when
+    ``fail_traced``; the log of its calls is the returned path."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        f"FAIL_TRACED = {fail_traced}\nSCALE = {scale}\n" + FAKE_RUN
+        f"FAIL_TRACED = {fail_traced}\nSCALE = {scale}\nMESSAGE = {message!r}\n" + FAKE_RUN
     )
     (root / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1,
@@ -113,3 +118,23 @@ def test_traced_runs_are_recorded(tmp_path, monkeypatch):
         assert shortest == {"base": pytest.approx(15), "head": pytest.approx(25)}
     calls = head_log.read_text().splitlines()
     assert [c.endswith("--trace 1") for c in calls] == [True] * 6 + [False] * 4
+
+
+def test_a_refclock_stop_is_named_apart_from_other_failures(tmp_path, monkeypatch, capsys):
+    """A traced run whose stderr ends in ``RefClock``'s empty-probe error is
+    marked and named as such; one that fails otherwise is not."""
+    script = load_script()
+    fake_checkout(tmp_path / "base", fail_traced=True, message="ValueError: boom")
+    fake_checkout(tmp_path / "head", fail_traced=True)
+    monkeypatch.setattr(script, "HEAD", tmp_path / "head")
+    monkeypatch.setattr(script, "PAIRS", 2)
+    assert script.main(["--base", str(tmp_path / "base"), "--label", "x"]) == 1
+    report = json.loads((tmp_path / "head" / "BENCH_x.json").read_text())
+    for workload in ("census-walk", "dynamics-canon"):
+        for t in report["workloads"][workload]["traced"]:
+            assert t["exit"] == 1 and t["refclock_stop"] == (t["side"] == "head")
+    closing = capsys.readouterr().err.splitlines()[-1]
+    assert closing.startswith("failed traced runs: census-walk seed 1 on base exited 1; ")
+    stops = ", ".join(f"{w} seed {s} on head" for w in ("census-walk", "dynamics-canon")
+                      for s in (1, 2, 3))
+    assert closing.endswith(f" (RefClock empty-probe stops: {stops})")

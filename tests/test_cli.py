@@ -8,14 +8,14 @@ import pytest
 
 from apsn.cli import main, make_parser
 from apsn.game import MONOTONE_KINDS
-from apsn.graphs import Graph, from_graph6, to_graph6, write_edge_list
+from apsn.graphs import Graph, from_graph6, to_graph6
 from apsn.structure import (
     betweenness_condition,
     check_monotone_structure,
     ecc_necessary,
     ecc_sufficient,
 )
-from oracles import labeled_passing_masks, write_weight_table
+from oracles import labeled_passing_masks, write_edge_list, write_weight_table
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "docs" / "schemas"

@@ -44,6 +44,7 @@ from apsn.game import (
     uniform_game,
 )
 from apsn.graphs import (
+    MAX_VERTICES,
     Graph,
     bits,
     component_of,
@@ -773,13 +774,13 @@ def reference_blocks(spec, g, adding):
     pair, built as a graph, and a numeric end does not answer.  In a game
     whose every agent is rule-typed, these are g's blocking flips."""
     rules = [rule_of(agent) for agent in spec.agents]
-    out = 0
+    out, on_g = 0, g.adjacency()
     for p, (i, j) in enumerate(pair_list(g.n)):
         if g.has_edge(i, j) == adding:
             continue
-        lo = g if adding else g.remove_edge(i, j)
-        same = bool(component_of(lo, i) >> j & 1)
-        degrees = lo.degrees()
+        adj = on_g if adding else g.remove_edge(i, j).adjacency()  # lo's
+        same = bool(reachable_from(adj, 1 << i) >> j & 1)
+        degrees = [a.bit_count() for a in adj]
         refused = False
         for k, o in ((i, j), (j, i)):
             if isinstance(rules[k], HomophilyFunction):
@@ -827,14 +828,34 @@ def reference_dynamics(spec, g0, max_steps, seed, rule):
         g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
 
 
-@pytest.mark.parametrize("name", list(DECIDED_GAMES))
+#: (joins, splits): whether a game's decided runs add an edge across two
+#: components and remove one whose ends it separates, where it is not both:
+#: agents that gain from every edge only add, those that gain from none only
+#: remove, type 2 never joins and type 2p never splits
+CARRY_UPDATES = {
+    **{name: (True, False) for name in ("local-degree", "local-decay", "local-harmonic",
+                                        "monotone-1")},
+    **{name: (False, True) for name in ("monotone-1p", "monotone-2")},
+    "monotone-2p": (True, False),
+}
+
+
+@pytest.mark.parametrize("name", [*DECIDED_GAMES, "homophilic-gt", "homophilic-table"])
 def test_decided_dynamics_match_a_reference_loop(name):
-    """25 seeded starts per n = 4..7 and 3 at n = 9 and 12, whose pair
-    masks are wider than 32 and 64 bits, under both rules, with a budget
-    that lets them converge and one of two steps that mostly does not."""
-    stopped = 0
-    for n, starts in [*((n, 25) for n in range(4, 8)), (9, 3), (12, 3)]:
-        spec = DECIDED_GAMES[name](n)
+    """25 seeded starts per n = 4..7 and 3 at n = 9, 12 and 16, whose pair
+    masks are wider than 32, 64 and 100 bits, under both rules, with a
+    budget that lets them converge and one of two steps that mostly does
+    not.  The table homophily game is defined up to n = 6, the largest n
+    whose degrees its table covers.  Whether the runs join components and
+    split them, the two updates of the components a walk carries, is
+    pinned per game (``CARRY_UPDATES``)."""
+    make = DECIDED_GAMES.get(name) or ONE_RULE_GAMES[name]
+    sizes = [*((n, 25) for n in range(4, 8)), (9, 3), (12, 3), (MAX_VERTICES, 3)]
+    if name == "homophilic-table":
+        sizes = [(n, 25) for n in range(4, 7)]
+    stopped, joins, splits = 0, 0, 0
+    for n, starts in sizes:
+        spec = make(n)
         assert spec.rules[0] == (1 << n) - 1
         for seed in range(starts):
             g0 = Graph(n, random.Random(f"{n}-{seed}").getrandbits(n * (n - 1) // 2))
@@ -844,7 +865,14 @@ def test_decided_dynamics_match_a_reference_loop(name):
                     got = traj.moves, traj.final, traj.converged
                     assert got == reference_dynamics(spec, g0, budget, seed, rule), (n, seed, rule)
                     stopped += not traj.converged
+                    g = g0
+                    for kind, i, j, _ in traj.moves:
+                        apart = not component_of(g, i) >> j & 1
+                        g = g.add_edge(i, j) if kind == "add" else g.remove_edge(i, j)
+                        joins += kind == "add" and apart
+                        splits += kind == "remove" and not component_of(g, i) >> j & 1
     assert stopped  # some budget ran out
+    assert (joins > 0, splits > 0) == CARRY_UPDATES.get(name, (True, True))
 
 
 def reference_scanned_dynamics(spec, g0, max_steps, seed, rule):

@@ -15,6 +15,8 @@ from apsn.errors import (
     VertexRangeError,
 )
 from apsn.graphs import (
+    MAX_VERTICES,
+    PAIRS_WITHIN,
     Graph,
     apply_permutation,
     bfs_distances,
@@ -31,12 +33,18 @@ from apsn.graphs import (
     orbit_union,
     pair_count,
     pair_index,
+    pair_list,
     read_edge_list,
     shard_bounds,
     to_graph6,
+)
+from oracles import (
+    adjacency_by_bits,
+    colour_patterns,
+    enumerate_labeled_graphs,
+    same_component,
     write_edge_list,
 )
-from oracles import adjacency_by_bits, colour_patterns, enumerate_labeled_graphs, same_component
 
 
 def graphs_strategy(max_n=6):
@@ -143,6 +151,20 @@ def test_tree_edges_are_bridges():
 
 def test_cycle_edges_are_not_bridges():
     assert bridges(Graph.cycle(4)) == set()
+
+
+def brute_pairs_within(n, vertices):
+    return sum(1 << p for p, (i, j) in enumerate(pair_list(n)) if vertices >> i & vertices >> j & 1)
+
+
+def test_pairs_within_table_matches_brute_force():
+    """Every vertex mask at n <= 8, and 1,000 seeded masks at n = 16."""
+    for n in range(1, 9):
+        for vertices in range(1 << n):
+            assert PAIRS_WITHIN[n][vertices] == brute_pairs_within(n, vertices), (n, vertices)
+    rng = random.Random(16)
+    for vertices in (rng.getrandbits(MAX_VERTICES) for _ in range(1000)):
+        assert PAIRS_WITHIN[MAX_VERTICES][vertices] == brute_pairs_within(MAX_VERTICES, vertices)
 
 
 def test_bridge_addition_to_isolated_vertex():
